@@ -5,7 +5,7 @@ verification of periodicity, reciprocity, and file homomesy."""
 from .closed_form import ClosedForm, IterateQuery, rho_closed
 from .dynamics import (Labeling, OrderIdeal, generic_labeling,
                        iterate_birational, rowmotion_birational)
-from .exactnum import Polynomial, RatFn, Var, avar, ratfn_equal, xvar
+from .exactnum import Factored, Polynomial, Var, avar, xvar
 from .grid_poset import RectPoset, Region
 from .nilp import phi
 from .report import Report
@@ -15,6 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosedForm", "IterateQuery", "rho_closed", "Labeling", "OrderIdeal",
     "generic_labeling", "iterate_birational", "rowmotion_birational",
-    "Polynomial", "RatFn", "Var", "avar", "ratfn_equal", "xvar",
+    "Factored", "Polynomial", "Var", "avar", "xvar",
     "RectPoset", "Region", "phi", "Report", "__version__",
 ]

@@ -4,10 +4,10 @@ shift operator mu^(a,b) acting on A-variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from .errors import ShiftOutOfRange, UnboundVariable
-from .exactnum import Polynomial, RatFn, Var, avar, monomial, substitute, xvar
+from .exactnum import Factored, Polynomial, Var, monomial, xvar
 from .grid_poset import GridPoint, RectPoset
 
 
@@ -21,11 +21,11 @@ class AChart:
     """
 
     poset: RectPoset
-    a_values: Dict[GridPoint, RatFn]
+    a_values: Dict[GridPoint, Factored]
 
 
 def x_to_A(poset: RectPoset) -> AChart:
-    vals: Dict[GridPoint, RatFn] = {}
+    vals: Dict[GridPoint, Factored] = {}
     for (i, j) in poset.members():
         num = Polynomial.const(0)
         if i >= 1:
@@ -34,7 +34,7 @@ def x_to_A(poset: RectPoset) -> AChart:
             num = num + Polynomial.var(xvar(i, j - 1))
         if i == 0 and j == 0:
             num = Polynomial.const(1)
-        vals[(i, j)] = RatFn.make(num, Polynomial.var(xvar(i, j)))
+        vals[(i, j)] = Factored.ratio(num, Polynomial.var(xvar(i, j)))
     return AChart(poset, vals)
 
 
@@ -55,19 +55,34 @@ def shift_poly(p: Polynomial, a: int, b: int) -> Polynomial:
     return Polynomial.from_dict(d)
 
 
-def shift_mu(f: RatFn, a: int, b: int) -> RatFn:
-    return RatFn.make(shift_poly(f.num, a, b), shift_poly(f.den, a, b))
+def a_to_x(f: Factored, poset: RectPoset) -> Factored:
+    """Substitute the chart, turning an A-variable expression into x-variables.
 
+    The numerator and the denominator of f are substituted apart.  Each sums
+    its terms over the product of their denominators, and the two sums are
+    divided, all without cancelling; that unreduced pair is the printed
+    x-frame form.
+    """
+    chart = x_to_A(poset).a_values
+    one = Polynomial.const(1)
 
-def a_to_x(f: RatFn, poset: RectPoset) -> RatFn:
-    """Substitute the chart, turning an A-variable expression into x-variables."""
-    chart = x_to_A(poset)
-    bindings: Dict[Var, RatFn] = {}
-    for v in f.variables():
-        if v.ns == "A":
-            if not poset.contains((v.i, v.j)):
-                raise UnboundVariable(f"{v.render()} outside the rectangle")
-            bindings[avar(v.i, v.j)] = chart.a_values[(v.i, v.j)]
-        else:
-            bindings[v] = RatFn.var(v)
-    return substitute(f, bindings)
+    def bind(v: Var) -> Tuple[Polynomial, Polynomial]:
+        if v.ns != "A":
+            return Polynomial.var(v), one
+        if not poset.contains((v.i, v.j)):
+            raise UnboundVariable(f"{v.render()} outside the rectangle")
+        return chart[(v.i, v.j)].expand()
+
+    def in_x(p: Polynomial) -> Tuple[Polynomial, Polynomial]:
+        num, den = Polynomial(()), one
+        for m, c in p.terms:
+            parts = [bind(v) for v, e in m for _ in range(e)]
+            tnum = Polynomial.product(n for n, _ in parts).scale(c)
+            tden = Polynomial.product(d for _, d in parts)
+            num, den = num * tden + tnum * den, den * tden
+        return num, den
+
+    fnum, fden = f.expand()
+    nn, nd = in_x(fnum)
+    dn, dd = in_x(fden)
+    return Factored.ratio(nn * dd, nd * dn)

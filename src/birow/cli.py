@@ -12,13 +12,15 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
+from .avar import a_to_x
 from .bounce import plucker_check
 from .closed_form import IterateQuery, rho_closed
 from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
-                       iterate_birational, orbit, random_labeling)
-from .errors import BirowError, DivisionByZero, PoleEncountered
-from .exactnum import RatFn, ratfn_equal, xvar
+                       iterate_birational, orbit, orbit_partition, random_labeling)
+from .errors import BirowError, DivisionByZero, ParseError, PoleEncountered
+from .exactnum import Factored, xvar
 from .grid_poset import RectPoset
 from .nilp import enum_nilp, phi
 from .verify import (check_antipodal_product, check_combinatorial_homomesy,
@@ -37,7 +39,7 @@ def _emit(payload: dict, plain: bool, plain_text: str):
 
 def _reduce_k(k: int, r: int, s: int, notices: list) -> int:
     period = r + s + 2
-    if k > r + s + 1:
+    if not 0 <= k < period:
         notices.append(f"k={k} reduced to {k % period} modulo the period {period}")
         return k % period
     return k
@@ -48,8 +50,12 @@ def _cmd_iterate(args) -> int:
     notices: list = []
     k = _reduce_k(args.k, args.r, args.s, notices)
     if args.labels:
-        with open(args.labels) as fh:
-            f = Labeling.from_json(json.load(fh))
+        try:
+            with open(args.labels) as fh:
+                f = Labeling.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ParseError) as e:
+            raise BirowError(f"cannot read --labels file {args.labels}: {e}")
         if (f.poset.r, f.poset.s) != (args.r, args.s):
             raise BirowError("--labels grid does not match --r/--s")
     elif args.mode == "rational":
@@ -65,15 +71,15 @@ def _cmd_iterate(args) -> int:
     return 0
 
 
-def _simple_x_form(fn: RatFn, poset: RectPoset) -> RatFn:
+def _simple_x_form(fn: Factored, poset: RectPoset) -> Factored:
     """Replace an unreduced x-frame result by a bare variable or reciprocal
     when it equals one (no general reduction is attempted)."""
     for p in poset.members():
-        v = RatFn.var(xvar(*p))
-        if ratfn_equal(fn, v):
+        v = Factored.var(xvar(*p))
+        if fn == v:
             return v
-        if ratfn_equal(fn, v.inv()):
-            return v.inv()
+        if fn == v ** -1:
+            return v ** -1
     return fn
 
 
@@ -91,7 +97,6 @@ def _cmd_formula(args) -> int:
     cf = rho_closed(IterateQuery(poset, args.i, args.j, k))
     fn, frame = cf.fn, cf.frame
     if args.frame == "x" and frame == "A":
-        from .avar import a_to_x
         fn, frame = a_to_x(fn, poset), "x"
     elif args.frame == "a" and frame == "x":
         raise BirowError("no A-variable form exists for this query (M > k)")
@@ -124,13 +129,15 @@ def _parse_ideal(text: str, poset: RectPoset) -> OrderIdeal:
     pts = set()
     if text.strip():
         for part in text.split(";"):
-            i, j = part.split(",")
-            pts.add((int(i), int(j)))
+            try:
+                i, j = part.split(",")
+                pts.add((int(i), int(j)))
+            except ValueError:
+                raise BirowError(f"--ideal point {part!r} is not of the form i,j")
     return OrderIdeal(poset, frozenset(pts))
 
 
 def _orbit_json(orb) -> dict:
-    from fractions import Fraction
     sizes = [o.size() for o in orb]
     return {
         "length": len(orb),
@@ -145,13 +152,7 @@ def _cmd_orbit(args) -> int:
     if args.ideal is not None:
         orbits = [orbit(_parse_ideal(args.ideal, poset))]
     else:
-        orbits, seen = [], set()
-        for ideal in all_order_ideals(poset):
-            if ideal.members in seen:
-                continue
-            orb = orbit(ideal)
-            orbits.append(orb)
-            seen.update(o.members for o in orb)
+        orbits = orbit_partition(all_order_ideals(poset))
     payload = {"r": args.r, "s": args.s, "orbits": [_orbit_json(o) for o in orbits]}
     plain = "\n".join(
         f"orbit of length {o['length']}, size average {o['size_average']}"

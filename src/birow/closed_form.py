@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .avar import a_to_x, shift_poly
-from .errors import OutOfRange, PreconditionViolated
-from .exactnum import Polynomial, RatFn, xvar
+from .errors import OutOfRange
+from .exactnum import Factored, Polynomial
 from .grid_poset import RectPoset
 from .nilp import phi
 
@@ -36,7 +36,7 @@ class IterateQuery:
 class ClosedForm:
     """Tagged result: frame "A" (A-variables) or "x" (x-variables)."""
     frame: str
-    fn: RatFn
+    fn: Factored
 
 
 def m_value(q: IterateQuery) -> int:
@@ -64,27 +64,8 @@ def rho_closed_phi(q: IterateQuery) -> Tuple[Polynomial, Polynomial]:
 
 def rho_closed(q: IterateQuery) -> ClosedForm:
     """Tagged closed form: case M <= k stays in A-variables; case M > k is
-    computed from the antipodal query and inverted in x-variables."""
-    M = m_value(q)
-    num, den = rho_closed_phi(q)
-    if M <= q.k:
-        return ClosedForm("A", RatFn.make(num, den))
-    inner = IterateQuery(q.poset, q.poset.r - q.i, q.poset.s - q.j, q.k - 1 - q.i - q.j)
-    fn = a_to_x(RatFn.make(*rho_closed_phi(inner)), q.poset).inv()
-    return ClosedForm("x", fn)
-
-
-def rho_noshift(q: IterateQuery) -> RatFn:
-    """The shift-free special case k <= min(i, j)."""
-    if q.k > min(q.i, q.j):
-        raise PreconditionViolated(f"k={q.k} exceeds min(i,j)={min(q.i, q.j)}")
-    num = phi(q.poset.hexagon(q.i - q.k, q.j - q.k, q.k)).value
-    den = phi(q.poset.hexagon(q.i - q.k, q.j - q.k, q.k + 1)).value
-    return RatFn.make(num, den)
-
-
-def claim_mk(q: IterateQuery) -> RatFn:
-    """When i + j = k the iterate collapses to 1/x at the antipodal point."""
-    if q.i + q.j != q.k:
-        raise PreconditionViolated(f"i+j={q.i + q.j} differs from k={q.k}")
-    return RatFn.var(xvar(q.poset.r - q.i, q.poset.s - q.j)).inv()
+    the reciprocal of the antipodal query, written in x-variables."""
+    fn = Factored.ratio(*rho_closed_phi(q))
+    if m_value(q) <= q.k:
+        return ClosedForm("A", fn)
+    return ClosedForm("x", a_to_x(fn, q.poset))

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .errors import DivisionByZero, OutOfRangeValue, PoleEncountered
-from .exactnum import Factored, RatFn, parallel, parse_rational, parse_ratfn, xvar
+from .errors import DivisionByZero, OutOfRangeValue, ParseError, PoleEncountered
+from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
 from .grid_poset import GridPoint, RectPoset, parse_point_key, point_key
 
-Value = Union[RatFn, Factored, Fraction]
+Value = Union[Factored, Fraction]
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Labeling:
     @property
     def mode(self) -> str:
         v = next(iter(self.values.values()), None)
-        return "symbolic" if isinstance(v, (RatFn, Factored)) else "rational"
+        return "symbolic" if isinstance(v, Factored) else "rational"
 
     def value(self, p: GridPoint) -> Value:
         return self.values[p]
@@ -49,12 +49,12 @@ class Labeling:
     @staticmethod
     def from_json(data: dict) -> "Labeling":
         poset = RectPoset(data["r"], data["s"])
-        mode = data.get("mode", "rational")
-        if mode == "symbolic":
-            parse = lambda text: Factored.from_ratfn(parse_ratfn(text))
-        else:
-            parse = parse_rational
+        parse = parse_factored if data.get("mode") == "symbolic" else parse_rational
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
+        size = (poset.r + 1) * (poset.s + 1)
+        if len(values) != size or not all(map(poset.contains, values)):
+            raise ParseError(f"labels must name each point of the {poset.r}x{poset.s} "
+                             "grid exactly once")
         return Labeling(poset, values)
 
 
@@ -146,13 +146,11 @@ class OrderIdeal:
 
     def __post_init__(self):
         for (i, j) in self.members:
+            if not self.poset.contains((i, j)):
+                raise OutOfRangeValue(f"({i},{j}) outside the grid")
             for w in ((i - 1, j), (i, j - 1)):
                 if self.poset.contains(w) and w not in self.members:
                     raise OutOfRangeValue(f"not downward closed at {w}")
-
-    def indicator(self) -> Labeling:
-        return Labeling(self.poset,
-                        {p: Fraction(1 if p in self.members else 0) for p in self.poset.members()})
 
     def size(self) -> int:
         return len(self.members)
@@ -179,6 +177,20 @@ def orbit(ideal: OrderIdeal) -> List[OrderIdeal]:
         out.append(cur)
         cur = rowmotion_combinatorial(cur)
     return out
+
+
+def orbit_partition(ideals: List[OrderIdeal]) -> List[List[OrderIdeal]]:
+    """The rowmotion orbits through the given ideals, in order of each
+    orbit's first ideal in the list; each orbit starts at that ideal."""
+    orbits: List[List[OrderIdeal]] = []
+    seen = set()
+    for ideal in ideals:
+        if ideal.members in seen:
+            continue
+        orb = orbit(ideal)
+        orbits.append(orb)
+        seen.update(o.members for o in orb)
+    return orbits
 
 
 def all_order_ideals(poset: RectPoset) -> List[OrderIdeal]:

@@ -1,30 +1,34 @@
-"""Exact arithmetic: rationals, sparse multivariate polynomials, rational functions.
+"""Exact arithmetic: rationals, sparse multivariate polynomials, and
+factored symbolic values.
 
 Rationals are stdlib ``fractions.Fraction``.  Polynomials have arbitrary
 precision integer coefficients and variables indexed by a namespace
-(``"A"`` or ``"x"``) and a grid position ``(i, j)``.  Rational functions are
-kept as unreduced numerator/denominator pairs: no multivariate gcd is ever
-computed.  Equality of rational functions is decided by cross multiplication,
-which is exact.
+(``"A"`` or ``"x"``) and a grid position ``(i, j)``.  A symbolic value is a
+``Factored``: a rational coefficient times a product of primitive
+polynomials with integer exponents.  It has the operators of ``Fraction``
+(``+``, ``-``, ``*``, ``/``, ``**``, ``==``, ``str``), so code written for
+one kind of value runs unchanged on the other.  No multivariate gcd is ever
+computed: division cancels equal factors syntactically, and equality
+expands the quotient of the two values and compares its numerator with its
+denominator, which is exact.
 
-The only normalization applied to a rational function is lightweight:
-the gcd of all integer coefficients is divided out and the sign is fixed so
-that the leading coefficient of the denominator (graded lexicographic order
-on ``(namespace, i, j)``) is positive.
+A value renders as its expanded numerator, or as ``(numerator)/(denominator)``
+when the denominator is not 1; the pair carries no common integer content
+and the denominator's leading coefficient (graded lexicographic order on
+``(namespace, i, j)``) is positive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Tuple
 
 from .errors import DivisionByZero, ParseError, PoleEncountered, UnboundVariable
-
-Rational = Fraction
 
 
 class Var(NamedTuple):
@@ -120,9 +124,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return self.terms == (((), 1),)
 
-    def degree(self) -> int:
-        return mon_degree(self.terms[0][0]) if self.terms else 0
-
     def leading_coeff(self) -> int:
         if not self.terms:
             return 0
@@ -130,9 +131,6 @@ class Polynomial:
 
     def content(self) -> int:
         return math.gcd(*(c for _, c in self.terms)) if self.terms else 0
-
-    def variables(self) -> set:
-        return {v for m, _ in self.terms for v, _ in m}
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         d = dict(self.terms)
@@ -162,7 +160,17 @@ class Polynomial:
             out = out * self
         return out
 
+    @staticmethod
+    def product(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """Product of the given polynomials; 1 for none."""
+        out = None
+        for p in polys:
+            out = p if out is None else out * p
+        return Polynomial.const(1) if out is None else out
+
     def scale(self, c: int) -> "Polynomial":
+        if c == 1:
+            return self
         if c == 0:
             return Polynomial(())
         return Polynomial(tuple((m, k * c) for m, k in self.terms))
@@ -195,84 +203,6 @@ class Polynomial:
         return self.render()
 
 
-def _normalize(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    if den.is_zero():
-        raise DivisionByZero("rational function with zero denominator")
-    if num.is_zero():
-        return Polynomial(()), Polynomial.const(1)
-    g = math.gcd(num.content(), den.content())
-    if den.leading_coeff() < 0:
-        g = -g
-    return num.divide_content(g), den.divide_content(g)
-
-
-@dataclass(frozen=True)
-class RatFn:
-    """Unreduced ratio of two polynomials.
-
-    Structural equality (``==``) compares the stored pairs; mathematical
-    equality is :func:`ratfn_equal`.
-    """
-
-    num: Polynomial
-    den: Polynomial
-
-    @staticmethod
-    def make(num: Polynomial, den: Polynomial) -> "RatFn":
-        n, d = _normalize(num, den)
-        return RatFn(n, d)
-
-    @staticmethod
-    def const(c: Union[int, Fraction]) -> "RatFn":
-        q = Fraction(c)
-        return RatFn.make(Polynomial.const(q.numerator), Polynomial.const(q.denominator))
-
-    @staticmethod
-    def var(v: Var) -> "RatFn":
-        return RatFn.make(Polynomial.var(v), Polynomial.const(1))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RatFn") -> "RatFn":
-        return RatFn.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFn") -> "RatFn":
-        return RatFn.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RatFn") -> "RatFn":
-        return RatFn.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFn") -> "RatFn":
-        if other.num.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RatFn.make(self.num * other.den, self.den * other.num)
-
-    def inv(self) -> "RatFn":
-        if self.num.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return RatFn.make(self.den, self.num)
-
-    def __pow__(self, exp: int) -> "RatFn":
-        if exp < 0:
-            return self.inv() ** (-exp)
-        out = RatFn.const(1)
-        for _ in range(exp):
-            out = out * self
-        return out
-
-    def variables(self) -> set:
-        return self.num.variables() | self.den.variables()
-
-    def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
-
-    def __str__(self) -> str:
-        return self.render()
-
-
 def _primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
     """Split off the integer content and sign so the leading coefficient of
     the remaining polynomial is positive."""
@@ -284,15 +214,16 @@ def _primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
     return Fraction(g), p.divide_content(g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factored:
     """A rational coefficient times a product of primitive polynomials with
-    integer exponents.
+    integer exponents; every factor has a positive leading coefficient.
 
     Division cancels matching factors syntactically, which keeps iterated
     toggle dynamics from accumulating redundant factors; no polynomial gcd
     is ever computed.  Addition extracts the common factors, expands only
     the leftover parts, and stores their sum as a single new factor.
+    ``==`` is mathematical equality, so a value has no hash.
     """
 
     coeff: Fraction
@@ -315,35 +246,28 @@ class Factored:
         return Factored.make(Fraction(1), {Polynomial.var(v): 1})
 
     @staticmethod
-    def from_ratfn(f: "RatFn") -> "Factored":
-        cn, pn = _primitive(f.num)
-        cd, pd = _primitive(f.den)
-        if cn == 0:
-            return Factored.const(0)
-        d: Dict[Polynomial, int] = {}
-        d[pn] = d.get(pn, 0) + 1
+    def ratio(num: Polynomial, den: Polynomial) -> "Factored":
+        """num/den, with the content and sign of both moved into the
+        coefficient."""
+        if den.is_zero():
+            raise DivisionByZero("rational function with zero denominator")
+        cn, pn = _primitive(num)
+        cd, pd = _primitive(den)
+        d = {pn: 1}
         d[pd] = d.get(pd, 0) - 1
         return Factored.make(cn / cd, d)
 
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def _fdict(self) -> Dict[Polynomial, int]:
-        return dict(self.factors)
-
     def __mul__(self, other: "Factored") -> "Factored":
-        d = self._fdict()
+        d = dict(self.factors)
         for p, e in other.factors:
             d[p] = d.get(p, 0) + e
         return Factored.make(self.coeff * other.coeff, d)
 
-    def inv(self) -> "Factored":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return Factored.make(1 / self.coeff, {p: -e for p, e in self.factors})
-
     def __truediv__(self, other: "Factored") -> "Factored":
-        return self * other.inv()
+        return self * other ** -1
 
     def __pow__(self, exp: int) -> "Factored":
         if self.is_zero():
@@ -357,18 +281,11 @@ class Factored:
             return other
         if other.is_zero():
             return self
-        fa, fb = self._fdict(), other._fdict()
-        common: Dict[Polynomial, int] = {}
-        for p in set(fa) | set(fb):
-            e = min(fa.get(p, 0), fb.get(p, 0))
-            if e != 0:
-                common[p] = e
-        ra = Polynomial.const(1)
-        rb = Polynomial.const(1)
-        for p in set(fa) | set(common):
-            ra = ra * p ** (fa.get(p, 0) - common.get(p, 0))
-        for p in set(fb) | set(common):
-            rb = rb * p ** (fb.get(p, 0) - common.get(p, 0))
+        fa, fb = dict(self.factors), dict(other.factors)
+        keys = set(fa) | set(fb)
+        common = {p: min(fa.get(p, 0), fb.get(p, 0)) for p in keys}
+        ra = Polynomial.product(p for p in keys for _ in range(fa.get(p, 0) - common[p]))
+        rb = Polynomial.product(p for p in keys for _ in range(fb.get(p, 0) - common[p]))
         lcm = (self.coeff.denominator * other.coeff.denominator
                // math.gcd(self.coeff.denominator, other.coeff.denominator))
         s = ra.scale(int(self.coeff * lcm)) + rb.scale(int(other.coeff * lcm))
@@ -379,137 +296,56 @@ class Factored:
         return Factored.make(g / lcm, common)
 
     def __sub__(self, other: "Factored") -> "Factored":
-        return self + Factored.make(-other.coeff, other._fdict())
+        return self + Factored(-other.coeff, other.factors)
 
-    def variables(self) -> set:
-        return {v for p, _ in self.factors for v in p.variables()}
+    def __eq__(self, other) -> bool:
+        if isinstance(other, numbers.Rational):
+            other = Factored.const(other)
+        if not isinstance(other, Factored):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
+        # Cancel shared factors first, then expand only the leftover ratio.
+        num, den = (self / other).expand()
+        return num == den
 
-    def to_ratfn(self) -> "RatFn":
-        num = Polynomial.const(self.coeff.numerator)
-        den = Polynomial.const(self.coeff.denominator)
-        for p, e in self.factors:
-            if e > 0:
-                num = num * p ** e
-            else:
-                den = den * p ** (-e)
-        return RatFn.make(num, den)
+    def expand(self) -> Tuple[Polynomial, Polynomial]:
+        """(numerator, denominator): the positive and the negative powers of
+        the factors, scaled by the coefficient's numerator and denominator.
+        The pair has no common integer content and a positive denominator."""
+        num = Polynomial.product(p for p, e in self.factors for _ in range(e))
+        den = Polynomial.product(p for p, e in self.factors for _ in range(-e))
+        return num.scale(self.coeff.numerator), den.scale(self.coeff.denominator)
 
     def render(self) -> str:
-        return self.to_ratfn().render()
+        num, den = self.expand()
+        if den.is_one():
+            return num.render()
+        return f"({num.render()})/({den.render()})"
 
     def __str__(self) -> str:
         return self.render()
 
 
 def parallel(a, b):
-    """Parallel sum a ∥ b = 1/(1/a + 1/b).
-
-    For rational functions p/q ∥ u/v = pu/(uq + pv), a single unreduced step.
-    Works on Fraction, RatFn, and Factored values alike.
-    """
-    if isinstance(a, Factored) or isinstance(b, Factored):
-        s = a + b
-        if s.is_zero():
-            raise PoleEncountered("parallel sum pole: a + b = 0")
-        return a * b / s
-    if isinstance(a, RatFn) or isinstance(b, RatFn):
-        p, q, u, v = a.num, a.den, b.num, b.den
-        return RatFn.make(p * u, u * q + p * v)
+    """Parallel sum a ∥ b = 1/(1/a + 1/b) = ab/(a + b) of two Fraction or
+    two Factored values."""
     s = a + b
     if s == 0:
         raise PoleEncountered("parallel sum pole: a + b = 0")
     return a * b / s
 
 
-def rat_ops(a: Fraction, b: Optional[Fraction], kind: str) -> Fraction:
-    """Exact rational operations; kind in add|mul|inv|parallel."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return 1 / a
-    if kind == "parallel":
-        if a == 0 or b == 0:
-            raise DivisionByZero(f"parallel sum needs nonzero operands, got {a}, {b}")
-        if a + b == 0:
-            raise DivisionByZero(f"parallel sum pole: {a} + {b} = 0")
-        return a * b / (a + b)
-    raise ValueError(f"unknown op kind {kind!r}")
-
-
-def ratfn_ops(a: RatFn, b: Optional[RatFn], kind: str) -> RatFn:
-    """Rational-function operations; same kinds as rat_ops."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        return a.inv()
-    if kind == "parallel":
-        if a.is_zero() or b.is_zero():
-            raise DivisionByZero("parallel sum of a zero function")
-        return parallel(a, b)
-    raise ValueError(f"unknown op kind {kind!r}")
-
-
-def ratfn_equal(a, b) -> bool:
-    """Exact equality by cross multiplication; no gcd needed.  Accepts
-    RatFn and Factored operands."""
-    if isinstance(a, Factored) and isinstance(b, Factored):
-        if a.is_zero() or b.is_zero():
-            return a.is_zero() and b.is_zero()
-        # Cancel shared factors first, then expand only the leftover ratio.
-        q = (a / b).to_ratfn()
-        return q.num == q.den
-    if isinstance(a, Factored):
-        a = a.to_ratfn()
-    if isinstance(b, Factored):
-        b = b.to_ratfn()
-    return a.num * b.den == b.num * a.den
-
-
-def evaluate(f: Union["RatFn", "Factored", Fraction], point: Dict[Var, Fraction]) -> Fraction:
-    """Evaluate at a rational point.  Raises PoleEncountered on a zero
-    denominator and UnboundVariable for a missing variable."""
-    if isinstance(f, Fraction):
-        return f
-    if isinstance(f, Factored):
-        total = f.coeff
-        for p, e in f.factors:
-            v = p.evaluate(point)
-            if v == 0 and e < 0:
-                raise PoleEncountered("denominator factor vanishes at evaluation point")
-            total *= v ** e
-        return total
-    den = f.den.evaluate(point)
-    if den == 0:
-        raise PoleEncountered("denominator vanishes at evaluation point")
-    return f.num.evaluate(point) / den
-
-
-def substitute(f: RatFn, bindings: Dict[Var, RatFn]) -> RatFn:
-    """Substitute rational functions for variables.  Every variable of f
-    must be bound."""
-
-    def subst_poly(p: Polynomial) -> RatFn:
-        total = RatFn.const(0)
-        for m, c in p.terms:
-            term = RatFn.const(c)
-            for v, e in m:
-                if v not in bindings:
-                    raise UnboundVariable(f"no binding for {v.render()}")
-                term = term * bindings[v] ** e
-            total = total + term
-        return total
-
-    n = subst_poly(f.num)
-    d = subst_poly(f.den)
-    if d.is_zero():
-        raise DivisionByZero("substitution produced a zero denominator")
-    return n / d
+def evaluate(f: Factored, point: Dict[Var, Fraction]) -> Fraction:
+    """Evaluate at a rational point.  Raises PoleEncountered on a vanishing
+    denominator factor and UnboundVariable for a missing variable."""
+    total = f.coeff
+    for p, e in f.factors:
+        v = p.evaluate(point)
+        if v == 0 and e < 0:
+            raise PoleEncountered("denominator factor vanishes at evaluation point")
+        total *= v ** e
+    return total
 
 
 _TERM_FACTOR = re.compile(r"^([Ax])\[(-?\d+),(-?\d+)\](?:\^(\d+))?$")
@@ -545,13 +381,13 @@ def _parse_poly(text: str) -> Polynomial:
     return Polynomial.from_dict(d)
 
 
-def parse_ratfn(text: str) -> RatFn:
-    """Parse the output of RatFn.render back into a RatFn."""
+def parse_factored(text: str) -> Factored:
+    """Parse the output of Factored.render back into a Factored."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")") and ")/(" in text:
         num_s, den_s = text[1:-1].split(")/(", 1)
-        return RatFn.make(_parse_poly(num_s), _parse_poly(den_s))
-    return RatFn.make(_parse_poly(text), Polynomial.const(1))
+        return Factored.ratio(_parse_poly(num_s), _parse_poly(den_s))
+    return Factored.ratio(_parse_poly(text), Polynomial.const(1))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -57,9 +57,6 @@ class RectPoset:
     def contains(self, p: GridPoint) -> bool:
         return self.imin <= p[0] <= self.r and self.jmin <= p[1] <= self.s
 
-    def rank(self, p: GridPoint) -> int:
-        return p[0] + p[1]
-
     def _check(self, p: GridPoint):
         if not self.contains(p):
             raise OutOfRange(f"{p} outside rectangle")

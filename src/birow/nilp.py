@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .avar import a_to_x
 from .errors import PoleEncountered
-from .exactnum import (Polynomial, RatFn, Var, avar, monomial, ratfn_equal, xvar)
-from .grid_poset import GridPoint, RectPoset, Region
+from .exactnum import Polynomial, Var, avar, monomial
+from .grid_poset import GridPoint, Region
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,3 @@ def lgv_ratio_oracle(region: Region, point: Dict[Var, Fraction]) -> Fraction:
             row.append(total)
         mat.append(row)
     return _det(mat)
-
-
-def telescoping_check(poset: RectPoset) -> bool:
-    """Sum of 1/(product of A along the path) over all monotone paths from
-    (0,0) to (r,s) equals x_{r,s} after the A -> x substitution."""
-    region = poset.hexagon(0, 0, 1)
-    total = RatFn.const(0)
-    for path in enum_paths(region, (0, 0), (poset.r, poset.s)):
-        mon = Polynomial.from_dict({monomial([(avar(i, j), 1) for (i, j) in path.vertices]): 1})
-        total = total + RatFn.make(Polynomial.const(1), mon)
-    return ratfn_equal(a_to_x(total, poset), RatFn.var(xvar(poset.r, poset.s)))

@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 from birow.cli import main
@@ -25,6 +26,11 @@ class TestIterate:
         data = json.loads(out)
         assert any("reduced" in n for n in data["notices"])
         assert data["labels"]["0,0"] == "(1)/(x[1,1])"  # 9 mod 4 = 1
+        code, out, _ = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "-3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["notices"] == ["k=-3 reduced to 1 modulo the period 4"]
+        assert data["labels"]["0,0"] == "(1)/(x[1,1])"
 
     def test_labels_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "iterate", "--r", "2", "--s", "1", "--k", "1",
@@ -46,6 +52,20 @@ class TestIterate:
         code, _, err = run(capsys, "iterate", "--r", "2", "--s", "1", "--k", "1",
                            "--labels", str(path))
         assert code == 2 and "labels" in err
+        labels = json.loads(out)
+        missing = dict(labels, labels={k: v for k, v in labels["labels"].items()
+                                       if k != "1,1"})
+        outside = dict(labels, labels=dict(labels["labels"], **{"2,0": "1"}))
+        bad = {"missing.json": json.dumps(missing), "outside.json": json.dumps(outside),
+               "text.json": "not json", "shape.json": "[1, 2]",
+               "list.json": json.dumps(dict(labels, labels=[1])),
+               "badkey.json": json.dumps(dict(labels, labels={"a,b": "1"}))}
+        for name, text in bad.items():
+            (tmp_path / name).write_text(text)
+        for name in [*bad, "absent.json"]:
+            code, out, err = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "1",
+                                 "--labels", str(tmp_path / name))
+            assert code == 2 and "labels" in err and not out, name
 
 
 class TestFormula:
@@ -109,9 +129,10 @@ class TestOrbit:
         assert sorted(o["length"] for o in data["orbits"]) == [2, 6, 6, 6]
 
     def test_bad_ideal(self, capsys):
-        code, _, err = run(capsys, "orbit", "--r", "1", "--s", "1",
-                           "--ideal", "1,1")
-        assert code == 2 and err
+        for ideal in ["1,1", "a,b", "0,0;1", "0,0,0", "5,5"]:
+            code, _, err = run(capsys, "orbit", "--r", "1", "--s", "1",
+                               "--ideal", ideal)
+            assert code == 2 and err, ideal
 
 
 class TestVerify:
@@ -161,3 +182,22 @@ def test_determinism(capsys):
     b = run(capsys, "iterate", "--r", "2", "--s", "2", "--k", "3",
             "--mode", "rational", "--seed", "11")
     assert a == b
+
+
+# sha256 of stdout for commands whose printed form depends on the exact
+# unreduced x-frame substitution and on the rendering of factored values.
+PINNED = {
+    "formula --r 3 --s 2 --i 2 --j 1 --k 6 --frame x":
+        "5768b22b854a13779abdb2f0053d377ddbe49099e560a5d4bc895ebb39163d14",
+    "formula --r 3 --s 2 --i 2 --j 1 --k 0 --frame x":
+        "cdc32201475531afb08389c54342d5ef8ef0de56f2f821c46bd1af86b6875bfb",
+    "iterate --r 1 --s 2 --k 3":
+        "4258ca369d62164b8cfbbcbd9e098e3d9e5b702f0e2b2a6183833928991938d9",
+}
+
+
+def test_pinned_output_digests(capsys):
+    for command, digest in PINNED.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

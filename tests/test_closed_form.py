@@ -4,11 +4,12 @@ shift-free and collapsed special cases."""
 import pytest
 
 from birow.avar import a_to_x
-from birow.closed_form import (ClosedForm, IterateQuery, claim_mk, m_value,
-                               rho_closed, rho_closed_phi, rho_noshift)
-from birow.errors import OutOfRange, PreconditionViolated
-from birow.exactnum import Polynomial, RatFn, avar, monomial, ratfn_equal, xvar
+from birow.closed_form import (ClosedForm, IterateQuery, m_value, rho_closed,
+                               rho_closed_phi)
+from birow.errors import OutOfRange
+from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
+from birow.nilp import phi
 
 P32 = RectPoset(3, 2)
 
@@ -73,7 +74,7 @@ def test_k3_boundary_case_equals_reciprocal_x11():
     assert den == _poly([(0, 1)], [(1, 0)])
     cf = rho_closed(q21(3))
     assert cf.frame == "A"
-    assert ratfn_equal(a_to_x(cf.fn, P32), RatFn.var(xvar(1, 1)).inv())
+    assert a_to_x(cf.fn, P32) == Factored.var(xvar(1, 1)) ** -1
 
 
 def test_k4_reciprocal_of_first_iterate_at_antipode():
@@ -106,23 +107,30 @@ def test_k6_collapses_to_x21():
     assert den == _mono((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
     cf = rho_closed(q21(6))
     assert cf.frame == "x"
-    assert ratfn_equal(cf.fn, RatFn.var(xvar(2, 1)))
+    assert cf.fn == Factored.var(xvar(2, 1))
 
 
 def test_rho_noshift_agrees_when_defined():
-    q = IterateQuery(P32, 2, 1, 1)
-    num, den = rho_closed_phi(q)
-    assert ratfn_equal(rho_noshift(q), RatFn.make(num, den))
-    with pytest.raises(PreconditionViolated):
-        rho_noshift(IterateQuery(P32, 2, 1, 2))
+    """For k <= min(i, j) no shift is needed: the iterate is the ratio of phi
+    over the unshifted hexagons of orders k and k+1 based at (i-k, j-k)."""
+    for poset in (P32, RectPoset(2, 2)):
+        for (i, j) in poset.members():
+            for k in range(min(i, j) + 1):
+                num = phi(poset.hexagon(i - k, j - k, k)).value
+                den = phi(poset.hexagon(i - k, j - k, k + 1)).value
+                cf = rho_closed(IterateQuery(poset, i, j, k))
+                assert cf.frame == "A"
+                assert cf.fn == Factored.ratio(num, den)
 
 
 def test_claim_mk_collapse():
-    q = IterateQuery(P32, 2, 1, 3)  # i + j = k
-    assert ratfn_equal(claim_mk(q), RatFn.var(xvar(1, 1)).inv())
-    assert ratfn_equal(a_to_x(rho_closed(q).fn, P32), claim_mk(q))
-    with pytest.raises(PreconditionViolated):
-        claim_mk(IterateQuery(P32, 2, 1, 4))
+    """When i + j = k the iterate collapses to 1/x at the antipodal point."""
+    for poset in (P32, RectPoset(2, 2)):
+        for (i, j) in poset.members():
+            cf = rho_closed(IterateQuery(poset, i, j, i + j))
+            assert cf.frame == "A"
+            anti = Factored.var(xvar(poset.r - i, poset.s - j))
+            assert a_to_x(cf.fn, poset) == anti ** -1
 
 
 def test_closed_form_is_tagged():

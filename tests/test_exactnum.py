@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: polynomials, unreduced rational functions,
-factored values, parallel sums, and parsing."""
+"""Exact arithmetic kernel: polynomials, factored symbolic values, parallel
+sums, and parsing."""
 
 from fractions import Fraction
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from birow.errors import DivisionByZero, ParseError
-from birow.exactnum import (Factored, Polynomial, RatFn, avar, evaluate,
-                            parallel, parse_ratfn, parse_rational, rat_ops,
-                            ratfn_equal, ratfn_ops, substitute, xvar)
+from birow.errors import DivisionByZero, ParseError, PoleEncountered
+from birow.exactnum import (Factored, Polynomial, avar, evaluate, parallel,
+                            parse_factored, parse_rational, xvar)
 
-X = {p: RatFn.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
          xvar(1, 0): Fraction(2), xvar(1, 1): Fraction(5, 3)}
 
@@ -20,15 +19,19 @@ rationals = st.fractions(min_value=-50, max_value=50)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
-def rand_ratfn(draw_coeffs):
-    """Small dense rational function in two variables from a coefficient list."""
-    c = draw_coeffs
+def rand_pair(c):
+    """Small dense (numerator, denominator) pair in two variables from a
+    coefficient list."""
     num = (Polynomial.const(c[0]) + Polynomial.var(xvar(0, 0)).scale(c[1])
            + Polynomial.var(xvar(1, 1), 2).scale(c[2]))
     den = Polynomial.const(c[3]) + Polynomial.var(xvar(0, 0)).scale(c[4])
     if den.is_zero():
         den = Polynomial.const(1)
-    return RatFn.make(num, den)
+    return num, den
+
+
+def rand_value(c):
+    return Factored.ratio(*rand_pair(c))
 
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5)
@@ -59,25 +62,29 @@ class TestPolynomial:
 
 
 class TestRatFn:
+    """Factored values as rational functions: mathematical equality,
+    powers, and evaluation."""
+
     def test_equality_cross_multiplication(self):
         x, y = X[(1, 0)], X[(0, 1)]
         a = (x * x - y * y) / (x + y)
-        assert ratfn_equal(a, x - y)
-        assert not ratfn_equal(a, x + y)
+        assert a == x - y
+        assert a != x + y
 
     def test_inv_and_pow(self):
         x = X[(1, 0)]
-        assert ratfn_equal(x.inv() * x, RatFn.const(1))
-        assert ratfn_equal(x ** -2 * x ** 2, RatFn.const(1))
+        assert x ** -1 * x == 1
+        assert x ** -2 * x ** 2 == Factored.const(1)
         with pytest.raises(DivisionByZero):
-            RatFn.const(0).inv()
+            Factored.const(0) ** -1
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=50, deadline=None)
     def test_evaluate_is_a_homomorphism(self, ca, cb):
-        a, b = rand_ratfn(ca), rand_ratfn(cb)
+        (na, da), (nb, db) = rand_pair(ca), rand_pair(cb)
         pt = {xvar(0, 0): Fraction(3, 2), xvar(1, 1): Fraction(5)}
-        assume(a.den.evaluate(pt) != 0 and b.den.evaluate(pt) != 0)
+        assume(da.evaluate(pt) != 0 and db.evaluate(pt) != 0)
+        a, b = Factored.ratio(na, da), Factored.ratio(nb, db)
         va, vb = evaluate(a, pt), evaluate(b, pt)
         assert evaluate(a + b, pt) == va + vb
         assert evaluate(a * b, pt) == va * vb
@@ -85,51 +92,60 @@ class TestRatFn:
     @given(coeff_lists, coeff_lists, coeff_lists)
     @settings(max_examples=30, deadline=None)
     def test_ratfn_equal_is_an_equivalence(self, ca, cb, cc):
-        a, b, c = rand_ratfn(ca), rand_ratfn(cb), rand_ratfn(cc)
-        assert ratfn_equal(a, a)
-        if ratfn_equal(a, b) and ratfn_equal(b, c):
-            assert ratfn_equal(a, c)
+        a, b, c = rand_value(ca), rand_value(cb), rand_value(cc)
+        assert a == a
+        assert (a == b) == (b == a)
+        if a == b and b == c:
+            assert a == c
+
+    def test_scalar_comparison_and_no_hash(self):
+        assert Factored.const(Fraction(2, 4)) == Fraction(1, 2)
+        assert Factored.const(3) != 2
+        assert X[(0, 0)] != 0 and X[(0, 0)] - X[(0, 0)] == 0
+        with pytest.raises(TypeError):
+            hash(X[(0, 0)])
 
 
 class TestParallel:
     def test_single_step_formula(self):
-        a = rat_ops(Fraction(1, 2), Fraction(1, 3), "parallel")
-        assert a == Fraction(1, 5)
+        assert parallel(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 5)
 
     def test_symbolic_assoc_comm(self):
         a, b, c = X[(0, 0)], X[(0, 1)], X[(1, 0)]
-        assert ratfn_equal(parallel(a, b), parallel(b, a))
-        assert ratfn_equal(parallel(parallel(a, b), c), parallel(a, parallel(b, c)))
+        assert parallel(a, b) == parallel(b, a)
+        assert parallel(parallel(a, b), c) == parallel(a, parallel(b, c))
 
     def test_self_parallel_halves(self):
         a = X[(1, 1)]
-        assert ratfn_equal(parallel(a, a), a / RatFn.const(2))
+        assert parallel(a, a) == a / Factored.const(2)
 
     @given(nonzero_rationals, nonzero_rationals)
     @settings(max_examples=50)
     def test_rational_matches_definition(self, a, b):
         if a + b == 0:
-            with pytest.raises(DivisionByZero):
-                rat_ops(a, b, "parallel")
+            with pytest.raises(PoleEncountered):
+                parallel(a, b)
         else:
-            assert rat_ops(a, b, "parallel") == 1 / (1 / a + 1 / b)
+            assert parallel(a, b) == 1 / (1 / a + 1 / b)
 
     def test_op_dispatch(self):
-        assert rat_ops(Fraction(2), Fraction(3), "add") == 5
-        assert rat_ops(Fraction(2), Fraction(3), "mul") == 6
-        assert rat_ops(Fraction(2), None, "inv") == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            rat_ops(Fraction(1), Fraction(1), "sub")
-        x = X[(0, 0)]
-        assert ratfn_equal(ratfn_ops(x, x, "add"), x * RatFn.const(2))
-        assert ratfn_equal(ratfn_ops(x, None, "inv"), x.inv())
+        # the same operator calls serve Fraction and Factored values alike
+        x, y = X[(1, 0)], X[(0, 1)]
+        qx, qy = POINT[xvar(1, 0)], POINT[xvar(0, 1)]
+        ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: a ** -2 * b, parallel]
+        for op in ops:
+            assert evaluate(op(x, y), POINT) == op(qx, qy)
 
 
 class TestFactored:
-    def test_round_trip_with_ratfn(self):
+    def test_round_trip_through_pair(self):
         x, y = X[(1, 0)], X[(0, 1)]
-        f = Factored.from_ratfn((x + y) / (x * y))
-        assert ratfn_equal(f.to_ratfn(), (x + y) / (x * y))
+        f = (x + y) / (x * y)
+        num, den = f.expand()
+        px, py = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
+        assert (num, den) == (px + py, px * py)
+        assert Factored.ratio(num, den) == f
 
     def test_division_cancels_syntactically(self):
         a = Factored.var(xvar(1, 0)) + Factored.var(xvar(0, 1))
@@ -142,30 +158,35 @@ class TestFactored:
         # z must survive as an intact factor, not get expanded into the sum
         polys = {p for p, _ in s.factors}
         assert Polynomial.var(xvar(1, 1)) in polys
-        assert ratfn_equal(s, (X[(1, 0)] + X[(0, 1)]) * X[(1, 1)])
+        assert s == (X[(1, 0)] + X[(0, 1)]) * X[(1, 1)]
 
     def test_negative_exponents_in_common(self):
         x, y, z = (Factored.var(xvar(*p)) for p in [(1, 0), (0, 1), (1, 1)])
         s = x / z + y / z
-        assert ratfn_equal(s, (X[(1, 0)] + X[(0, 1)]) / X[(1, 1)])
+        assert s == (X[(1, 0)] + X[(0, 1)]) / X[(1, 1)]
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=50, deadline=None)
-    def test_field_ops_match_ratfn_oracle(self, ca, cb):
-        ra, rb = rand_ratfn(ca), rand_ratfn(cb)
-        fa, fb = Factored.from_ratfn(ra), Factored.from_ratfn(rb)
-        assert ratfn_equal(fa + fb, ra + rb)
-        assert ratfn_equal(fa * fb, ra * rb)
-        if not rb.is_zero():
-            assert ratfn_equal(fa / fb, ra / rb)
+    def test_field_ops_match_polynomial_pair_oracle(self, ca, cb):
+        """+, * and / against fractions of polynomial pairs combined here by
+        cross multiplication, compared by cross multiplication."""
+        (na, da), (nb, db) = rand_pair(ca), rand_pair(cb)
+        fa, fb = Factored.ratio(na, da), Factored.ratio(nb, db)
+        cases = [(fa + fb, na * db + nb * da, da * db),
+                 (fa * fb, na * nb, da * db)]
+        if not nb.is_zero():
+            cases.append((fa / fb, na * db, da * nb))
+        for got, num, den in cases:
+            gn, gd = got.expand()
+            assert gn * den == num * gd
 
     def test_zero_and_coefficients(self):
         x = Factored.var(xvar(0, 0))
         assert (x - x).is_zero()
         half = Factored.const(Fraction(1, 2))
-        assert ratfn_equal(half + half, RatFn.const(1))
+        assert half + half == 1
         with pytest.raises(DivisionByZero):
-            (x - x).inv()
+            (x - x) ** -1
 
     def test_evaluate(self):
         x, y = Factored.var(xvar(1, 0)), Factored.var(xvar(0, 1))
@@ -176,30 +197,24 @@ class TestFactored:
 class TestParsing:
     def test_ratfn_round_trip(self):
         f = (X[(1, 0)] + X[(0, 1)]) / (X[(1, 1)] * X[(0, 0)])
-        assert ratfn_equal(parse_ratfn(f.render()), f)
+        assert parse_factored(f.render()) == f
 
     def test_polynomial_and_avars(self):
         text = "A[1,2] + A[2,1] + A[3,0]"
-        p = parse_ratfn(text)
-        expect = RatFn.var(avar(1, 2)) + RatFn.var(avar(2, 1)) + RatFn.var(avar(3, 0))
-        assert ratfn_equal(p, expect)
+        p = parse_factored(text)
+        expect = Factored.var(avar(1, 2)) + Factored.var(avar(2, 1)) + Factored.var(avar(3, 0))
+        assert p == expect
+        assert p.render() == text
 
     def test_rational(self):
         assert parse_rational("7/3") == Fraction(7, 3)
         with pytest.raises(ParseError):
             parse_rational("x")
         with pytest.raises(ParseError):
-            parse_ratfn("1 +")
+            parse_factored("1 +")
 
     @given(coeff_lists)
     @settings(max_examples=30, deadline=None)
     def test_render_parse_round_trip(self, c):
-        f = rand_ratfn(c)
-        assert ratfn_equal(parse_ratfn(f.render()), f)
-
-
-def test_substitute_chains():
-    x, y = X[(1, 0)], X[(0, 1)]
-    f = (x + y) / x
-    g = substitute(f, {xvar(1, 0): y * y, xvar(0, 1): y})
-    assert ratfn_equal(g, (y * y + y) / (y * y))
+        f = rand_value(c)
+        assert parse_factored(f.render()) == f

@@ -7,10 +7,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birow.exactnum import Polynomial, avar, monomial
+from birow.avar import a_to_x
+from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
-from birow.nilp import (enum_nilp, enum_paths, lgv_ratio_oracle, phi,
-                        telescoping_check)
+from birow.nilp import enum_nilp, enum_paths, lgv_ratio_oracle, phi
 
 
 def _mono(*pairs):
@@ -92,6 +92,11 @@ def test_lgv_oracle_matches_phi(m, n, seed):
 
 
 def test_telescoping():
-    assert telescoping_check(RectPoset(2, 0))
-    assert telescoping_check(RectPoset(1, 1))
-    assert telescoping_check(RectPoset(2, 2))
+    """The sum over monotone paths (0,0) -> (r,s) of 1/(product of A along
+    the path) is x_{r,s} after the A -> x substitution."""
+    for poset in (RectPoset(2, 0), RectPoset(1, 1), RectPoset(2, 2)):
+        region = poset.hexagon(0, 0, 1)
+        total = Factored.const(0)
+        for path in enum_paths(region, (0, 0), (poset.r, poset.s)):
+            total = total + Factored.ratio(Polynomial.const(1), _mono(*path.vertices))
+        assert a_to_x(total, poset) == Factored.var(xvar(poset.r, poset.s))
