@@ -24,7 +24,8 @@ from .avar import shift_poly
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import LatticePath, NilpFamily, enum_paths, phi, uncovered_monomial
+from .nilp import (LatticePath, NilpFamily, _disjoint_families, enum_paths, phi,
+                   uncovered_sum)
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
@@ -391,35 +392,21 @@ def hugging_families(grid: RectPoset, m: int, n: int, k: int, c: int, d: int
         forced[l] = _forced_path(region, l, leftmost=True)
     for l in range(k - d, k):
         forced[l] = _forced_path(region, l, leftmost=False)
-    out: List[NilpFamily] = []
+    return _disjoint_families(region, [
+        [forced[l]] if l in forced else enum_paths(region, region.sources[l], region.sinks[l])
+        for l in range(k)])
 
-    def extend(l: int, chosen: List[LatticePath], occupied: Set[GridPoint]):
-        if l == k:
-            out.append(NilpFamily(region, tuple(chosen)))
-            return
-        if l in forced:
-            options = [forced[l]]
-        else:
-            options = enum_paths(region, region.sources[l], region.sinks[l])
-        for path in options:
-            verts = set(path.vertices)
-            if verts & occupied:
-                continue
-            chosen.append(path)
-            extend(l + 1, chosen, occupied | verts)
-            chosen.pop()
 
-    extend(0, [], set())
-    return out
+def _inside(region: Region, ambient: RectPoset) -> List[GridPoint]:
+    """Region members inside the ambient rectangle."""
+    return [p for p in region.members
+            if 0 <= p[0] <= ambient.r and 0 <= p[1] <= ambient.s]
 
 
 def family_weight(fam: NilpFamily, ambient: RectPoset) -> Polynomial:
     """Monomial of A-variables over region members inside the ambient
     rectangle left uncovered by the family."""
-    members = [p for p in fam.region.members
-               if 0 <= p[0] <= ambient.r and 0 <= p[1] <= ambient.s
-               and p[0] >= 0 and p[1] >= 0]
-    return uncovered_monomial(members, fam.covered())
+    return uncovered_sum([fam], _inside(fam.region, ambient))
 
 
 def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
@@ -450,9 +437,7 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
         (L2, (0, 1, 1)), (R1, (0, 1, 0)), (R2, (1, 0, 1)),
     ]
     for fams, (ei, ej, delta) in gf_expect:
-        total = Polynomial(())
-        for f in fams:
-            total = total + family_weight(f, poset)
+        total = uncovered_sum(fams, _inside(fams[0].region, poset) if fams else [])
         expect = mu_phi(poset, i, j, k, ei, ej, delta)
         rep.check(total == expect,
                   {"stage": "generating-function", "eps": [ei, ej], "delta": delta,

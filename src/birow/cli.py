@@ -102,11 +102,12 @@ def _cmd_formula(args) -> int:
         raise BirowError("no A-variable form exists for this query (M > k)")
     if frame == "x":
         fn = _simple_x_form(fn, poset)
+    text = fn.render()
     payload = {"r": args.r, "s": args.s, "i": args.i, "j": args.j, "k": k,
-               "frame": frame, "value": fn.render()}
+               "frame": frame, "value": text}
     if notices:
         payload["notices"] = notices
-    _emit(payload, args.plain, fn.render())
+    _emit(payload, args.plain, text)
     return 0
 
 
@@ -116,12 +117,12 @@ def _cmd_phi(args) -> int:
     _check_range("n", args.n, 0, args.s)
     _check_range("k", args.k, 0, min(args.r - args.m, args.s - args.n) + 1)
     region = poset.hexagon(args.m, args.n, args.k)
-    value = phi(region).value
+    text = phi(region).value.render()
     payload = {"r": args.r, "s": args.s, "m": args.m, "n": args.n, "k": args.k,
-               "phi": value.render()}
+               "phi": text}
     if args.list_families:
         payload["families"] = [fam.to_json() for fam in enum_nilp(region)]
-    _emit(payload, args.plain, value.render())
+    _emit(payload, args.plain, text)
     return 0
 
 

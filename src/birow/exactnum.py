@@ -14,13 +14,14 @@ denominator, which is exact.
 
 A value renders as its expanded numerator, or as ``(numerator)/(denominator)``
 when the denominator is not 1; the pair carries no common integer content
-and the denominator's leading coefficient (graded lexicographic order on
-``(namespace, i, j)``) is positive.
+and the denominator's leading coefficient is positive.  Terms are ordered
+by ``grlex_key``: graded lexicographic order with variables ranked by
+``(namespace, i, j)``, as a flat tuple of ints that ``sort`` compares
+directly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import re
@@ -59,28 +60,41 @@ def monomial(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
 
 
-def mon_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return monomial(list(m1) + list(m2))
+    """Product of two monomials: one merge of the two sorted pair tuples.
+    Exponents are positive, so no sum is 0 and no pair is dropped."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
-def mon_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lexicographic comparison, variables ordered by (ns, i, j)."""
-    d1, d2 = mon_degree(m1), mon_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for v in sorted(set(e1) | set(e2)):
-        a, b = e1.get(v, 0), e2.get(v, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
-
-
-_mon_key = functools.cmp_to_key(mon_cmp)
+def grlex_key(m: Monomial) -> Tuple[int, ...]:
+    """Sort key for graded lexicographic order with variables ranked by
+    (ns, i, j): the degree, then (-ord(ns), -i, -j, e) for each pair in
+    ascending variable order.  A variable that comes earlier, or has a higher
+    exponent, at the first pair where two monomials of one degree differ
+    makes the larger key.  Namespaces are single characters."""
+    key = [0]
+    for (ns, i, j), e in m:
+        key[0] += e
+        key += (-ord(ns), -i, -j, e)
+    return tuple(key)
 
 
 def _render_mon(m: Monomial, coeff: int) -> str:
@@ -97,9 +111,9 @@ def _render_mon(m: Monomial, coeff: int) -> str:
 class Polynomial:
     """Sparse polynomial with integer coefficients.
 
-    ``terms`` is a tuple of (monomial, coefficient) pairs sorted in
-    descending graded lexicographic order, so ``terms[0]`` is the leading
-    term.  The zero polynomial has an empty terms tuple.
+    ``terms`` is a tuple of (monomial, coefficient) pairs sorted by
+    descending ``grlex_key``, so ``terms[0]`` is the leading term.  The zero
+    polynomial has an empty terms tuple.
     """
 
     terms: Tuple[Tuple[Monomial, int], ...]
@@ -107,7 +121,7 @@ class Polynomial:
     @staticmethod
     def from_dict(d: Dict[Monomial, int]) -> "Polynomial":
         items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda t: _mon_key(t[0]), reverse=True)
+        items.sort(key=lambda t: grlex_key(t[0]), reverse=True)
         return Polynomial(tuple(items))
 
     @staticmethod

@@ -9,12 +9,13 @@ via the Lindstrom-Gessel-Viennot lemma.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import PoleEncountered
-from .exactnum import Polynomial, Var, avar, monomial
+from .exactnum import Polynomial, Var, avar
 from .grid_poset import GridPoint, Region
 
 
@@ -69,32 +70,47 @@ def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[LatticePat
     return out
 
 
-def enum_nilp(region: Region) -> List[NilpFamily]:
-    """All vertex-disjoint families, path l from source l to sink l;
-    ordered lexicographically by concatenated step strings."""
-    k = region.k
+def _disjoint_families(region: Region, options: List[List[LatticePath]]
+                       ) -> List[NilpFamily]:
+    """All vertex-disjoint families whose path l is one of options[l],
+    ordered as the options are."""
+    k = len(options)
+    choices = [[(path, frozenset(path.vertices)) for path in opts] for opts in options]
     out: List[NilpFamily] = []
 
-    def extend(l: int, chosen: List[LatticePath], occupied: Set[GridPoint]):
+    def extend(l: int, chosen: List[LatticePath], occupied: FrozenSet[GridPoint]):
         if l == k:
             out.append(NilpFamily(region, tuple(chosen)))
             return
-        for path in enum_paths(region, region.sources[l], region.sinks[l]):
-            verts = set(path.vertices)
-            if verts & occupied:
+        for path, verts in choices[l]:
+            if not verts.isdisjoint(occupied):
                 continue
             chosen.append(path)
             extend(l + 1, chosen, occupied | verts)
             chosen.pop()
 
-    extend(0, [], set())
+    extend(0, [], frozenset())
     return out
 
 
-def uncovered_monomial(members, covered) -> Polynomial:
-    """Product of A-variables over members not covered by the family."""
-    return Polynomial.from_dict(
-        {monomial([(avar(i, j), 1) for (i, j) in members if (i, j) not in covered]): 1})
+def enum_nilp(region: Region) -> List[NilpFamily]:
+    """All vertex-disjoint families, path l from source l to sink l;
+    ordered lexicographically by concatenated step strings."""
+    return _disjoint_families(region, [enum_paths(region, region.sources[l], region.sinks[l])
+                                       for l in range(region.k)])
+
+
+def uncovered_sum(families: Iterable[NilpFamily], members) -> Polynomial:
+    """Sum over the families of the product of A-variables over the members
+    that each family leaves uncovered.  The monomials are counted in one
+    dict and sorted once, not added one polynomial at a time."""
+    # Members sorted by (i, j) give their A-variables in canonical order.
+    pairs = [(p, (avar(*p), 1)) for p in sorted(members)]
+    counts: Counter = Counter()
+    for fam in families:
+        covered = fam.covered()
+        counts[tuple([pair for p, pair in pairs if p not in covered])] += 1
+    return Polynomial.from_dict(counts)
 
 
 @dataclass(frozen=True)
@@ -104,24 +120,27 @@ class PhiPolynomial:
 
 
 def phi(region: Region) -> PhiPolynomial:
-    total = Polynomial(())
-    for fam in enum_nilp(region):
-        total = total + uncovered_monomial(region.members, fam.covered())
-    return PhiPolynomial(region, total)
+    return PhiPolynomial(region, uncovered_sum(enum_nilp(region), region.members))
 
 
 def _det(mat: List[List[Fraction]]) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return mat[0][0]
-    total = Fraction(0)
-    for col in range(n):
-        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-        term = mat[0][col] * _det(minor)
-        total += term if col % 2 == 0 else -term
-    return total
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968), with
+    a row swap where a pivot is 0; O(n^3) operations."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return Fraction(sign * a[-1][-1]) if n else Fraction(1)
 
 
 def lgv_ratio_oracle(region: Region, point: Dict[Var, Fraction]) -> Fraction:

@@ -185,7 +185,8 @@ def test_determinism(capsys):
 
 
 # sha256 of stdout for commands whose printed form depends on the exact
-# unreduced x-frame substitution and on the rendering of factored values.
+# unreduced x-frame substitution, on the rendering of factored values, and on
+# the term order of phi and the order of its families.
 PINNED = {
     "formula --r 3 --s 2 --i 2 --j 1 --k 6 --frame x":
         "5768b22b854a13779abdb2f0053d377ddbe49099e560a5d4bc895ebb39163d14",
@@ -193,6 +194,10 @@ PINNED = {
         "cdc32201475531afb08389c54342d5ef8ef0de56f2f821c46bd1af86b6875bfb",
     "iterate --r 1 --s 2 --k 3":
         "4258ca369d62164b8cfbbcbd9e098e3d9e5b702f0e2b2a6183833928991938d9",
+    "phi --r 5 --s 5 --m 0 --n 0 --k 3":
+        "fba34a6fcf3a92fd86fa8fe30cd5f11535bffa7f6fcac139c80502585a653ba9",
+    "phi --r 4 --s 4 --m 0 --n 0 --k 2 --list-families":
+        "c33643dea55067bf6951dce3e2fa5f0b3f175feeb598a4ad6e8e05c735147dbb",
 }
 
 

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birow.errors import DivisionByZero, ParseError, PoleEncountered
-from birow.exactnum import (Factored, Polynomial, avar, evaluate, parallel,
-                            parse_factored, parse_rational, xvar)
+from birow.exactnum import (Factored, Polynomial, Var, avar, evaluate, grlex_key,
+                            mon_mul, monomial, parallel, parse_factored,
+                            parse_rational, xvar)
 
 X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
@@ -36,6 +37,26 @@ def rand_value(c):
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5)
 
+# Variables of both namespaces with the negative indices of
+# RectPoset.extended(); monomials are canonicalised by ``monomial``.
+variables = st.builds(Var, st.sampled_from("Ax"), st.integers(-4, 3), st.integers(-4, 3))
+monomials = st.lists(st.tuples(variables, st.integers(1, 4)), max_size=6).map(monomial)
+
+
+def mon_cmp(m1, m2):
+    """Reference graded lexicographic comparison, variables ordered by
+    (ns, i, j): degree first, then the exponent of the smallest variable
+    whose exponents differ."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for v in sorted(set(e1) | set(e2)):
+        a, b = e1.get(v, 0), e2.get(v, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
 
 class TestPolynomial:
     def test_ring_basics(self):
@@ -59,6 +80,17 @@ class TestPolynomial:
         x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
         p = x * y + Polynomial.const(1)
         assert p.evaluate(POINT) == 2 * 3 + 1
+
+    @given(monomials, monomials)
+    @settings(max_examples=200, deadline=None)
+    def test_grlex_key_orders_as_mon_cmp(self, m1, m2):
+        k1, k2 = grlex_key(m1), grlex_key(m2)
+        assert ((k1 > k2) - (k1 < k2)) == mon_cmp(m1, m2)
+
+    @given(monomials, monomials)
+    @settings(max_examples=100, deadline=None)
+    def test_mon_mul_matches_monomial(self, m1, m2):
+        assert mon_mul(m1, m2) == monomial(list(m1) + list(m2))
 
 
 class TestRatFn:
