@@ -89,7 +89,9 @@ def grlex_key(m: Monomial) -> Tuple[int, ...]:
     (ns, i, j): the degree, then (-ord(ns), -i, -j, e) for each pair in
     ascending variable order.  A variable that comes earlier, or has a higher
     exponent, at the first pair where two monomials of one degree differ
-    makes the larger key.  Namespaces are single characters."""
+    makes the larger key.  Namespaces are single characters, and exponents
+    are positive: with a negative exponent the key no longer gives grlex
+    order."""
     key = [0]
     for (ns, i, j), e in m:
         key[0] += e

@@ -124,23 +124,17 @@ def phi(region: Region) -> PhiPolynomial:
 
 
 def _det(mat: List[List[Fraction]]) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination (Bareiss 1968), with
-    a row swap where a pivot is 0; O(n^3) operations."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return Fraction(sign * a[-1][-1]) if n else Fraction(1)
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return mat[0][0]
+    total = Fraction(0)
+    for col in range(n):
+        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
+        term = mat[0][col] * _det(minor)
+        total += term if col % 2 == 0 else -term
+    return total
 
 
 def lgv_ratio_oracle(region: Region, point: Dict[Var, Fraction]) -> Fraction:

@@ -198,6 +198,10 @@ PINNED = {
         "fba34a6fcf3a92fd86fa8fe30cd5f11535bffa7f6fcac139c80502585a653ba9",
     "phi --r 4 --s 4 --m 0 --n 0 --k 2 --list-families":
         "c33643dea55067bf6951dce3e2fa5f0b3f175feeb598a4ad6e8e05c735147dbb",
+    "phi --r 5 --s 5 --m 0 --n 0 --k 4":
+        "a429307150d271a45debcf95b6867b9304b383ac6afe3c1b5bd55461a856269a",
+    "phi --r 5 --s 5 --m 0 --n 0 --k 1":
+        "b4a73ad809a18117aeaaab06ba2bd653061b252ba665d78e0750ad395ff6618b",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from birow.avar import a_to_x
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
-from birow.nilp import _det, enum_nilp, enum_paths, lgv_ratio_oracle, phi
+from birow.nilp import enum_nilp, enum_paths, lgv_ratio_oracle, phi
 
 
 def _mono(*pairs):
@@ -21,18 +21,6 @@ def _poly(*term_lists):
     total = Polynomial(())
     for pairs in term_lists:
         total = total + _mono(*pairs)
-    return total
-
-
-def cofactor_det(mat):
-    """Reference determinant by cofactor expansion along the first row."""
-    if not mat:
-        return Fraction(1)
-    total = Fraction(0)
-    for col in range(len(mat)):
-        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-        term = mat[0][col] * cofactor_det(minor)
-        total += term if col % 2 == 0 else -term
     return total
 
 
@@ -101,31 +89,6 @@ def test_lgv_oracle_matches_phi(m, n, seed):
         for q in region.members:
             full *= pt[avar(*q)]
         assert phi(region).value.evaluate(pt) == lgv_ratio_oracle(region, pt) * full
-
-
-@st.composite
-def square_matrices(draw):
-    """Random Fraction matrices up to 5x5.  A row is a multiple of an earlier
-    row one time in four, and small entries make zero pivots common, so
-    singular matrices and row swaps both occur."""
-    n = draw(st.integers(0, 5))
-    entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    rows = []
-    for _ in range(n):
-        if rows and draw(st.integers(0, 3)) == 0:
-            c = draw(entries)
-            rows.append([c * x for x in draw(st.sampled_from(rows))])
-        else:
-            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
-    return rows
-
-
-@given(square_matrices())
-@settings(max_examples=100, deadline=None)
-def test_bareiss_det_matches_cofactor_expansion(mat):
-    got = _det(mat)
-    assert isinstance(got, Fraction)
-    assert got == cofactor_det(mat)
 
 
 def test_telescoping():
