@@ -18,11 +18,19 @@ and the denominator's leading coefficient is positive.  Terms are ordered
 by ``grlex_key``: graded lexicographic order with variables ranked by
 ``(namespace, i, j)``, as a flat tuple of ints that ``sort`` compares
 directly.
+
+Every product (``*``, ``**``, ``Factored.expand`` and ``Factored.+``) runs
+in ``Polynomial.product``, on monomials packed into single ints: the degree,
+then one exponent field per variable, earlier variables higher.  Multiplying
+two monomials is then one int addition, and descending packed-int order is
+descending ``grlex_key`` order.  Terms are stored as tuples of
+``(Var, exponent)`` pairs; only the product kernel packs them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 import numbers
 import re
 from dataclasses import dataclass
@@ -58,30 +66,6 @@ def monomial(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
     for v, e in pairs:
         acc[v] = acc.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
-
-
-def mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: one merge of the two sorted pair tuples.
-    Exponents are positive, so no sum is 0 and no pair is dropped."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        (v1, e1), (v2, e2) = m1[i], m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
 
 
 def grlex_key(m: Monomial) -> Tuple[int, ...]:
@@ -161,28 +145,63 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        d: Dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mon_mul(m1, m2)
-                d[m] = d.get(m, 0) + c1 * c2
-        return Polynomial.from_dict(d)
+        return Polynomial.product((self, other))
 
     def __pow__(self, exp: int) -> "Polynomial":
         if exp < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.const(1)
-        for _ in range(exp):
-            out = out * self
-        return out
+        return Polynomial.product([self] * exp)
 
     @staticmethod
     def product(polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Product of the given polynomials; 1 for none."""
-        out = None
+        """Product of the given polynomials; 1 for none.
+
+        Every monomial is packed into one int over the operands' variables
+        in ``Var`` order: the degree in the top field, then one field of
+        ``w`` bits per variable, earlier variables higher.  ``w`` is the
+        bit length of ``D``, the sum of the operands' degrees, which bounds
+        every exponent of every partial product, so no field carries and a
+        monomial product is one int addition.  Descending packed order is
+        descending ``grlex_key`` order, so the result is sorted by the int
+        and decoded once."""
+        # Largest operand first: each later step multiplies the partial
+        # product by a smaller operand, which measured fastest.
+        polys = sorted(polys, key=lambda p: len(p.terms), reverse=True)
+        if len(polys) == 1:
+            return polys[0]
+        if any(p.is_zero() for p in polys):
+            return Polynomial(())
+        vs = sorted({v for p in polys for m, _ in p.terms for v, _ in m})
+        w = sum(sum(e for _, e in p.terms[0][0]) for p in polys).bit_length()
+        top = w * len(vs)
+        shift = {v: w * k for k, v in enumerate(reversed(vs))}
+        acc = {0: 1}
         for p in polys:
-            out = p if out is None else out * p
-        return Polynomial.const(1) if out is None else out
+            packed = [(sum((e << top) + (e << shift[v]) for v, e in m), c)
+                      for m, c in p.terms]
+            out: Dict[int, int] = defaultdict(int)
+            for a, ca in acc.items():
+                for b, cb in packed:
+                    out[a + b] += ca * cb
+            acc = out
+        low = (1 << top) - 1
+        pairs: Dict[int, Tuple[Var, int]] = {}
+        terms = []
+        for key in sorted(acc, reverse=True):
+            c = acc[key]
+            if not c:
+                continue
+            rest, mon = key & low, []
+            while rest:  # nonzero fields, highest (earliest variable) first
+                f = (rest.bit_length() - 1) // w * w
+                field = rest >> f << f
+                pair = pairs.get(field)
+                if pair is None:
+                    pair = pairs[field] = (vs[-1 - f // w], rest >> f)
+                mon.append(pair)
+                rest -= field
+            terms.append((tuple(mon), c))
+        return Polynomial(tuple(terms))
 
     def scale(self, c: int) -> "Polynomial":
         if c == 1:

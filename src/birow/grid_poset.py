@@ -8,6 +8,7 @@ files and most consumers only use the standard rectangle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Set, Tuple
 
@@ -137,7 +138,10 @@ class Region:
     sinks: Tuple[GridPoint, ...]
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def build(poset: RectPoset, m: int, n: int, k: int) -> "Region":
+        """Regions are frozen, so one is built per (poset, m, n, k) and
+        shared by every caller."""
         r, s = poset.r, poset.s
         if not poset.contains((m, n)):
             raise OutOfRange(f"hexagon base ({m},{n}) outside rectangle")

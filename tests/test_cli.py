@@ -186,7 +186,8 @@ def test_determinism(capsys):
 
 # sha256 of stdout for commands whose printed form depends on the exact
 # unreduced x-frame substitution, on the rendering of factored values, and on
-# the term order of phi and the order of its families.
+# the term order of phi and the order of its families, and for the largest
+# outputs of polynomial products and of the Plucker check.
 PINNED = {
     "formula --r 3 --s 2 --i 2 --j 1 --k 6 --frame x":
         "5768b22b854a13779abdb2f0053d377ddbe49099e560a5d4bc895ebb39163d14",
@@ -202,6 +203,12 @@ PINNED = {
         "a429307150d271a45debcf95b6867b9304b383ac6afe3c1b5bd55461a856269a",
     "phi --r 5 --s 5 --m 0 --n 0 --k 1":
         "b4a73ad809a18117aeaaab06ba2bd653061b252ba665d78e0750ad395ff6618b",
+    "iterate --r 3 --s 1 --k 4":
+        "05dc47657426d2bfbec2a7e84671debe3c6c8bb1eced6284091c0edee6d8157d",
+    "formula --r 3 --s 3 --i 2 --j 1 --k 6 --frame x":
+        "a9205dd65b8ed92e126922f4015e1e553553ad93f6e990389b4e758a4491fe9c",
+    "verify plucker --r 4 --s 4 --i 3 --j 3 --k 3":
+        "1d6009c679d1eb704909bfc5763254ae68942d7be46b19c5fcb0b7f268e776dc",
 }
 
 

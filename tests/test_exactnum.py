@@ -4,13 +4,13 @@ sums, and parsing."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birow.errors import DivisionByZero, ParseError, PoleEncountered
 from birow.exactnum import (Factored, Polynomial, Var, avar, evaluate, grlex_key,
-                            mon_mul, monomial, parallel, parse_factored,
-                            parse_rational, xvar)
+                            monomial, parallel, parse_factored, parse_rational,
+                            xvar)
 
 X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
@@ -58,6 +58,49 @@ def mon_cmp(m1, m2):
     return 0
 
 
+def mon_mul(m1, m2):
+    """Reference monomial product: one merge of the two sorted pair tuples.
+    Exponents are positive, so no sum is 0 and no pair is dropped."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
+def schoolbook_product(polys):
+    """Reference product: every pair of terms through ``mon_mul``, one
+    ``from_dict`` per operand."""
+    out = Polynomial.const(1)
+    for p in polys:
+        d = {}
+        for m1, c1 in out.terms:
+            for m2, c2 in p.terms:
+                m = mon_mul(m1, m2)
+                d[m] = d.get(m, 0) + c1 * c2
+        out = Polynomial.from_dict(d)
+    return out
+
+
+# Sparse polynomials with exponents up to 20 over four variables of both
+# namespaces, some with negative indices.  Operands share variables, so the
+# exponents of a product of a few of them come near its field width.
+few_variables = st.sampled_from([xvar(0, 0), xvar(-4, 3), avar(-1, -2), avar(3, 0)])
+polynomials = st.dictionaries(
+    st.lists(st.tuples(few_variables, st.integers(1, 20)), max_size=3).map(monomial),
+    st.integers(-6, 6), max_size=4).map(Polynomial.from_dict)
+
+
 class TestPolynomial:
     def test_ring_basics(self):
         x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
@@ -91,6 +134,28 @@ class TestPolynomial:
     @settings(max_examples=100, deadline=None)
     def test_mon_mul_matches_monomial(self, m1, m2):
         assert mon_mul(m1, m2) == monomial(list(m1) + list(m2))
+
+    @given(polynomials, polynomials, st.integers(-3, 3),
+           st.lists(st.integers(0, 5), max_size=4))
+    # Degrees summing to 63 = 2**6 - 1: every field is 6 bits wide, and the
+    # exponent 63 of x[0,0] is the largest value a field holds.
+    @example(Polynomial.var(xvar(0, 0), 21), Polynomial.var(avar(-4, 3), 20), 0, [0, 2, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_schoolbook(self, p, q, c, picks):
+        # p + q and p - q make cross terms cancel; 0 and c are the zero and
+        # constant operands; picks may repeat an operand.
+        pool = [p, q, p + q, p - q, Polynomial(()), Polynomial.const(c)]
+        operands = [pool[i] for i in picks]
+        assert Polynomial.product(operands) == schoolbook_product(operands)
+
+    @given(polynomials, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_pow_is_repeated_product(self, p, e):
+        want = Polynomial.const(1)
+        for _ in range(e):
+            want = want * p
+        assert p ** e == want == schoolbook_product([p] * e)
+        assert p ** 0 == Polynomial.const(1)
 
 
 class TestRatFn:
