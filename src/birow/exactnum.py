@@ -30,9 +30,9 @@ descending ``grlex_key`` order.  Terms are stored as tuples of
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 import numbers
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
@@ -172,6 +172,7 @@ class Polynomial:
         if any(p.is_zero() for p in polys):
             return Polynomial(())
         vs = sorted({v for p in polys for m, _ in p.terms for v, _ in m})
+        # terms[0] is the leading term, so it has the operand's degree.
         w = sum(sum(e for _, e in p.terms[0][0]) for p in polys).bit_length()
         top = w * len(vs)
         shift = {v: w * k for k, v in enumerate(reversed(vs))}
