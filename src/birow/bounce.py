@@ -427,7 +427,8 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     lhs = mu_phi(poset, i, j, k, 0, 0, 0) * mu_phi(poset, i, j, k, 1, 1, 1)
     rhs = (mu_phi(poset, i, j, k, 1, 0, 0) * mu_phi(poset, i, j, k, 0, 1, 1)
            + mu_phi(poset, i, j, k, 0, 1, 0) * mu_phi(poset, i, j, k, 1, 0, 1))
-    rep.check(lhs == rhs, {"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
+    if lhs != rhs:
+        rep.fail({"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
 
     grid = poset if M == 0 else poset.extended()
     cj, ci = max(k - j, 0), max(k - i, 0)
@@ -446,9 +447,9 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     for fams, (ei, ej, delta) in gf_expect:
         total = uncovered_sum(fams, _inside(fams[0].region, poset) if fams else [])
         expect = mu_phi(poset, i, j, k, ei, ej, delta)
-        rep.check(total == expect,
-                  {"stage": "generating-function", "eps": [ei, ej], "delta": delta,
-                   "observed": str(total), "expected": str(expect)})
+        if total != expect:
+            rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
+                      "observed": str(total), "expected": str(expect)})
 
     rep.check(len(B) * len(R) == len(L1) * len(L2) + len(R1) * len(R2),
               {"stage": "cardinality", "lhs": len(B) * len(R),
@@ -468,10 +469,10 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
             rep.trials += 1
             key = (o2.blue.key(), o2.red.key())
             target = left_keys if side == "left" else right_keys
-            rep.check(key in target,
-                      {"stage": "membership", "side": side, "overlay": o.edge_colors()})
-            rep.check(key not in images,
-                      {"stage": "injectivity", "overlay": o.edge_colors()})
+            if key not in target:
+                rep.fail({"stage": "membership", "side": side, "overlay": o.edge_colors()})
+            if key in images:
+                rep.fail({"stage": "injectivity", "overlay": o.edge_colors()})
             images.add(key)
             if (_uncovered(b, poset) + _uncovered(rfam, poset)
                     != _uncovered(o2.blue, poset) + _uncovered(o2.red, poset)):
@@ -481,8 +482,8 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
                           "observed": str(w_out), "expected": str(w_in)})
             try:
                 back = unswap(side, o2)
-                rep.check(back.key() == o.key(),
-                          {"stage": "round-trip", "overlay": o.edge_colors()})
+                if back.key() != o.key():
+                    rep.fail({"stage": "round-trip", "overlay": o.edge_colors()})
             except MalformedOverlay as e:
                 rep.fail({"stage": "unswap", "overlay": o.edge_colors(), "error": str(e)})
     return rep

@@ -135,7 +135,7 @@ def _parse_ideal(text: str, poset: RectPoset) -> OrderIdeal:
                 pts.add((int(i), int(j)))
             except ValueError:
                 raise BirowError(f"--ideal point {part!r} is not of the form i,j")
-    return OrderIdeal(poset, frozenset(pts))
+    return OrderIdeal.from_points(poset, pts)
 
 
 def _orbit_json(orb) -> dict:

@@ -1,5 +1,5 @@
 """Toggles and rowmotion at the three levels: birational, piecewise-linear,
-and combinatorial (order ideals as 0/1 labelings).
+and combinatorial (order ideals as column heights).
 
 A labeling assigns a value to every grid point; the adjoined bottom and top
 both carry the implicit value 1 at the birational level (reduced labeling),
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
 from .errors import DivisionByZero, OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
@@ -141,39 +141,66 @@ def rowmotion_pl(f: Labeling) -> Labeling:
 
 @dataclass(frozen=True)
 class OrderIdeal:
+    """An order ideal held as its column heights: a weakly decreasing tuple,
+    where column i holds the points (i, j) with j < heights[i]."""
     poset: RectPoset
-    members: frozenset
+    heights: Tuple[int, ...]
 
     def __post_init__(self):
-        for (i, j) in self.members:
-            if not self.poset.contains((i, j)):
+        h, r, s = self.heights, self.poset.r, self.poset.s
+        if (len(h) != r + 1 or h[0] > s + 1 or h[-1] < 0
+                or any(a < b for a, b in zip(h, h[1:]))):
+            raise OutOfRangeValue(f"column heights {h} are not weakly decreasing "
+                                  f"in [0, {s + 1}] over {r + 1} columns")
+
+    @staticmethod
+    def from_points(poset: RectPoset, points) -> "OrderIdeal":
+        """The ideal with the given points; they must lie in the grid and
+        be downward closed."""
+        members = frozenset(points)
+        for (i, j) in members:
+            if not poset.contains((i, j)):
                 raise OutOfRangeValue(f"({i},{j}) outside the grid")
             for w in ((i - 1, j), (i, j - 1)):
-                if self.poset.contains(w) and w not in self.members:
+                if poset.contains(w) and w not in members:
                     raise OutOfRangeValue(f"not downward closed at {w}")
+        heights = [0] * (poset.r + 1)
+        for (i, _) in members:
+            heights[i] += 1
+        return OrderIdeal(poset, tuple(heights))
+
+    @property
+    def members(self) -> FrozenSet[GridPoint]:
+        """The points of the ideal."""
+        return frozenset((i, j) for i, h in enumerate(self.heights) for j in range(h))
 
     def size(self) -> int:
-        return len(self.members)
+        return sum(self.heights)
 
 
 def rowmotion_combinatorial(ideal: OrderIdeal) -> OrderIdeal:
-    """Combinatorial rowmotion realized through the piecewise-linear map.
+    """The ideal generated by the minimal elements of the complement, in one
+    right-to-left pass over the column heights.
 
-    The 0/1 labelings preserved by the piecewise-linear toggles are the
-    order-preserving ones, i.e. indicators of order filters, so the ideal is
-    carried through its complement."""
-    poset = ideal.poset
-    f = Labeling(poset, {p: Fraction(0 if p in ideal.members else 1)
-                         for p in poset.members()})
-    g = rowmotion_pl(f)
-    return OrderIdeal(poset, frozenset(p for p, v in g.values.items() if v == 0))
+    The point (i, h_i) is minimal in the complement exactly when h_i <= s
+    and either i == 0 or h_{i-1} > h_i.  Column i of the new ideal reaches the
+    highest such point in a column a >= i; since the heights decrease, that
+    is the nearest one."""
+    h, s = ideal.heights, ideal.poset.s
+    new = [0] * len(h)
+    top = 0
+    for i in range(len(h) - 1, -1, -1):
+        if h[i] <= s and (i == 0 or h[i - 1] > h[i]):
+            top = h[i] + 1
+        new[i] = top
+    return OrderIdeal(ideal.poset, tuple(new))
 
 
 def orbit(ideal: OrderIdeal) -> List[OrderIdeal]:
     """The rowmotion cycle through ideal; closed at the first repetition."""
     out = [ideal]
     cur = rowmotion_combinatorial(ideal)
-    while cur.members != ideal.members:
+    while cur.heights != ideal.heights:
         out.append(cur)
         cur = rowmotion_combinatorial(cur)
     return out
@@ -185,23 +212,23 @@ def orbit_partition(ideals: List[OrderIdeal]) -> List[List[OrderIdeal]]:
     orbits: List[List[OrderIdeal]] = []
     seen = set()
     for ideal in ideals:
-        if ideal.members in seen:
+        if ideal.heights in seen:
             continue
         orb = orbit(ideal)
         orbits.append(orb)
-        seen.update(o.members for o in orb)
+        seen.update(o.heights for o in orb)
     return orbits
 
 
 def all_order_ideals(poset: RectPoset) -> List[OrderIdeal]:
-    """Order ideals correspond to weakly decreasing column heights."""
+    """Every order ideal, as weakly decreasing column heights in
+    lexicographic order."""
     r, s = poset.r, poset.s
     out: List[OrderIdeal] = []
 
     def extend(heights: Tuple[int, ...]):
         if len(heights) == r + 1:
-            members = frozenset((i, j) for i, h in enumerate(heights) for j in range(h))
-            out.append(OrderIdeal(poset, members))
+            out.append(OrderIdeal(poset, heights))
             return
         cap = heights[-1] if heights else s + 1
         for h in range(cap + 1):

@@ -186,8 +186,9 @@ def test_determinism(capsys):
 
 # sha256 of stdout for commands whose printed form depends on the exact
 # unreduced x-frame substitution, on the rendering of factored values, and on
-# the term order of phi and the order of its families, and for the largest
-# outputs of polynomial products and of the Plucker check.
+# the term order of phi and the order of its families, for the largest
+# outputs of polynomial products and of the Plucker check, and for the order
+# of combinatorial orbits and of the ideals within them.
 PINNED = {
     "formula --r 3 --s 2 --i 2 --j 1 --k 6 --frame x":
         "5768b22b854a13779abdb2f0053d377ddbe49099e560a5d4bc895ebb39163d14",
@@ -209,6 +210,10 @@ PINNED = {
         "a9205dd65b8ed92e126922f4015e1e553553ad93f6e990389b4e758a4491fe9c",
     "verify plucker --r 4 --s 4 --i 3 --j 3 --k 3":
         "1d6009c679d1eb704909bfc5763254ae68942d7be46b19c5fcb0b7f268e776dc",
+    "orbit --r 4 --s 4":
+        "f8909615280c0d2e0926867094b5051cf39d354c8c5b7ad15acddce2005f19cc",
+    "verify combinatorial --r 5 --s 5":
+        "28c3d08901bde37314f34066632a1f4dc7302f9efb6df4a53b557ac9d4e13f39",
 }
 
 

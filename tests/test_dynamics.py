@@ -121,9 +121,9 @@ class TestPiecewiseLinear:
 class TestCombinatorial:
     def test_ideal_validation(self):
         poset = RectPoset(2, 2)
-        OrderIdeal(poset, frozenset({(0, 0), (1, 0), (0, 1)}))
+        OrderIdeal.from_points(poset, frozenset({(0, 0), (1, 0), (0, 1)}))
         with pytest.raises(OutOfRangeValue):
-            OrderIdeal(poset, frozenset({(1, 1)}))
+            OrderIdeal.from_points(poset, frozenset({(1, 1)}))
 
     def test_ideal_counts_are_binomials(self):
         # ideals of [0,r]x[0,s] are counted by C(r+s+2, r+1)
@@ -134,9 +134,9 @@ class TestCombinatorial:
     def test_rowmotion_empty_ideal(self):
         # rowmotion of the empty ideal adds the minimal element
         poset = RectPoset(2, 2)
-        empty = OrderIdeal(poset, frozenset())
+        empty = OrderIdeal.from_points(poset, frozenset())
         assert rowmotion_combinatorial(empty).members == frozenset({(0, 0)})
-        full = OrderIdeal(poset, frozenset(poset.members()))
+        full = OrderIdeal.from_points(poset, frozenset(poset.members()))
         assert rowmotion_combinatorial(full).members == frozenset()
 
     def test_orbit_structure_small_squares(self):
@@ -154,6 +154,50 @@ class TestCombinatorial:
                 seen.add(ideal.members)
         assert len(seen) == len(all_order_ideals(poset))
 
+    def test_heights_match_pl_oracle_on_every_ideal(self):
+        for r in range(5):
+            for s in range(5):
+                poset = RectPoset(r, s)
+                for ideal in all_order_ideals(poset):
+                    assert rowmotion_combinatorial(ideal) == _rowmotion_via_pl(ideal), \
+                        (r, s, ideal.heights)
+                for orb in orbit_partition(all_order_ideals(poset)):
+                    assert (r + s + 2) % len(orb) == 0, (r, s, orb[0].heights)
+
+    def test_points_and_heights_round_trip(self):
+        poset = RectPoset(3, 2)
+        for ideal in all_order_ideals(poset):
+            assert OrderIdeal.from_points(poset, ideal.members) == ideal
+            assert ideal.size() == len(ideal.members)
+
+    def test_rejects_bad_points_with_messages(self):
+        poset = RectPoset(2, 1)
+        cases = [({(3, 0)}, r"^\(3,0\) outside the grid$"),
+                 ({(0, 0), (0, -1)}, r"^\(0,-1\) outside the grid$"),
+                 ({(1, 0)}, r"^not downward closed at \(0, 0\)$"),
+                 ({(0, 0), (1, 0), (1, 1)}, r"^not downward closed at \(0, 1\)$")]
+        for points, message in cases:
+            with pytest.raises(OutOfRangeValue, match=message):
+                OrderIdeal.from_points(poset, points)
+
+    def test_rejects_bad_heights(self):
+        poset = RectPoset(2, 1)
+        for heights in [(1, 2, 0), (3, 0, 0), (1, 0, -1), (1, 1), (1, 1, 1, 1)]:
+            with pytest.raises(OutOfRangeValue, match="column heights"):
+                OrderIdeal(poset, heights)
+
 
 def _orbit_reps(poset):
     return [orb[0] for orb in orbit_partition(all_order_ideals(poset))]
+
+
+def _rowmotion_via_pl(ideal):
+    """Combinatorial rowmotion realized through the piecewise-linear map.
+
+    The 0/1 labelings preserved by the piecewise-linear toggles are the
+    order-preserving ones, i.e. indicators of order filters, so the ideal is
+    carried through its complement."""
+    poset, members = ideal.poset, ideal.members
+    f = Labeling(poset, {p: Fraction(0 if p in members else 1) for p in poset.members()})
+    g = rowmotion_pl(f)
+    return OrderIdeal.from_points(poset, frozenset(p for p, v in g.values.items() if v == 0))

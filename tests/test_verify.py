@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from birow.dynamics import Labeling, all_order_ideals
 from birow.errors import PreconditionViolated
+from birow.grid_poset import RectPoset
 from birow.report import Report
-from birow.verify import (auto_mode, check_antipodal_product,
+from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
                           check_combinatorial_homomesy, check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
@@ -88,6 +90,14 @@ class TestCombinatorialHomomesy:
     def test_rectangle(self):
         assert check_combinatorial_homomesy(3, 1).passed
 
+    def test_file_counts_from_heights(self):
+        for r, s in [(3, 1), (1, 3), (2, 2)]:
+            poset = RectPoset(r, s)
+            for ideal in all_order_ideals(poset):
+                want = [len(set(poset.file_by_offset(t).points) & ideal.members)
+                        for t in range(-r, s + 1)]
+                assert _file_counts(ideal) == want, ideal.heights
+
 
 class TestFileLedger:
     def test_wide_example(self):
@@ -109,3 +119,20 @@ def test_failure_produces_witnesses():
     rep.check(Fraction(1) == Fraction(2), {"input": "demo", "observed": "1"})
     assert not rep.passed
     assert rep.witnesses[0]["observed"] == "1"
+
+
+def test_failing_checks_build_their_witnesses(monkeypatch):
+    # With rowmotion replaced by the identity, reciprocity and the antipodal
+    # product fail at every point.
+    monkeypatch.setattr("birow.verify.rowmotion_birational", lambda f: f)
+    rep = check_reciprocity(1, 1, mode="rational", trials=1, seed=2)
+    assert not rep.passed and len(rep.witnesses) == 4
+    w = rep.witnesses[0]
+    f = Labeling.from_json(w["input"])
+    assert w["point"] == [0, 0]
+    assert w["observed"] == str(f.value((0, 0)))
+    assert w["expected"] == str(f.value((1, 1)) ** -1)
+    rep = check_antipodal_product(2, 2, seed=3)
+    assert not rep.passed
+    assert [tuple(w["point"]) for w in rep.witnesses] == RectPoset(2, 2).members()
+    assert all(w["expected"] == "1" and w["observed"] != "1" for w in rep.witnesses)
