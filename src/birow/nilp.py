@@ -3,8 +3,9 @@
 phi of a region sums, over all vertex-disjoint path families from the
 region's sources to its sinks, the product of A-variables over the region
 members not covered by any path.  Order 0 regions contribute the full
-product over the filter.  The determinant oracle gives an independent check
-via the Lindstrom-Gessel-Viennot lemma.
+product over the filter.  phi_at evaluates phi at a point through the
+Lindstrom-Gessel-Viennot determinant instead, sharing no code with the
+enumeration.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .errors import PoleEncountered
-from .exactnum import Polynomial, Var, avar
+from .errors import PoleEncountered, UnboundVariable
+from .exactnum import Polynomial, avar
 from .grid_poset import GridPoint, Region
 
 
@@ -123,37 +124,58 @@ def phi(region: Region) -> PhiPolynomial:
     return PhiPolynomial(region, uncovered_sum(enum_nilp(region), region.members))
 
 
-def _det(mat: List[List[Fraction]]) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return mat[0][0]
-    total = Fraction(0)
-    for col in range(n):
-        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-        term = mat[0][col] * _det(minor)
-        total += term if col % 2 == 0 else -term
-    return total
+def det(mat: List[List[Fraction]]) -> Fraction:
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968): after
+    step c every entry below and right of the pivot is a minor of order
+    c + 2, so each division by the previous pivot is exact.  A zero pivot is
+    replaced by swapping in a lower row, flipping the sign."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, Fraction(1)
+    for c in range(n - 1):
+        if a[c][c] == 0:
+            swap = next((r for r in range(c + 1, n) if a[r][c] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        piv, top = a[c][c], a[c]
+        for row in a[c + 1:]:
+            lead = row[c]
+            for col in range(c + 1, n):
+                row[col] = (row[col] * piv - lead * top[col]) / prev
+        prev = piv
+    return sign * a[-1][-1] if n else Fraction(1)
 
 
-def lgv_ratio_oracle(region: Region, point: Dict[Var, Fraction]) -> Fraction:
-    """det of the single-path generating matrix with weights 1/A at each
-    vertex; equals phi(region)/ (product over all region members) at point."""
-    k = region.k
+def phi_at(region: Region, A: Dict[GridPoint, Fraction]) -> Fraction:
+    """phi(region) at the point A (grid point -> value), without enumerating
+    a family.  By Lindstrom-Gessel-Viennot (Gessel-Viennot 1985) it is the
+    product of A over the members times the k x k determinant whose entry
+    (a, b) sums, over the paths from source a to sink b, the product of 1/A
+    along the path; a DP over the members in rank order computes each row."""
+    members = sorted(region.members, key=lambda p: (p[0] + p[1], p[0]))
+    full = Fraction(1)
+    for p in members:
+        if p not in A:
+            raise UnboundVariable(f"no value bound for {avar(*p).render()}")
+        full *= A[p]
+    if region.k == 0:
+        return full
+    inv = {}
+    for (i, j) in members:
+        if A[(i, j)] == 0:
+            raise PoleEncountered(f"zero weight at A[{i},{j}]")
+        inv[(i, j)] = 1 / Fraction(A[(i, j)])
     mat: List[List[Fraction]] = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            total = Fraction(0)
-            for path in enum_paths(region, region.sources[a], region.sinks[b]):
-                w = Fraction(1)
-                for (i, j) in path.vertices:
-                    v = point[avar(i, j)]
-                    if v == 0:
-                        raise PoleEncountered(f"zero weight at A[{i},{j}]")
-                    w /= v
-                total += w
-            row.append(total)
-        mat.append(row)
-    return _det(mat)
+    for src in region.sources:
+        w: Dict[GridPoint, Fraction] = {}
+        for (i, j) in members:
+            if (i, j) == src:
+                w[src] = inv[src]
+                continue
+            into = w.get((i - 1, j), 0) + w.get((i, j - 1), 0)
+            if into:
+                w[(i, j)] = into * inv[(i, j)]
+        mat.append([w.get(t, Fraction(0)) for t in region.sinks])
+    return full * det(mat)

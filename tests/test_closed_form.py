@@ -1,13 +1,17 @@
-"""Closed-form rowmotion iterates on the [0,3]x[0,2] worked example and the
-shift-free and collapsed special cases."""
+"""Closed-form rowmotion iterates on the [0,3]x[0,2] worked example, the
+shift-free and collapsed special cases, and both evaluation routes against
+honest toggling."""
+
+import random
 
 import pytest
 
-from birow.avar import a_to_x
+from birow.avar import a_to_x, x_to_A
 from birow.closed_form import (ClosedForm, IterateQuery, m_value, rho_closed,
-                               rho_closed_phi)
+                               rho_closed_at, rho_closed_phi)
+from birow.dynamics import random_labeling, rowmotion_birational
 from birow.errors import OutOfRange
-from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
+from birow.exactnum import Factored, Polynomial, avar, evaluate, monomial, xvar
 from birow.grid_poset import RectPoset
 from birow.nilp import phi
 
@@ -136,3 +140,41 @@ def test_claim_mk_collapse():
 def test_closed_form_is_tagged():
     assert isinstance(rho_closed(q21(0)), ClosedForm)
     assert rho_closed(q21(0)).frame == "A"
+
+
+def _point(poset, seed):
+    """A random labeling, its A-chart values, and one environment binding
+    both the x- and the A-variables."""
+    f = random_labeling(poset, random.Random(seed))
+    env = {xvar(*p): f.value(p) for p in poset.members()}
+    A = {p: evaluate(a, env) for p, a in x_to_A(poset).a_values.items()}
+    env.update({avar(*p): v for p, v in A.items()})
+    return f, A, env
+
+
+def test_symbolic_closed_form_matches_toggling():
+    """The enumerated closed form, evaluated in its own frame, equals honest
+    toggling on every query of every grid up to 3x3.  check_main_formula
+    goes through rho_closed_at, so this keeps the symbolic route checked
+    against the dynamics directly."""
+    for r in range(4):
+        for s in range(4):
+            poset = RectPoset(r, s)
+            f, _, env = _point(poset, 4 * r + s)
+            its = [f]
+            for _ in range(r + s + 2):
+                its.append(rowmotion_birational(its[-1]))
+            for (i, j) in poset.members():
+                for k in range(r + s + 2):
+                    cf = rho_closed(IterateQuery(poset, i, j, k))
+                    assert evaluate(cf.fn, env) == its[k + 1].value((i, j)), (r, s, i, j, k)
+
+
+def test_rho_closed_at_matches_the_shifted_phi_ratio():
+    """Shifting the point equals shifting the polynomials, in both cases of M."""
+    for poset in (P32, RectPoset(2, 3)):
+        _, A, env = _point(poset, 9)
+        for (i, j) in poset.members():
+            for k in range(poset.r + poset.s + 2):
+                q = IterateQuery(poset, i, j, k)
+                assert rho_closed_at(q, A) == evaluate(Factored.ratio(*rho_closed_phi(q)), env)

@@ -1,16 +1,18 @@
-"""Lattice paths, non-intersecting families, phi polynomials, and the
-determinant oracle."""
+"""Lattice paths, non-intersecting families, phi polynomials, and phi at a
+point through the Lindstrom-Gessel-Viennot determinant."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birow.avar import a_to_x
+from birow.errors import PoleEncountered
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
-from birow.nilp import enum_nilp, enum_paths, lgv_ratio_oracle, phi
+from birow.nilp import det, enum_nilp, enum_paths, phi, phi_at
 
 
 def _mono(*pairs):
@@ -25,8 +27,27 @@ def _poly(*term_lists):
 
 
 def _random_point(region, rng):
-    return {avar(i, j): Fraction(rng.randint(1, 40), rng.randint(1, 8))
-            for (i, j) in region.members}
+    return {p: Fraction(rng.randint(1, 40), rng.randint(1, 8)) for p in region.members}
+
+
+def _in_avars(point):
+    return {avar(*p): v for p, v in point.items()}
+
+
+def _cofactor_det(mat):
+    """Determinant by cofactor expansion along the first row: the oracle of
+    the Bareiss elimination in nilp.det."""
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return mat[0][0]
+    total = Fraction(0)
+    for col in range(n):
+        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
+        term = mat[0][col] * _cofactor_det(minor)
+        total += term if col % 2 == 0 else -term
+    return total
 
 
 def test_path_enumeration_counts():
@@ -78,17 +99,77 @@ def test_phi_at_unit_weights_counts_families():
 @given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 100))
 @settings(max_examples=40, deadline=None)
 def test_lgv_oracle_matches_phi(m, n, seed):
-    """phi / (product over region members) equals the path-matrix determinant
-    with reciprocal vertex weights, for every hexagon over the base (m, n)."""
+    """phi equals the product over region members times the path-matrix
+    determinant with reciprocal vertex weights, for every hexagon over the
+    base (m, n)."""
     p = RectPoset(3, 2)
     rng = random.Random(seed)
     for k in range(min(3 - m, 2 - n) + 2):
         region = p.hexagon(m, n, k)
         pt = _random_point(region, rng)
-        full = Fraction(1)
-        for q in region.members:
-            full *= pt[avar(*q)]
-        assert phi(region).value.evaluate(pt) == lgv_ratio_oracle(region, pt) * full
+        assert phi(region).value.evaluate(_in_avars(pt)) == phi_at(region, pt)
+
+
+def test_phi_at_matches_enumeration_on_every_region():
+    """The determinant route and the family enumeration agree on every
+    hexagon region of every grid up to 5x5, at a random positive point."""
+    rng = random.Random(11)
+    for r in range(6):
+        for s in range(6):
+            poset = RectPoset(r, s)
+            for (m, n) in poset.members():
+                for k in range(min(r - m, s - n) + 2):
+                    region = poset.hexagon(m, n, k)
+                    pt = _random_point(region, rng)
+                    assert phi(region).value.evaluate(_in_avars(pt)) == phi_at(region, pt), \
+                        (r, s, m, n, k)
+
+
+def test_phi_at_order_zero_and_poles():
+    p = RectPoset(3, 2)
+    filt = p.hexagon(2, 1, 0)
+    pt = {q: Fraction(q[0] + 1, q[1] + 2) for q in p.members()}
+    want = Fraction(1)
+    for q in filt.members:
+        want *= pt[q]
+    assert phi_at(filt, pt) == want
+    # A zero weight is a pole of the path weights once paths exist.
+    pt[(2, 2)] = Fraction(0)
+    assert phi_at(filt, pt) == 0
+    with pytest.raises(PoleEncountered):
+        phi_at(p.hexagon(1, 0, 1), pt)
+
+
+def _random_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(5)
+    for n in range(7):
+        for _ in range(6):
+            mat = _random_matrix(rng, n)
+            assert det(mat) == _cofactor_det(mat), mat
+
+
+def test_det_zero_pivots_and_singular_matrices():
+    rng = random.Random(6)
+    for n in range(2, 7):
+        for _ in range(5):
+            mat = _random_matrix(rng, n)
+            # Zero leading pivot, and a zero pivot that appears mid-elimination.
+            mat[0][0] = Fraction(0)
+            assert det(mat) == _cofactor_det(mat), mat
+            mid = _random_matrix(rng, n)
+            mid[1] = [mid[0][0] * 2, mid[0][1] * 2] + mid[1][2:]
+            assert det(mid) == _cofactor_det(mid), mid
+            # Singular: one row is a combination of two others.
+            sing = _random_matrix(rng, n)
+            sing[-1] = [a + 3 * b for a, b in zip(sing[0], sing[-2])]
+            assert det(sing) == 0 == _cofactor_det(sing)
+    assert det([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]]) == 0
+    assert det([]) == 1
 
 
 def test_telescoping():

@@ -1,12 +1,19 @@
 """The verification layer: reports, mode selection, and each identity check
 on grids small enough for fast runs."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from birow.avar import x_to_A
+from birow.cli import main
+from birow.closed_form import IterateQuery, m_value, rho_closed
 from birow.dynamics import Labeling, all_order_ideals
 from birow.errors import PreconditionViolated
+from birow.exactnum import avar, evaluate, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
 from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
@@ -62,6 +69,31 @@ class TestReciprocity:
 def test_main_formula_agreement():
     assert check_main_formula(1, 1, points=2).passed
     assert check_main_formula(2, 1, points=2, seed=3).passed
+    assert check_main_formula(4, 4, points=1, seed=1).passed
+
+
+def test_main_formula_witnesses_match_the_symbolic_closed_form(monkeypatch):
+    """With rowmotion replaced by the identity, each witness names its query
+    in (i, j, k) order, its frame from m_value, and as observed value the
+    symbolic closed form evaluated at the witness's point."""
+    monkeypatch.setattr("birow.verify.rowmotion_birational", lambda f: f)
+    rep = check_main_formula(2, 1, points=1, seed=3)
+    assert not rep.passed
+    poset = RectPoset(2, 1)
+    f = Labeling.from_json(rep.witnesses[0]["input"])
+    env = {xvar(*p): f.value(p) for p in poset.members()}
+    env.update({avar(*p): evaluate(a, env) for p, a in x_to_A(poset).a_values.items()})
+    want = []
+    for (i, j) in poset.members():
+        for k in range(poset.r + poset.s + 2):
+            q = IterateQuery(poset, i, j, k)
+            got = evaluate(rho_closed(q).fn, env)
+            if got != f.value((i, j)):
+                want.append({"query": [i, j, k], "frame": "A" if m_value(q) <= k else "x",
+                             "observed": str(got), "expected": str(f.value((i, j)))})
+    assert {w["frame"] for w in want} == {"A", "x"}
+    assert [{key: w[key] for key in ("query", "frame", "observed", "expected")}
+            for w in rep.witnesses] == want
 
 
 class TestFileHomomesy:
@@ -89,6 +121,22 @@ class TestCombinatorialHomomesy:
 
     def test_rectangle(self):
         assert check_combinatorial_homomesy(3, 1).passed
+
+    def test_witness_replays_as_an_ideal(self, monkeypatch):
+        # Singleton orbits make most orbit averages wrong; each witness's
+        # points must name the same ideal again on the command line.
+        monkeypatch.setattr("birow.verify.orbit_partition",
+                            lambda ideals: [[i] for i in ideals])
+        rep = check_combinatorial_homomesy(3, 2)
+        assert not rep.passed
+        for w in rep.witnesses:
+            pts = w["input"]["orbit"] if isinstance(w["input"], dict) else w["input"]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["orbit", "--r", "3", "--s", "2",
+                             "--ideal", ";".join(f"{i},{j}" for i, j in pts)])
+            assert code == 0, pts
+            assert json.loads(out.getvalue())["orbits"][0]["ideals"][0] == pts
 
     def test_file_counts_from_heights(self):
         for r, s in [(3, 1), (1, 3), (2, 2)]:
