@@ -3,39 +3,24 @@ shift operator mu^(a,b) acting on A-variables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .dynamics import Labeling, Value, generic_labeling, lower_sum
 from .errors import ShiftOutOfRange, UnboundVariable
-from .exactnum import Factored, Polynomial, Var, monomial, xvar
+from .exactnum import Factored, Polynomial, Var, monomial
 from .grid_poset import GridPoint, RectPoset
 
 
-@dataclass(frozen=True)
-class AChart:
-    """A_{ij} expressed in the x-variables of one rectangle.
+def x_to_A(f: Labeling) -> Dict[GridPoint, Value]:
+    """The A-chart of a labeling, in the labeling's own value type.
 
+    A_p = (sum of the labels p covers)/f(p), the adjoined bottom's label
+    included.  For the generic labeling this is
     A_{ij} = (x_{i,j-1} + x_{i-1,j})/x_{ij} in the interior, with the
     boundary conventions A_{i0} = x_{i-1,0}/x_{i0}, A_{0j} = x_{0,j-1}/x_{0j}
-    and A_{00} = 1/x_{00} (the adjoined bottom carries the label 1).
+    and A_{00} = 1/x_{00}.
     """
-
-    poset: RectPoset
-    a_values: Dict[GridPoint, Factored]
-
-
-def x_to_A(poset: RectPoset) -> AChart:
-    vals: Dict[GridPoint, Factored] = {}
-    for (i, j) in poset.members():
-        num = Polynomial.const(0)
-        if i >= 1:
-            num = num + Polynomial.var(xvar(i - 1, j))
-        if j >= 1:
-            num = num + Polynomial.var(xvar(i, j - 1))
-        if i == 0 and j == 0:
-            num = Polynomial.const(1)
-        vals[(i, j)] = Factored.ratio(num, Polynomial.var(xvar(i, j)))
-    return AChart(poset, vals)
+    return {p: lower_sum(f, p) / f.value(p) for p in f.poset.members()}
 
 
 def shift_poly(p: Polynomial, a: int, b: int) -> Polynomial:
@@ -63,7 +48,7 @@ def a_to_x(f: Factored, poset: RectPoset) -> Factored:
     divided, all without cancelling; that unreduced pair is the printed
     x-frame form.
     """
-    chart = x_to_A(poset).a_values
+    chart = x_to_A(generic_labeling(poset))
     one = Polynomial.const(1)
 
     def bind(v: Var) -> Tuple[Polynomial, Polynomial]:

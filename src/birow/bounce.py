@@ -107,43 +107,26 @@ def _traverse(start: GridPoint, up_map, down_map, up_color: str, down_color: str
     """Bounce traversal: up_color edges upward, down_color edges downward,
     reversing whenever an unused edge of the other kind is available."""
     v = start
-    going_up = True
     edges: List[ColoredEdge] = []
-    while True:
-        if going_up:
-            u = down_map.get(v)
-            if u is not None and (down_color, u, v) not in used:
-                e = (down_color, u, v)
-                used.add(e)
-                edges.append(e)
-                v = u
-                going_up = False
-                continue
-            w = up_map.get(v)
-            if w is not None and (up_color, v, w) not in used:
-                e = (up_color, v, w)
+
+    def step(upward: bool):
+        """Take an unused edge at v, in the reversing direction first and
+        then in the current one; return the direction taken, or None."""
+        nonlocal v
+        for up in (not upward, upward):
+            w = up_map.get(v) if up else down_map.get(v)
+            e = (up_color, v, w) if up else (down_color, w, v)
+            if w is not None and e not in used:
                 used.add(e)
                 edges.append(e)
                 v = w
-                continue
-            return v, edges
-        else:
-            w = up_map.get(v)
-            if w is not None and (up_color, v, w) not in used:
-                e = (up_color, v, w)
-                used.add(e)
-                edges.append(e)
-                v = w
-                going_up = True
-                continue
-            u = down_map.get(v)
-            if u is not None and (down_color, u, v) not in used:
-                e = (down_color, u, v)
-                used.add(e)
-                edges.append(e)
-                v = u
-                continue
-            return v, edges
+                return up
+        return None
+
+    going_up = True
+    while going_up is not None:
+        going_up = step(going_up)
+    return v, edges
 
 
 def _attempt_decompose(o: ColoredOverlay, starts) -> BounceDecomposition:

@@ -164,6 +164,8 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     r, s = args.r, args.s
+    if args.trials < 1:
+        raise BirowError(f"--trials value {args.trials} is below 1")
     if args.check == "periodicity":
         rep = check_periodicity(r, s, mode=args.mode, trials=args.trials, seed=args.seed)
     elif args.check == "reciprocity":

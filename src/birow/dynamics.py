@@ -1,9 +1,11 @@
-"""Toggles and rowmotion at the three levels: birational, piecewise-linear,
-and combinatorial (order ideals as column heights).
+"""Toggles and rowmotion: one birational toggle over three value types, and
+combinatorial rowmotion on order ideals held as column heights.
 
-A labeling assigns a value to every grid point; the adjoined bottom and top
-both carry the implicit value 1 at the birational level (reduced labeling),
-and 0 / 1 respectively at the piecewise-linear level.
+A labeling assigns a value to every grid point and carries the labels of
+the adjoined bottom and top (Grinberg-Roby).  With Fraction or Factored
+values both are 1 (a reduced labeling).  With MaxPlus values, the max-plus
+semifield, the same toggle is the piecewise-linear toggle (Einstein-Propp):
+bottom 0 and top 1 give max(lower) + min(upper) - x.
 """
 
 from __future__ import annotations
@@ -17,13 +19,36 @@ from .errors import DivisionByZero, OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
 from .grid_poset import GridPoint, RectPoset, parse_point_key, point_key
 
-Value = Union[Factored, Fraction]
+
+@dataclass(frozen=True)
+class MaxPlus:
+    """A value of the max-plus semifield: + is max, * is +, / is -.
+
+    It equals only max-plus values, so MaxPlus(0), the max-plus one, is not
+    taken for a pole by parallel's zero test."""
+    v: Fraction
+
+    def __add__(self, other: "MaxPlus") -> "MaxPlus":
+        return MaxPlus(max(self.v, other.v))
+
+    def __mul__(self, other: "MaxPlus") -> "MaxPlus":
+        return MaxPlus(self.v + other.v)
+
+    def __truediv__(self, other: "MaxPlus") -> "MaxPlus":
+        return MaxPlus(self.v - other.v)
+
+
+Value = Union[Factored, Fraction, MaxPlus]
 
 
 @dataclass(frozen=True)
 class Labeling:
+    """Values at the grid points, with the labels of the adjoined bottom
+    and top."""
     poset: RectPoset
     values: Dict[GridPoint, Value]
+    bottom: Value
+    top: Value
 
     @property
     def mode(self) -> str:
@@ -36,7 +61,7 @@ class Labeling:
     def with_value(self, p: GridPoint, v: Value) -> "Labeling":
         vals = dict(self.values)
         vals[p] = v
-        return Labeling(self.poset, vals)
+        return Labeling(self.poset, vals, self.bottom, self.top)
 
     def to_json(self) -> dict:
         return {
@@ -55,12 +80,15 @@ class Labeling:
         if len(values) != size or not all(map(poset.contains, values)):
             raise ParseError(f"labels must name each point of the {poset.r}x{poset.s} "
                              "grid exactly once")
-        return Labeling(poset, values)
+        one = parse("1")
+        return Labeling(poset, values, one, one)
 
 
 def generic_labeling(poset: RectPoset) -> Labeling:
     """Symbolic labeling with the generic label x_{ij} at (i, j)."""
-    return Labeling(poset, {(i, j): Factored.var(xvar(i, j)) for i, j in poset.members()})
+    one = Factored.const(1)
+    return Labeling(poset, {(i, j): Factored.var(xvar(i, j)) for i, j in poset.members()},
+                    one, one)
 
 
 def random_positive_rational(rng: random.Random) -> Fraction:
@@ -70,11 +98,26 @@ def random_positive_rational(rng: random.Random) -> Fraction:
 def random_labeling(poset: RectPoset, rng: random.Random) -> Labeling:
     """Evaluation-mode labeling at a random positive rational point.
     Positivity keeps every toggle denominator nonzero."""
-    return Labeling(poset, {p: random_positive_rational(rng) for p in poset.members()})
+    return Labeling(poset, {p: random_positive_rational(rng) for p in poset.members()},
+                    Fraction(1), Fraction(1))
 
 
-def _one(f: Labeling) -> Value:
-    return Factored.const(1) if f.mode == "symbolic" else Fraction(1)
+def pl_labeling(poset: RectPoset, values: Dict[GridPoint, Fraction]) -> Labeling:
+    """Piecewise-linear labeling: the given values, each in [0,1], as
+    max-plus values, with bottom label 0 and top label 1."""
+    for p, v in values.items():
+        if not 0 <= v <= 1:
+            raise OutOfRangeValue(f"value {v} at {p} outside [0,1]")
+    return Labeling(poset, {p: MaxPlus(v) for p, v in values.items()},
+                    MaxPlus(Fraction(0)), MaxPlus(Fraction(1)))
+
+
+def lower_sum(f: Labeling, v: GridPoint) -> Value:
+    """Sum of the labels of the elements v covers, the adjoined bottom's
+    included."""
+    downs, bottom = f.poset.covered_by(v)
+    lower = [f.value(w) for w in downs] + ([f.bottom] if bottom else [])
+    return sum(lower[1:], lower[0])
 
 
 def _parallel_all(vals: List[Value]):
@@ -89,17 +132,11 @@ def _parallel_all(vals: List[Value]):
 
 def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
     ups, top = f.poset.covers(v)
-    downs, bottom = f.poset.covered_by(v)
-    one = _one(f)
-    lower = [f.value(w) for w in downs] + ([one] if bottom else [])
-    upper = [f.value(z) for z in ups] + ([one] if top else [])
-    low_sum = lower[0]
-    for w in lower[1:]:
-        low_sum = low_sum + w
+    upper = [f.value(z) for z in ups] + ([f.top] if top else [])
+    low_sum = lower_sum(f, v)
     up_par = _parallel_all(upper)
-    old = f.value(v)
     try:
-        new = low_sum * up_par / old
+        new = low_sum * up_par / f.value(v)
     except (ZeroDivisionError, DivisionByZero):
         raise PoleEncountered(f"pole while toggling at {v}")
     return f.with_value(v, new)
@@ -114,28 +151,6 @@ def rowmotion_birational(f: Labeling) -> Labeling:
 def iterate_birational(f: Labeling, k: int) -> Labeling:
     for _ in range(k):
         f = rowmotion_birational(f)
-    return f
-
-
-def _check_unit_interval(f: Labeling):
-    for p, v in f.values.items():
-        if not (0 <= v <= 1):
-            raise OutOfRangeValue(f"value {v} at {p} outside [0,1]")
-
-
-def toggle_pl(f: Labeling, v: GridPoint) -> Labeling:
-    _check_unit_interval(f)
-    ups, top = f.poset.covers(v)
-    downs, bottom = f.poset.covered_by(v)
-    upper = [f.value(z) for z in ups] + ([Fraction(1)] if top else [])
-    lower = [f.value(w) for w in downs] + ([Fraction(0)] if bottom else [])
-    return f.with_value(v, min(upper) + max(lower) - f.value(v))
-
-
-def rowmotion_pl(f: Labeling) -> Labeling:
-    _check_unit_interval(f)
-    for v in f.poset.linear_extension_desc():
-        f = toggle_pl(f, v)
     return f
 
 

@@ -18,7 +18,7 @@ from .closed_form import IterateQuery, m_value, rho_closed_at, rho_closed_phi
 from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
                        orbit_partition, random_labeling, rowmotion_birational)
 from .errors import PreconditionViolated
-from .exactnum import Polynomial, Var, avar, evaluate, monomial, xvar
+from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
 from .nilp import phi
 from .report import Report
@@ -117,12 +117,10 @@ def check_main_formula(r: int, s: int, points: int = 3, seed: int = 0) -> Report
     rng = random.Random(seed)
     queries = [IterateQuery(poset, i, j, k)
                for (i, j) in poset.members() for k in range(r + s + 2)]
-    chart = x_to_A(poset)
     for _ in range(points):
         f = random_labeling(poset, rng)
         rep.trials += 1
-        env: Dict[Var, Fraction] = {xvar(i, j): f.value((i, j)) for (i, j) in poset.members()}
-        A = {p: evaluate(a, env) for p, a in chart.a_values.items()}
+        A = x_to_A(f)
         its = [f]
         for _ in range(r + s + 2):
             its.append(rowmotion_birational(its[-1]))
@@ -177,12 +175,8 @@ def check_file_homomesy(r: int, s: int, file: int, mode: Optional[str] = None,
     common = nums & dens
     nums -= common
     dens -= common
-    pn = Polynomial.const(1)
-    for p, c in nums.items():
-        pn = pn * p ** c
-    pd = Polynomial.const(1)
-    for p, c in dens.items():
-        pd = pd * p ** c
+    pn = Polynomial.product(nums.elements())
+    pd = Polynomial.product(dens.elements())
     rep.trials = 1
     if pn != pd:
         rep.fail({"input": "closed-form factors", "observed": str(pn), "expected": str(pd)})
@@ -237,10 +231,8 @@ def check_combinatorial_homomesy(r: int, s: int) -> Report:
 
 
 def _block_product(poset: RectPoset, factors) -> Polynomial:
-    out = Polynomial.const(1)
-    for (m, n, k, a, b) in factors:
-        out = out * shift_poly(phi(poset.hexagon(m, n, k)).value, a, b)
-    return out
+    return Polynomial.product(shift_poly(phi(poset.hexagon(m, n, k)).value, a, b)
+                              for (m, n, k, a, b) in factors)
 
 
 def check_file_ledger(r: int, s: int, d: int) -> Report:

@@ -3,23 +3,24 @@
 import pytest
 
 from birow.avar import a_to_x, shift_poly, x_to_A
+from birow.dynamics import generic_labeling
 from birow.errors import ShiftOutOfRange, UnboundVariable
 from birow.exactnum import Factored, Polynomial, avar, xvar
 from birow.grid_poset import RectPoset
 
 
 def test_chart_values_on_unit_square():
-    chart = x_to_A(RectPoset(1, 1))
+    chart = x_to_A(generic_labeling(RectPoset(1, 1)))
     w, x, y, z = (Factored.var(xvar(*p)) for p in [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert chart.a_values[(0, 0)] == w ** -1
-    assert chart.a_values[(1, 0)] == w / x
-    assert chart.a_values[(0, 1)] == w / y
-    assert chart.a_values[(1, 1)] == (x + y) / z
+    assert chart[(0, 0)] == w ** -1
+    assert chart[(1, 0)] == w / x
+    assert chart[(0, 1)] == w / y
+    assert chart[(1, 1)] == (x + y) / z
 
 
 def test_chart_product_telescopes_along_a_path():
     # A00*A10*A11 on [0,1]x[0,1] collapses to (x10+x01)/(x10*x11)
-    chart = x_to_A(RectPoset(1, 1)).a_values
+    chart = x_to_A(generic_labeling(RectPoset(1, 1)))
     prod = chart[(0, 0)] * chart[(1, 0)] * chart[(1, 1)]
     x10, x01, x11 = (Factored.var(xvar(*p)) for p in [(1, 0), (0, 1), (1, 1)])
     assert prod == (x10 + x01) / (x10 * x11)

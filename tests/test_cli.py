@@ -88,9 +88,11 @@ class TestFormula:
         assert code == 2 and "M > k" in err
 
     def test_out_of_range_names_flag(self, capsys):
-        code, _, err = run(capsys, "formula", "--r", "3", "--s", "2", "--i", "5",
-                           "--j", "1", "--k", "0")
-        assert code == 2 and "--i" in err
+        verify = "verify periodicity --r 3 --s 3 --mode rational --trials".split()
+        for argv, flag in [("formula --r 3 --s 2 --i 5 --j 1 --k 0".split(), "--i"),
+                           (verify + ["0"], "--trials"), (verify + ["-2"], "--trials")]:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and flag in err and not out, argv
 
 
 class TestPhi:

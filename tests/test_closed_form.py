@@ -9,7 +9,7 @@ import pytest
 from birow.avar import a_to_x, x_to_A
 from birow.closed_form import (ClosedForm, IterateQuery, m_value, rho_closed,
                                rho_closed_at, rho_closed_phi)
-from birow.dynamics import random_labeling, rowmotion_birational
+from birow.dynamics import generic_labeling, random_labeling, rowmotion_birational
 from birow.errors import OutOfRange
 from birow.exactnum import Factored, Polynomial, avar, evaluate, monomial, xvar
 from birow.grid_poset import RectPoset
@@ -147,7 +147,7 @@ def _point(poset, seed):
     both the x- and the A-variables."""
     f = random_labeling(poset, random.Random(seed))
     env = {xvar(*p): f.value(p) for p in poset.members()}
-    A = {p: evaluate(a, env) for p, a in x_to_A(poset).a_values.items()}
+    A = {p: evaluate(a, env) for p, a in x_to_A(generic_labeling(poset)).items()}
     env.update({avar(*p): v for p, v in A.items()})
     return f, A, env
 

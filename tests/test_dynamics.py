@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birow.dynamics import (Labeling, OrderIdeal, all_order_ideals,
+from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             generic_labeling, iterate_birational, orbit,
-                            orbit_partition, random_labeling, rowmotion_birational,
-                            rowmotion_combinatorial, rowmotion_pl,
-                            toggle_birational, toggle_pl)
+                            orbit_partition, pl_labeling, random_labeling,
+                            rowmotion_birational, rowmotion_combinatorial,
+                            toggle_birational)
 from birow.errors import OutOfRangeValue
 from birow.exactnum import Factored, xvar
 from birow.grid_poset import RectPoset
@@ -47,7 +47,8 @@ class TestBirational:
         # x=2, y=3, z=5, w=7: one step gives 1 on top, 7/2 left, 7/3 right, 1/5 bottom
         poset = RectPoset(1, 1)
         f = Labeling(poset, {(0, 0): Fraction(7), (1, 0): Fraction(2),
-                             (0, 1): Fraction(3), (1, 1): Fraction(5)})
+                             (0, 1): Fraction(3), (1, 1): Fraction(5)},
+                     Fraction(1), Fraction(1))
         g = rowmotion_birational(f)
         assert g.value((1, 1)) == 1
         assert g.value((1, 0)) == Fraction(7, 2)
@@ -88,34 +89,65 @@ class TestBirational:
 class TestPiecewiseLinear:
     def test_rank_proportional_point_is_fixed(self):
         poset = RectPoset(2, 2)
-        f = Labeling(poset, {(i, j): Fraction(i + j + 1, 6) for (i, j) in poset.members()})
-        assert rowmotion_pl(f).values == f.values
+        f = pl_labeling(poset, {(i, j): Fraction(i + j + 1, 6) for (i, j) in poset.members()})
+        assert rowmotion_birational(f).values == f.values
 
     def test_rejects_out_of_range(self):
         poset = RectPoset(1, 1)
-        f = Labeling(poset, {p: Fraction(2) for p in poset.members()})
         with pytest.raises(OutOfRangeValue):
-            rowmotion_pl(f)
+            pl_labeling(poset, {p: Fraction(2) for p in poset.members()})
 
     def test_toggle_involution_and_range(self):
         # order-preserving labelings stay order-preserving under PL toggles
         poset = RectPoset(2, 1)
         rng = random.Random(5)
-        f = Labeling(poset, {(i, j): Fraction(8 * (i + j) + rng.randint(0, 7), 32)
-                             for (i, j) in poset.members()})
+        f = pl_labeling(poset, {(i, j): Fraction(8 * (i + j) + rng.randint(0, 7), 32)
+                                for (i, j) in poset.members()})
         for v in poset.members():
-            g = toggle_pl(f, v)
-            assert 0 <= g.value(v) <= 1
-            assert toggle_pl(g, v).values == f.values
+            g = toggle_birational(f, v)
+            assert 0 <= g.value(v).v <= 1
+            assert toggle_birational(g, v).values == f.values
 
     def test_period_on_unit_square(self):
         poset = RectPoset(1, 1)
-        f = Labeling(poset, {(0, 0): Fraction(1, 4), (1, 0): Fraction(1, 2),
-                             (0, 1): Fraction(3, 4), (1, 1): Fraction(1)})
+        f = pl_labeling(poset, {(0, 0): Fraction(1, 4), (1, 0): Fraction(1, 2),
+                                (0, 1): Fraction(3, 4), (1, 1): Fraction(1)})
         g = f
         for _ in range(4):
-            g = rowmotion_pl(g)
+            g = rowmotion_birational(g)
         assert g.values == f.values
+
+    def test_max_plus_rowmotion_matches_a_plain_pl_toggle(self):
+        rng = random.Random(2)
+        for r in range(4):
+            for s in range(4):
+                poset = RectPoset(r, s)
+                for _ in range(20):
+                    x = _order_polytope_point(poset, rng)
+                    g = rowmotion_birational(pl_labeling(poset, x))
+                    assert {p: v.v for p, v in g.values.items()} == _pl_rowmotion(x), \
+                        (r, s, x)
+
+
+def _order_polytope_point(poset, rng):
+    """An exact order-preserving labeling with values in [0,1], with ties
+    and the ends 0 and 1 drawn often."""
+    x = {}
+    for (i, j) in sorted(poset.members(), key=sum):
+        lo = max([x[w] for w in ((i - 1, j), (i, j - 1)) if w in x], default=Fraction(0))
+        x[(i, j)] = lo + (1 - lo) * Fraction(rng.randint(0, 4), 4)
+    return x
+
+
+def _pl_rowmotion(x):
+    """Piecewise-linear rowmotion written out directly: toggle each point
+    from the top down to min(upper + [1]) + max(lower + [0]) - x."""
+    x = dict(x)
+    for (i, j) in sorted(x, key=sum, reverse=True):
+        upper = [x[q] for q in ((i + 1, j), (i, j + 1)) if q in x] + [Fraction(1)]
+        lower = [x[w] for w in ((i - 1, j), (i, j - 1)) if w in x] + [Fraction(0)]
+        x[(i, j)] = min(upper) + max(lower) - x[(i, j)]
+    return x
 
 
 class TestCombinatorial:
@@ -198,6 +230,7 @@ def _rowmotion_via_pl(ideal):
     order-preserving ones, i.e. indicators of order filters, so the ideal is
     carried through its complement."""
     poset, members = ideal.poset, ideal.members
-    f = Labeling(poset, {p: Fraction(0 if p in members else 1) for p in poset.members()})
-    g = rowmotion_pl(f)
-    return OrderIdeal.from_points(poset, frozenset(p for p, v in g.values.items() if v == 0))
+    f = pl_labeling(poset, {p: Fraction(0 if p in members else 1) for p in poset.members()})
+    g = rowmotion_birational(f)
+    return OrderIdeal.from_points(poset, frozenset(p for p, v in g.values.items()
+                                                   if v == MaxPlus(Fraction(0))))

@@ -11,7 +11,7 @@ import pytest
 from birow.avar import x_to_A
 from birow.cli import main
 from birow.closed_form import IterateQuery, m_value, rho_closed
-from birow.dynamics import Labeling, all_order_ideals
+from birow.dynamics import Labeling, all_order_ideals, generic_labeling
 from birow.errors import PreconditionViolated
 from birow.exactnum import avar, evaluate, xvar
 from birow.grid_poset import RectPoset
@@ -82,7 +82,7 @@ def test_main_formula_witnesses_match_the_symbolic_closed_form(monkeypatch):
     poset = RectPoset(2, 1)
     f = Labeling.from_json(rep.witnesses[0]["input"])
     env = {xvar(*p): f.value(p) for p in poset.members()}
-    env.update({avar(*p): evaluate(a, env) for p, a in x_to_A(poset).a_values.items()})
+    env.update({avar(*p): evaluate(a, env) for p, a in x_to_A(generic_labeling(poset)).items()})
     want = []
     for (i, j) in poset.members():
         for k in range(poset.r + poset.s + 2):
