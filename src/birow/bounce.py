@@ -20,12 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from .avar import shift_poly
+from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import (LatticePath, NilpFamily, _disjoint_families, enum_paths, phi,
-                   uncovered_sum)
+from .nilp import LatticePath, NilpFamily, _disjoint_families, enum_paths, uncovered_sum
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
@@ -320,29 +319,6 @@ def unswap(side: str, o2: ColoredOverlay) -> ColoredOverlay:
     return ColoredOverlay(blue1, red1)
 
 
-def _phi_poly(poset: RectPoset, m: int, n: int, k: int) -> Polynomial:
-    """phi with the conventions needed by the shifted identity: negative
-    order gives 0; a base above the grid gives 1 for order 0 (empty filter)
-    and 0 otherwise."""
-    if k < 0:
-        return Polynomial(())
-    if m > poset.r or n > poset.s:
-        return Polynomial.const(1) if k == 0 else Polynomial(())
-    return phi(poset.hexagon(m, n, k)).value
-
-
-def mu_phi(poset: RectPoset, i: int, j: int, k: int, eps_i: int, eps_j: int,
-           delta: int) -> Polynomial:
-    """One factor of the shifted identity: the mu-shifted phi attached to the
-    corner (eps_i, eps_j), of order k - delta - M_eps."""
-    c = max(k - j - eps_j, 0)
-    d = max(k - i - eps_i, 0)
-    m_eps = c + d
-    order = k - delta - m_eps
-    base = (i - k + eps_i + m_eps, j - k + eps_j + m_eps)
-    return shift_poly(_phi_poly(poset, base[0], base[1], order), c, d)
-
-
 def _forced_path(region: Region, l: int, leftmost: bool) -> LatticePath:
     src, snk = region.sources[l], region.sinks[l]
     verts = [src]
@@ -399,6 +375,11 @@ def family_weight(fam: NilpFamily, ambient: RectPoset) -> Polynomial:
     return uncovered_sum([fam], _inside(fam.region, ambient))
 
 
+# Corners (eps_i, eps_j, delta) of phi000 phi111 = phi100 phi011 + phi010 phi101:
+# the overlay's blue and red, then the left-skewed pair, then the right-skewed.
+_CORNERS = ((0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1))
+
+
 def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     """Verify the Plucker-like phi identity for the query (i, j, k), both as
     a symbolic polynomial identity and via the color-swapping bijection."""
@@ -407,33 +388,24 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
         raise PreconditionViolated(f"need M <= k <= r+s+1, got M={M}, k={k}")
     rep = Report(name=f"plucker r={poset.r} s={poset.s} i={i} j={j} k={k}")
 
-    lhs = mu_phi(poset, i, j, k, 0, 0, 0) * mu_phi(poset, i, j, k, 1, 1, 1)
-    rhs = (mu_phi(poset, i, j, k, 1, 0, 0) * mu_phi(poset, i, j, k, 0, 1, 1)
-           + mu_phi(poset, i, j, k, 0, 1, 0) * mu_phi(poset, i, j, k, 1, 0, 1))
+    corners = [corner(i, j, k, *c) for c in _CORNERS]
+    phis = [mu_phi(poset, *c) for c in corners]
+    lhs = phis[0] * phis[1]
+    rhs = phis[2] * phis[3] + phis[4] * phis[5]
     if lhs != rhs:
         rep.fail({"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
 
+    # A factor's families sit on its unshifted base with a + b pinned paths.
     grid = poset if M == 0 else poset.extended()
-    cj, ci = max(k - j, 0), max(k - i, 0)
-    cj1, ci1 = max(k - j - 1, 0), max(k - i - 1, 0)
-    B = hugging_families(grid, i - k, j - k, k, cj, ci)
-    R = hugging_families(grid, i - k + 1, j - k + 1, k - 1, cj1, ci1)
-    L1 = hugging_families(grid, i - k + 1, j - k, k, cj, ci1)
-    L2 = hugging_families(grid, i - k, j - k + 1, k - 1, cj1, ci)
-    R1 = hugging_families(grid, i - k, j - k + 1, k, cj1, ci)
-    R2 = hugging_families(grid, i - k + 1, j - k, k - 1, cj, ci1)
-
-    gf_expect = [
-        (B, (0, 0, 0)), (R, (1, 1, 1)), (L1, (1, 0, 0)),
-        (L2, (0, 1, 1)), (R1, (0, 1, 0)), (R2, (1, 0, 1)),
-    ]
-    for fams, (ei, ej, delta) in gf_expect:
+    families = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
+                for (m, n, order, a, b) in corners]
+    for fams, (ei, ej, delta), expect in zip(families, _CORNERS, phis):
         total = uncovered_sum(fams, _inside(fams[0].region, poset) if fams else [])
-        expect = mu_phi(poset, i, j, k, ei, ej, delta)
         if total != expect:
             rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
                       "observed": str(total), "expected": str(expect)})
 
+    B, R, L1, L2, R1, R2 = families
     rep.check(len(B) * len(R) == len(L1) * len(L2) + len(R1) * len(R2),
               {"stage": "cardinality", "lhs": len(B) * len(R),
                "rhs": [len(L1) * len(L2), len(R1) * len(R2)]})

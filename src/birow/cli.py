@@ -117,7 +117,7 @@ def _cmd_phi(args) -> int:
     _check_range("n", args.n, 0, args.s)
     _check_range("k", args.k, 0, min(args.r - args.m, args.s - args.n) + 1)
     region = poset.hexagon(args.m, args.n, args.k)
-    text = phi(region).value.render()
+    text = phi(region).render()
     payload = {"r": args.r, "s": args.s, "m": args.m, "n": args.n, "k": args.k,
                "phi": text}
     if args.list_families:

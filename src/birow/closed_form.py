@@ -4,7 +4,8 @@ For a query (i, j, k) the (k+1)-st rowmotion iterate at (i, j) is a ratio of
 two phi polynomials with indices shifted by mu, when M = [k-i]+ + [k-j]+ is
 at most k; otherwise it is the reciprocal of an earlier iterate at the
 antipodal point, computed in x-variables.  rho_closed_at gives the same
-value at a point through phi_at, with no polynomial built.
+value at a point through phi_at, with no polynomial built.  The shifted
+phis of the Plucker-like check and the file ledger also come from here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Dict, Tuple, TypeVar
 from .avar import a_to_x, shift_poly
 from .errors import OutOfRange
 from .exactnum import Factored, Polynomial
-from .grid_poset import GridPoint, RectPoset, Region
+from .grid_poset import GridPoint, RectPoset
 from .nilp import phi, phi_at
 
 T = TypeVar("T")
@@ -47,25 +48,43 @@ def m_value(q: IterateQuery) -> int:
     return max(q.k - q.i, 0) + max(q.k - q.j, 0)
 
 
-def _phi_pair(q: IterateQuery, at: Callable[[Region, int, int], T]) -> Tuple[T, T]:
+def corner(i: int, j: int, k: int, eps_i: int = 0, eps_j: int = 0,
+           delta: int = 0) -> Tuple[int, int, int, int, int]:
+    """The shifted phi mu^(a,b) phi_order(m, n) of the corner
+    (eps_i, eps_j, delta) of the query (i, j, k), as (m, n, order, a, b).
+    The closed form is corner(i, j, k) over corner(i, j, k, delta=-1)."""
+    a, b = max(k - j - eps_j, 0), max(k - i - eps_i, 0)
+    M = a + b
+    return i - k + eps_i + M, j - k + eps_j + M, k - delta - M, a, b
+
+
+def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Polynomial:
+    """phi_order(m, n) under the shift mu^(a,b), with the conventions of the
+    shifted identity: negative order gives 0; a base above the grid gives 1
+    for order 0 (empty filter) and 0 otherwise."""
+    if order < 0:
+        return Polynomial(())
+    if m > poset.r or n > poset.s:
+        return Polynomial.const(1) if order == 0 else Polynomial(())
+    return shift_poly(phi(poset.hexagon(m, n, order)), a, b)
+
+
+def _phi_pair(q: IterateQuery, at: Callable[[int, int, int, int, int], T]) -> Tuple[T, T]:
     """The iterate as an unreduced (numerator, denominator) pair, where
-    at(region, a, b) gives phi(region) under the shift mu^(a,b).  Valid for
-    every k in [0, r+s+1]: when M > k the pair is obtained from the antipodal
-    query with numerator and denominator exchanged (the A-chart is shared,
-    so the reciprocal stays a phi ratio)."""
+    at(m, n, order, a, b) gives a corner's shifted phi.  Valid for every k
+    in [0, r+s+1]: when M > k the pair is obtained from the antipodal query
+    with numerator and denominator exchanged (the A-chart is shared, so the
+    reciprocal stays a phi ratio)."""
     p, i, j, k = q.poset, q.i, q.j, q.k
-    M = m_value(q)
-    if M <= k:
-        a, b = max(k - j, 0), max(k - i, 0)
-        m, n = i - k + M, j - k + M
-        return at(p.hexagon(m, n, k - M), a, b), at(p.hexagon(m, n, k - M + 1), a, b)
+    if m_value(q) <= k:
+        return at(*corner(i, j, k)), at(*corner(i, j, k, delta=-1))
     num, den = _phi_pair(IterateQuery(p, p.r - i, p.s - j, k - 1 - i - j), at)
     return den, num
 
 
 def rho_closed_phi(q: IterateQuery) -> Tuple[Polynomial, Polynomial]:
     """The iterate as a pair of shifted phi polynomials in A-variables."""
-    return _phi_pair(q, lambda region, a, b: shift_poly(phi(region).value, a, b))
+    return _phi_pair(q, lambda *c: mu_phi(q.poset, *c))
 
 
 def rho_closed(q: IterateQuery) -> ClosedForm:
@@ -82,8 +101,9 @@ def rho_closed_at(q: IterateQuery, A: Dict[GridPoint, Fraction]) -> Fraction:
     A (grid point -> value), in either case of M.  The shift mu^(a,b) moves
     the point, A'(u, v) = A(u-a, v-b), instead of a polynomial."""
 
-    def at(region: Region, a: int, b: int) -> Fraction:
-        return phi_at(region, {(u + a, v + b): val for (u, v), val in A.items()})
+    def at(m: int, n: int, order: int, a: int, b: int) -> Fraction:
+        return phi_at(q.poset.hexagon(m, n, order),
+                      {(u + a, v + b): val for (u, v), val in A.items()})
 
     num, den = _phi_pair(q, at)
     return num / den

@@ -73,7 +73,10 @@ class Labeling:
 
     @staticmethod
     def from_json(data: dict) -> "Labeling":
-        poset = RectPoset(data["r"], data["s"])
+        r, s = data["r"], data["s"]
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (r, s)):
+            raise ParseError(f"grid size r={r!r}, s={s!r}: both must be integers")
+        poset = RectPoset(r, s)
         parse = parse_factored if data.get("mode") == "symbolic" else parse_rational
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
         size = (poset.r + 1) * (poset.s + 1)
@@ -103,11 +106,17 @@ def random_labeling(poset: RectPoset, rng: random.Random) -> Labeling:
 
 
 def pl_labeling(poset: RectPoset, values: Dict[GridPoint, Fraction]) -> Labeling:
-    """Piecewise-linear labeling: the given values, each in [0,1], as
-    max-plus values, with bottom label 0 and top label 1."""
+    """Piecewise-linear labeling: the given values, a point of the order
+    polytope (each in [0,1] and order-preserving), as max-plus values, with
+    bottom label 0 and top label 1."""
     for p, v in values.items():
         if not 0 <= v <= 1:
             raise OutOfRangeValue(f"value {v} at {p} outside [0,1]")
+    for p, v in values.items():
+        for w in poset.covers(p)[0]:
+            if v > values[w]:
+                raise OutOfRangeValue(f"value {v} at {p} exceeds {values[w]} at {w}, "
+                                      "which covers it")
     return Labeling(poset, {p: MaxPlus(v) for p, v in values.items()},
                     MaxPlus(Fraction(0)), MaxPlus(Fraction(1)))
 

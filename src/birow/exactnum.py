@@ -422,7 +422,10 @@ def parse_factored(text: str) -> Factored:
     text = text.strip()
     if text.startswith("(") and text.endswith(")") and ")/(" in text:
         num_s, den_s = text[1:-1].split(")/(", 1)
-        return Factored.ratio(_parse_poly(num_s), _parse_poly(den_s))
+        try:
+            return Factored.ratio(_parse_poly(num_s), _parse_poly(den_s))
+        except DivisionByZero as e:
+            raise ParseError(f"{text}: {e}")
     return Factored.ratio(_parse_poly(text), Polynomial.const(1))
 
 

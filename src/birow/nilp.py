@@ -114,14 +114,8 @@ def uncovered_sum(families: Iterable[NilpFamily], members) -> Polynomial:
     return Polynomial.from_dict(counts)
 
 
-@dataclass(frozen=True)
-class PhiPolynomial:
-    region: Region
-    value: Polynomial
-
-
-def phi(region: Region) -> PhiPolynomial:
-    return PhiPolynomial(region, uncovered_sum(enum_nilp(region), region.members))
+def phi(region: Region) -> Polynomial:
+    return uncovered_sum(enum_nilp(region), region.members)
 
 
 def det(mat: List[List[Fraction]]) -> Fraction:

@@ -13,14 +13,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .avar import shift_poly, x_to_A
-from .closed_form import IterateQuery, m_value, rho_closed_at, rho_closed_phi
+from .avar import x_to_A
+from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
 from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
                        orbit_partition, random_labeling, rowmotion_birational)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
-from .nilp import phi
 from .report import Report
 
 
@@ -231,8 +230,7 @@ def check_combinatorial_homomesy(r: int, s: int) -> Report:
 
 
 def _block_product(poset: RectPoset, factors) -> Polynomial:
-    return Polynomial.product(shift_poly(phi(poset.hexagon(m, n, k)).value, a, b)
-                              for (m, n, k, a, b) in factors)
+    return Polynomial.product(mu_phi(poset, *f) for f in factors)
 
 
 def check_file_ledger(r: int, s: int, d: int) -> Report:

@@ -167,11 +167,11 @@ def test_criterion_8_lgv_oracle():
                 for _ in range(5):
                     pt = {q: Fraction(rng.randint(1, 64), rng.randint(1, 16))
                           for q in region.members}
-                    ok = ok and (phi(region).value.evaluate({avar(*q): v for q, v in pt.items()})
+                    ok = ok and (phi(region).evaluate({avar(*q): v for q, v in pt.items()})
                                  == phi_at(region, pt))
     ones = {avar(i, j): Fraction(1) for (i, j) in poset.members()}
-    ok = ok and phi(poset.hexagon(1, 0, 1)).value.evaluate(ones) == 6
-    ok = ok and phi(poset.hexagon(1, 0, 2)).value.evaluate(ones) == 3
+    ok = ok and phi(poset.hexagon(1, 0, 1)).evaluate(ones) == 6
+    ok = ok and phi(poset.hexagon(1, 0, 2)).evaluate(ones) == 3
     report(8, "determinant oracle", ok, t0)
 
 

@@ -3,9 +3,11 @@ families, and the three-term phi identity."""
 
 import pytest
 
-from birow.bounce import (decompose, hugging_families, make_overlay, mu_phi,
-                          plucker_check, swap, unswap)
+from birow.bounce import (decompose, hugging_families, make_overlay, plucker_check,
+                          swap, unswap)
+from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
+from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset
 from birow.nilp import enum_nilp, phi
 
@@ -83,11 +85,15 @@ def test_hugging_families_conventions():
 def test_mu_phi_matches_plain_phi_inside_the_grid():
     p = RectPoset(2, 2)
     # eps = (0,0), delta = 0 at (i,j,k) = (1,1,1): no shift, plain phi
-    assert mu_phi(p, 1, 1, 1, 0, 0, 0) == phi(p.hexagon(0, 0, 1)).value
+    assert corner(1, 1, 1) == (0, 0, 1, 0, 0)
+    assert mu_phi(p, *corner(1, 1, 1)) == phi(p.hexagon(0, 0, 1))
+    # negative order gives 0; a base above the grid gives 1 at order 0
+    assert mu_phi(p, 0, 0, -1, 0, 0) == Polynomial(())
+    assert mu_phi(p, 3, 0, 0, 0, 0) == Polynomial.const(1)
 
 
 def test_exhaustive_bijection_on_small_grids():
-    for (r, s) in [(1, 1), (2, 1), (2, 2)]:
+    for (r, s) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3)]:
         p = RectPoset(r, s)
         for (i, j, k) in _valid_queries(p):
             rep = plucker_check(p, i, j, k)

@@ -56,10 +56,15 @@ class TestIterate:
         missing = dict(labels, labels={k: v for k, v in labels["labels"].items()
                                        if k != "1,1"})
         outside = dict(labels, labels=dict(labels["labels"], **{"2,0": "1"}))
+        zero_den = dict(labels, mode="symbolic",
+                        labels={k: "(x[0,0])/(0)" for k in labels["labels"]})
         bad = {"missing.json": json.dumps(missing), "outside.json": json.dumps(outside),
                "text.json": "not json", "shape.json": "[1, 2]",
                "list.json": json.dumps(dict(labels, labels=[1])),
-               "badkey.json": json.dumps(dict(labels, labels={"a,b": "1"}))}
+               "badkey.json": json.dumps(dict(labels, labels={"a,b": "1"})),
+               "float.json": json.dumps(dict(labels, r=1.0)),
+               "bool.json": json.dumps(dict(labels, r=True)),
+               "zeroden.json": json.dumps(zero_den)}
         for name, text in bad.items():
             (tmp_path / name).write_text(text)
         for name in [*bad, "absent.json"]:

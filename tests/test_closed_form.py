@@ -120,8 +120,8 @@ def test_rho_noshift_agrees_when_defined():
     for poset in (P32, RectPoset(2, 2)):
         for (i, j) in poset.members():
             for k in range(min(i, j) + 1):
-                num = phi(poset.hexagon(i - k, j - k, k)).value
-                den = phi(poset.hexagon(i - k, j - k, k + 1)).value
+                num = phi(poset.hexagon(i - k, j - k, k))
+                den = phi(poset.hexagon(i - k, j - k, k + 1))
                 cf = rho_closed(IterateQuery(poset, i, j, k))
                 assert cf.frame == "A"
                 assert cf.fn == Factored.ratio(num, den)

@@ -96,6 +96,10 @@ class TestPiecewiseLinear:
         poset = RectPoset(1, 1)
         with pytest.raises(OutOfRangeValue):
             pl_labeling(poset, {p: Fraction(2) for p in poset.members()})
+        # in [0,1] but not order-preserving
+        with pytest.raises(OutOfRangeValue):
+            pl_labeling(poset, {(0, 0): Fraction(1), (0, 1): Fraction(0),
+                                (1, 0): Fraction(0), (1, 1): Fraction(1)})
 
     def test_toggle_involution_and_range(self):
         # order-preserving labelings stay order-preserving under PL toggles
