@@ -22,7 +22,7 @@ from typing import Dict, List, Set, Tuple
 
 from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
-from .exactnum import Polynomial
+from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset, Region
 from .nilp import LatticePath, NilpFamily, _disjoint_families, enum_paths, uncovered_sum
 from .report import Report
@@ -36,14 +36,6 @@ class ColoredOverlay:
     blue: NilpFamily
     red: NilpFamily
 
-    @property
-    def blue_region(self) -> Region:
-        return self.blue.region
-
-    @property
-    def red_region(self) -> Region:
-        return self.red.region
-
     def edge_colors(self) -> List[ColoredEdge]:
         out: List[ColoredEdge] = []
         for color, fam in (("blue", self.blue), ("red", self.red)):
@@ -52,8 +44,7 @@ class ColoredOverlay:
         return out
 
     def key(self):
-        return (tuple(p.vertices for p in self.blue.paths),
-                tuple(p.vertices for p in self.red.paths))
+        return (self.blue.key(), self.red.key())
 
 
 @dataclass(frozen=True)
@@ -62,6 +53,12 @@ class BounceDecomposition:
     horizontal: Tuple[ColoredEdge, ...]
     twigs: Tuple[Edge, ...]
     side: str  # "left" or "right"
+
+
+# For each side: the index of the blue source where the vertical bounce path
+# starts, the blue base step (also the vertical path's first step) and the
+# red base step, which carry the overlay's base to the skewed pair's bases.
+_SIDES = {"left": (0, (1, 0), (0, 1)), "right": (-1, (0, 1), (1, 0))}
 
 
 def _validate_family(region: Region, paths: Tuple[LatticePath, ...]) -> NilpFamily:
@@ -128,20 +125,21 @@ def _traverse(start: GridPoint, up_map, down_map, up_color: str, down_color: str
     return v, edges
 
 
-def _attempt_decompose(o: ColoredOverlay, starts) -> BounceDecomposition:
-    br = o.blue_region
+def decompose(o: ColoredOverlay) -> BounceDecomposition:
+    """Run the two bounce traversals, from the leftmost source first exactly
+    when the leftmost blue path starts east, and classify them."""
+    br = o.blue.region
+    starts = (br.sources[0], br.sources[-1])
+    if not o.blue.paths[0].steps().startswith("R"):
+        starts = starts[::-1]
     blue_up, _ = _edge_maps(o.blue.paths)
     _, red_down = _edge_maps(o.red.paths)
     used: Set[ColoredEdge] = set()
-    runs = []
-    for start in starts:
-        term, edges = _traverse(start, blue_up, red_down, "blue", "red", used)
-        runs.append((start, term, edges))
-
     sinks = set(br.sinks)
     bottom_rank = br.m + br.n + br.k  # the red-source rank
     vertical = horizontal = v_start = None
-    for start, term, edges in runs:
+    for start in starts:
+        term, edges = _traverse(start, blue_up, red_down, "blue", "red", used)
         if edges and term in sinks:
             if vertical is not None:
                 raise MalformedOverlay("two vertical bounce paths")
@@ -158,31 +156,17 @@ def _attempt_decompose(o: ColoredOverlay, starts) -> BounceDecomposition:
     c0, u0, w0 = vertical[0]
     if c0 != "blue" or u0 != v_start:
         raise MalformedOverlay("vertical bounce path does not start upward from its source")
-    step = (w0[0] - u0[0], w0[1] - u0[1])
     # The truncated vertical must supply the one new blue source of the
-    # skewed base: leftmost start stepping northeast, or rightmost stepping
-    # northwest.  The other pairing cannot be completed consistently.
-    if v_start == br.sources[0] and step == (1, 0):
-        side = "left"
-    elif v_start == br.sources[-1] and step == (0, 1):
-        side = "right"
-    else:
+    # skewed base: leftmost start stepping east, or rightmost stepping north.
+    # The other pairing cannot be completed consistently.
+    step = (w0[0] - u0[0], w0[1] - u0[1])
+    side = next((name for name, (src, blue_step, _) in _SIDES.items()
+                 if v_start == br.sources[src] and step == blue_step), None)
+    if side is None:
         raise MalformedOverlay("vertical bounce path start and direction disagree")
 
     twigs = tuple((p.vertices[0], p.vertices[1]) for p in o.blue.paths[1:-1])
     return BounceDecomposition(tuple(vertical), tuple(horizontal), twigs, side)
-
-
-def decompose(o: ColoredOverlay) -> BounceDecomposition:
-    """Run the two bounce traversals; the traversal order (leftmost or
-    rightmost source first) is fixed by requiring a consistent vertical."""
-    br = o.blue_region
-    try:
-        return _attempt_decompose(o, (br.sources[0], br.sources[-1]))
-    except MalformedOverlay:
-        if br.k == 1:
-            raise
-        return _attempt_decompose(o, (br.sources[-1], br.sources[0]))
 
 
 def _family_from_edges(edges: Set[Edge], region: Region) -> NilpFamily:
@@ -244,55 +228,46 @@ def swap(o: ColoredOverlay) -> Tuple[str, ColoredOverlay]:
     for e in dec.twigs:
         _flip((blue_edges, red_edges), e, "blue")
 
-    c0, u0, w0 = dec.vertical[0]
-    if c0 != "blue":
-        raise MalformedOverlay("vertical bounce path does not start with a blue edge")
+    _, u0, w0 = dec.vertical[0]
     if blue_edges[(u0, w0)] <= 0:
         raise MalformedOverlay("truncation target edge is not blue")
     blue_edges[(u0, w0)] -= 1
 
-    g = o.blue_region.poset
-    m, n, k = o.blue_region.m, o.blue_region.n, o.blue_region.k
-    if dec.side == "left":
-        br2, rr2 = g.hexagon(m + 1, n, k), g.hexagon(m, n + 1, k - 1)
-    else:
-        br2, rr2 = g.hexagon(m, n + 1, k), g.hexagon(m + 1, n, k - 1)
+    br = o.blue.region
+    _, (bi, bj), (ri, rj) = _SIDES[dec.side]
+    br2 = br.poset.hexagon(br.m + bi, br.n + bj, br.k)
+    rr2 = br.poset.hexagon(br.m + ri, br.n + rj, br.k - 1)
     blue2 = _family_from_edges(_counts_to_set(blue_edges), br2)
     red2 = _family_from_edges(_counts_to_set(red_edges), rr2)
     return dec.side, ColoredOverlay(blue2, red2)
 
 
 def unswap(side: str, o2: ColoredOverlay) -> ColoredOverlay:
-    g = o2.blue_region.poset
-    k = o2.blue_region.k
-    if side == "left":
-        m, n = o2.blue_region.m - 1, o2.blue_region.n
-        expect_red = (m, n + 1)
-        v_start = o2.blue_region.sources[0]
-        h_start = o2.red_region.sources[-1] if k >= 2 else None
-    elif side == "right":
-        m, n = o2.blue_region.m, o2.blue_region.n - 1
-        expect_red = (m + 1, n)
-        v_start = o2.blue_region.sources[-1]
-        h_start = o2.red_region.sources[0] if k >= 2 else None
-    else:
+    if side not in _SIDES:
         raise PreconditionViolated(f"bad side {side!r}")
-    if (o2.red_region.m, o2.red_region.n, o2.red_region.k) != (*expect_red, k - 1):
+    src, (bi, bj), (ri, rj) = _SIDES[side]
+    br2, rr2 = o2.blue.region, o2.red.region
+    g, k = br2.poset, br2.k
+    m, n = br2.m - bi, br2.n - bj
+    if (rr2.m, rr2.n, rr2.k) != (m + ri, n + rj, k - 1):
         raise MalformedOverlay("red region base does not match the given side")
+    v_start = br2.sources[src]
+    # The mirror bounce path starts at the red source at the other end.
+    h_start = rr2.sources[~src] if k >= 2 else None
 
     blue_up, blue_down = _edge_maps(o2.blue.paths)
     red_up, red_down = _edge_maps(o2.red.paths)
     twigs = [(p.vertices[0], p.vertices[1])
-             for p, src in zip(o2.red.paths, o2.red_region.sources) if src != h_start]
+             for p, s in zip(o2.red.paths, rr2.sources) if s != h_start]
     # Twig edges hang below the blue sources; reserve them so neither bounce
     # path can descend one and terminate at the wrong rank.
     used: Set[ColoredEdge] = {("red", u, w) for u, w in twigs}
     vterm, vedges = _traverse(v_start, blue_up, red_down, "blue", "red", used)
-    if not vedges or vterm not in set(o2.blue_region.sinks):
+    if not vedges or vterm not in set(br2.sinks):
         raise MalformedOverlay("vertical bounce path does not reach the top")
     if h_start is not None:
         hterm, hedges = _traverse(h_start, red_up, blue_down, "red", "blue", used)
-        if hterm not in set(o2.blue_region.sources):
+        if hterm not in set(br2.sources):
             raise MalformedOverlay(f"mirror bounce path ends at {hterm}")
     else:
         hedges = []
@@ -306,7 +281,7 @@ def unswap(side: str, o2: ColoredOverlay) -> ColoredOverlay:
         _flip((blue_edges, red_edges), e, "red")
 
     blue_target = g.hexagon(m, n, k)
-    missing = [p for p in blue_target.sources if p not in set(o2.red_region.sources)]
+    missing = [p for p in blue_target.sources if p not in set(rr2.sources)]
     if len(missing) != 1:
         raise MalformedOverlay("cannot locate the truncated source position")
     p0 = missing[0]
@@ -363,16 +338,16 @@ def _inside(region: Region, ambient: RectPoset) -> List[GridPoint]:
 
 
 def _uncovered(fam: NilpFamily, ambient: RectPoset) -> Counter:
-    """The points whose A-variables make up ``family_weight``, as a
-    multiset, so that weights compare and multiply without a polynomial."""
+    """The family's weight: the region members inside the ambient rectangle
+    that it leaves uncovered, as a multiset, so that weights compare and
+    multiply without a polynomial."""
     covered = fam.covered()
     return Counter(p for p in _inside(fam.region, ambient) if p not in covered)
 
 
-def family_weight(fam: NilpFamily, ambient: RectPoset) -> Polynomial:
-    """Monomial of A-variables over region members inside the ambient
-    rectangle left uncovered by the family."""
-    return uncovered_sum([fam], _inside(fam.region, ambient))
+def _render_weight(weight: Counter) -> str:
+    """The weight as the monomial of A-variables over its points."""
+    return str(Polynomial.from_dict({monomial((avar(*p), e) for p, e in weight.items()): 1}))
 
 
 # Corners (eps_i, eps_j, delta) of phi000 phi111 = phi100 phi011 + phi010 phi101:
@@ -422,19 +397,18 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
                 rep.fail({"stage": "swap", "overlay": o.edge_colors(), "error": str(e)})
                 continue
             rep.trials += 1
-            key = (o2.blue.key(), o2.red.key())
+            key = o2.key()
             target = left_keys if side == "left" else right_keys
             if key not in target:
                 rep.fail({"stage": "membership", "side": side, "overlay": o.edge_colors()})
             if key in images:
                 rep.fail({"stage": "injectivity", "overlay": o.edge_colors()})
             images.add(key)
-            if (_uncovered(b, poset) + _uncovered(rfam, poset)
-                    != _uncovered(o2.blue, poset) + _uncovered(o2.red, poset)):
-                w_in = family_weight(b, poset) * family_weight(rfam, poset)
-                w_out = family_weight(o2.blue, poset) * family_weight(o2.red, poset)
+            w_in = _uncovered(b, poset) + _uncovered(rfam, poset)
+            w_out = _uncovered(o2.blue, poset) + _uncovered(o2.red, poset)
+            if w_in != w_out:
                 rep.fail({"stage": "weight", "overlay": o.edge_colors(),
-                          "observed": str(w_out), "expected": str(w_in)})
+                          "observed": _render_weight(w_out), "expected": _render_weight(w_in)})
             try:
                 back = unswap(side, o2)
                 if back.key() != o.key():

@@ -162,37 +162,50 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+# The optional flags each check reads; giving any other is a usage error.
+_VERIFY_FLAGS = {
+    "periodicity": ("mode", "trials", "seed"),
+    "reciprocity": ("mode", "trials", "seed"),
+    "main-formula": ("trials", "seed"),
+    "file-homomesy": ("d", "mode", "seed"),
+    "antipodal": ("seed",),
+    "combinatorial": (),
+    "ledger": ("d",),
+    "plucker": ("i", "j", "k"),
+}
+
+
 def _cmd_verify(args) -> int:
-    r, s = args.r, args.s
-    if args.trials < 1:
-        raise BirowError(f"--trials value {args.trials} is below 1")
-    if args.check == "periodicity":
-        rep = check_periodicity(r, s, mode=args.mode, trials=args.trials, seed=args.seed)
-    elif args.check == "reciprocity":
-        rep = check_reciprocity(r, s, mode=args.mode, trials=args.trials, seed=args.seed)
-    elif args.check == "main-formula":
-        rep = check_main_formula(r, s, points=args.trials, seed=args.seed)
-    elif args.check == "file-homomesy":
-        if args.d is not None:
-            reps = [check_file_homomesy(r, s, args.d, mode=args.mode, seed=args.seed)]
-        else:
-            reps = [check_file_homomesy(r, s, t, mode=args.mode, seed=args.seed)
-                    for t in range(-r, s + 1)]
-        return _emit_reports(reps, args.plain)
-    elif args.check == "antipodal":
-        rep = check_antipodal_product(r, s, seed=args.seed)
-    elif args.check == "combinatorial":
+    r, s, check = args.r, args.s, args.check
+    for flag in ("d", "i", "j", "k", "mode", "trials", "seed"):
+        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[check]:
+            raise BirowError(f"--{flag} is not read by the {check} check")
+    trials = 3 if args.trials is None else args.trials
+    seed = 0 if args.seed is None else args.seed
+    if trials < 1:
+        raise BirowError(f"--trials value {trials} is below 1")
+    if check == "periodicity":
+        rep = check_periodicity(r, s, mode=args.mode, trials=trials, seed=seed)
+    elif check == "reciprocity":
+        rep = check_reciprocity(r, s, mode=args.mode, trials=trials, seed=seed)
+    elif check == "main-formula":
+        rep = check_main_formula(r, s, points=trials, seed=seed)
+    elif check == "file-homomesy":
+        files = range(-r, s + 1) if args.d is None else [args.d]
+        return _emit_reports([check_file_homomesy(r, s, t, mode=args.mode, seed=seed)
+                              for t in files], args.plain)
+    elif check == "antipodal":
+        rep = check_antipodal_product(r, s, seed=seed)
+    elif check == "combinatorial":
         rep = check_combinatorial_homomesy(r, s)
-    elif args.check == "ledger":
+    elif check == "ledger":
         if args.d is None:
             raise BirowError("--d is required for the ledger check")
         rep = check_file_ledger(r, s, args.d)
-    elif args.check == "plucker":
+    else:
         if args.i is None or args.j is None or args.k is None:
             raise BirowError("--i, --j and --k are required for the plucker check")
         rep = plucker_check(RectPoset(r, s), args.i, args.j, args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BirowError(f"unknown check {args.check}")
     return _emit_reports([rep], args.plain)
 
 
@@ -253,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=["symbolic", "rational"])
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="default 3")
+    p.add_argument("--seed", type=int, help="default 0")
     p.set_defaults(fn=_cmd_verify)
     return top
 

@@ -10,6 +10,7 @@ bottom 0 and top 1 give max(lower) + min(upper) - x.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +80,7 @@ class Labeling:
         poset = RectPoset(r, s)
         parse = parse_factored if data.get("mode") == "symbolic" else parse_rational
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
-        size = (poset.r + 1) * (poset.s + 1)
-        if len(values) != size or not all(map(poset.contains, values)):
+        if not poset.members_are(values):
             raise ParseError(f"labels must name each point of the {poset.r}x{poset.s} "
                              "grid exactly once")
         one = parse("1")
@@ -109,6 +109,9 @@ def pl_labeling(poset: RectPoset, values: Dict[GridPoint, Fraction]) -> Labeling
     """Piecewise-linear labeling: the given values, a point of the order
     polytope (each in [0,1] and order-preserving), as max-plus values, with
     bottom label 0 and top label 1."""
+    if not poset.members_are(values):
+        raise OutOfRangeValue(f"values must name each point of the {poset.r}x{poset.s} "
+                              "grid exactly once")
     for p, v in values.items():
         if not 0 <= v <= 1:
             raise OutOfRangeValue(f"value {v} at {p} outside [0,1]")
@@ -129,21 +132,11 @@ def lower_sum(f: Labeling, v: GridPoint) -> Value:
     return sum(lower[1:], lower[0])
 
 
-def _parallel_all(vals: List[Value]):
-    out = vals[0]
-    for v in vals[1:]:
-        try:
-            out = parallel(out, v)
-        except ZeroDivisionError:
-            raise PoleEncountered("parallel sum pole during toggle")
-    return out
-
-
 def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
     ups, top = f.poset.covers(v)
     upper = [f.value(z) for z in ups] + ([f.top] if top else [])
     low_sum = lower_sum(f, v)
-    up_par = _parallel_all(upper)
+    up_par = functools.reduce(parallel, upper)
     try:
         new = low_sum * up_par / f.value(v)
     except (ZeroDivisionError, DivisionByZero):

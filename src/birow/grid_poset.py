@@ -58,6 +58,10 @@ class RectPoset:
     def contains(self, p: GridPoint) -> bool:
         return self.imin <= p[0] <= self.r and self.jmin <= p[1] <= self.s
 
+    def members_are(self, points) -> bool:
+        """Whether the distinct points are exactly the members."""
+        return set(points) == set(self.members())
+
     def _check(self, p: GridPoint):
         if not self.contains(p):
             raise OutOfRange(f"{p} outside rectangle")

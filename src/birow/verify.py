@@ -15,8 +15,8 @@ from typing import Dict, List, Optional
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
-from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
-                       orbit_partition, random_labeling, rowmotion_birational)
+from .dynamics import (OrderIdeal, all_order_ideals, generic_labeling, orbit_partition,
+                       random_labeling, rowmotion_birational)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
@@ -27,10 +27,6 @@ def auto_mode(r: int, s: int) -> str:
     """Symbolic verification for tiny grids, exact rational evaluation
     otherwise."""
     return "symbolic" if (r + 1) * (s + 1) <= 6 else "rational"
-
-
-def _labelings_equal(f: Labeling, g: Labeling) -> bool:
-    return all(f.value(p) == g.value(p) for p in f.poset.members())
 
 
 def check_periodicity(r: int, s: int, mode: Optional[str] = None,
@@ -50,7 +46,7 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
         first = None
         for step in range(1, period + 1):
             g = rowmotion_birational(g)
-            if first is None and _labelings_equal(f, g):
+            if first is None and f.values == g.values:
                 first = step
         minimal.append(first)
         rep.trials += 1

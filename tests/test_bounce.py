@@ -3,13 +3,14 @@ families, and the three-term phi identity."""
 
 import pytest
 
+from birow import bounce
 from birow.bounce import (decompose, hugging_families, make_overlay, plucker_check,
                           swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset
-from birow.nilp import enum_nilp, phi
+from birow.nilp import enum_nilp, phi, uncovered_sum
 
 
 def _valid_queries(poset):
@@ -44,8 +45,8 @@ def test_overlay_and_decompose_shapes():
     d = decompose(o)
     assert d.side in ("left", "right")
     color, frm, to = d.vertical[0]
-    assert color == "blue" and frm in o.blue_region.sources
-    assert d.vertical[-1][2] in o.blue_region.sinks
+    assert color == "blue" and frm in o.blue.region.sources
+    assert d.vertical[-1][2] in o.blue.region.sinks
     # bounce paths and twigs only use edge instances present in the overlay
     overlay_edges = set(o.edge_colors())
     for e in d.vertical + d.horizontal:
@@ -60,7 +61,7 @@ def test_swap_round_trip_single_case():
     red = enum_nilp(p.hexagon(2, 1, 1))
     o = make_overlay(blue[0], red[0])
     side, o2 = swap(o)
-    assert (o2.blue_region.m, o2.blue_region.n) != (1, 0)
+    assert (o2.blue.region.m, o2.blue.region.n) != (1, 0)
     back = unswap(side, o2)
     assert back.key() == o.key()
 
@@ -98,3 +99,24 @@ def test_exhaustive_bijection_on_small_grids():
         for (i, j, k) in _valid_queries(p):
             rep = plucker_check(p, i, j, k)
             assert rep.passed, (r, s, i, j, k, rep.witnesses[:1])
+
+
+def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
+    # A swap that sends every overlay to one fixed image fails the weight
+    # stage wherever an overlay's weight differs from the image's.
+    p = RectPoset(3, 2)
+    overlays = [make_overlay(b, r) for b in enum_nilp(p.hexagon(1, 0, 1))
+                for r in enum_nilp(p.hexagon(2, 1, 0))]
+    side, image = swap(overlays[0])
+    monkeypatch.setattr(bounce, "swap", lambda o: (side, image))
+    rep = plucker_check(p, 2, 1, 1)
+
+    def weight(o):
+        return str(uncovered_sum([o.blue], o.blue.region.members)
+                   * uncovered_sum([o.red], o.red.region.members))
+
+    want = [(o.edge_colors(), weight(image), weight(o)) for o in overlays
+            if weight(o) != weight(image)]
+    got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
+           if w["stage"] == "weight"]
+    assert want and got == want

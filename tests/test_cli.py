@@ -95,7 +95,12 @@ class TestFormula:
     def test_out_of_range_names_flag(self, capsys):
         verify = "verify periodicity --r 3 --s 3 --mode rational --trials".split()
         for argv, flag in [("formula --r 3 --s 2 --i 5 --j 1 --k 0".split(), "--i"),
-                           (verify + ["0"], "--trials"), (verify + ["-2"], "--trials")]:
+                           (verify + ["0"], "--trials"), (verify + ["-2"], "--trials"),
+                           # flags the chosen verify check does not read
+                           ("verify main-formula --r 2 --s 2 --mode symbolic".split(), "--mode"),
+                           ("verify ledger --r 4 --s 3 --d 2 --mode rational".split(), "--mode"),
+                           ("verify antipodal --r 2 --s 2 --trials 9".split(), "--trials"),
+                           ("verify combinatorial --r 2 --s 2 --seed 5".split(), "--seed")]:
             code, out, err = run(capsys, *argv)
             assert code == 2 and flag in err and not out, argv
 

@@ -100,6 +100,10 @@ class TestPiecewiseLinear:
         with pytest.raises(OutOfRangeValue):
             pl_labeling(poset, {(0, 0): Fraction(1), (0, 1): Fraction(0),
                                 (1, 0): Fraction(0), (1, 1): Fraction(1)})
+        # maps that miss points of the grid
+        for partial in ({(0, 0): Fraction(1, 2)}, {(1, 1): Fraction(1, 2)}):
+            with pytest.raises(OutOfRangeValue):
+                pl_labeling(poset, partial)
 
     def test_toggle_involution_and_range(self):
         # order-preserving labelings stay order-preserving under PL toggles
