@@ -6,6 +6,12 @@ the adjoined bottom and top (Grinberg-Roby).  With Fraction or Factored
 values both are 1 (a reduced labeling).  With MaxPlus values, the max-plus
 semifield, the same toggle is the piecewise-linear toggle (Einstein-Propp):
 bottom 0 and top 1 give max(lower) + min(upper) - x.
+
+The toggle's parallel sum over the upper covers is taken through
+reciprocals, 1/(1/a + 1/b), as Einstein-Propp write it: a Fraction ** -1
+swaps numerator and denominator and costs no gcd, so an interior toggle
+normalises four Fractions (the lower sum, the reciprocal sum, the product
+and the quotient) where ab/(a + b) took six.  By convention a ∥ 0 = 0.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ from .grid_poset import GridPoint, RectPoset, parse_point_key, point_key
 
 @dataclass(frozen=True)
 class MaxPlus:
-    """A value of the max-plus semifield: + is max, * is +, / is -.
+    """A value of the max-plus semifield: + is max, * is +, / is -, and
+    ** e is multiplication by e, so the reciprocal ** -1 is negation and
+    parallel's (1/a + 1/b) ** -1 is min(a, b).
 
-    It equals only max-plus values, so MaxPlus(0), the max-plus one, is not
-    taken for a pole by parallel's zero test."""
+    It equals only max-plus values, so MaxPlus(0), the max-plus one, is
+    taken neither for parallel's zero operand nor for a pole."""
     v: Fraction
 
     def __add__(self, other: "MaxPlus") -> "MaxPlus":
@@ -37,6 +45,9 @@ class MaxPlus:
 
     def __truediv__(self, other: "MaxPlus") -> "MaxPlus":
         return MaxPlus(self.v - other.v)
+
+    def __pow__(self, e: int) -> "MaxPlus":
+        return MaxPlus(self.v * e)
 
 
 Value = Union[Factored, Fraction, MaxPlus]
@@ -80,7 +91,8 @@ class Labeling:
         poset = RectPoset(r, s)
         parse = parse_factored if data.get("mode") == "symbolic" else parse_rational
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
-        if not poset.members_are(values):
+        # Two spellings of one point ("0,0", "00,0") parse to one key.
+        if len(values) != len(data["labels"]) or not poset.members_are(values):
             raise ParseError(f"labels must name each point of the {poset.r}x{poset.s} "
                              "grid exactly once")
         one = parse("1")

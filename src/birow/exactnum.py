@@ -364,12 +364,23 @@ class Factored:
 
 
 def parallel(a, b):
-    """Parallel sum a ∥ b = 1/(1/a + 1/b) = ab/(a + b) of two Fraction or
-    two Factored values."""
-    s = a + b
+    """Parallel sum a ∥ b = 1/(1/a + 1/b) = ab/(a + b) of two Fraction, two
+    Factored or two MaxPlus values, computed through reciprocals as
+    (a ** -1 + b ** -1) ** -1.  A ``Fraction ** -1`` swaps numerator and
+    denominator and needs no gcd, and a ``Factored ** -1`` negates its
+    exponents, so the one addition is the only exact operation that
+    normalises.  ``Factored.+`` extracts the same common factors from
+    1/a + 1/b as from a + b, so the result has the coefficient and factors
+    of ab/(a + b).
+
+    Zero absorbs, a ∥ 0 = 0 ∥ a = 0, as ab/(a + b) gives.  The sum is a pole
+    when a + b = 0, both operands zero included; for nonzero operands that
+    is exactly when 1/a + 1/b = 0."""
+    zero = a == 0 or b == 0
+    s = a + b if zero else a ** -1 + b ** -1
     if s == 0:
         raise PoleEncountered("parallel sum pole: a + b = 0")
-    return a * b / s
+    return a * b if zero else s ** -1
 
 
 def evaluate(f: Factored, point: Dict[Var, Fraction]) -> Fraction:

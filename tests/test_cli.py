@@ -64,13 +64,39 @@ class TestIterate:
                "badkey.json": json.dumps(dict(labels, labels={"a,b": "1"})),
                "float.json": json.dumps(dict(labels, r=1.0)),
                "bool.json": json.dumps(dict(labels, r=True)),
-               "zeroden.json": json.dumps(zero_den)}
+               "zeroden.json": json.dumps(zero_den),
+               # "00,1" and "0,1" name one point
+               "dupkey.json": json.dumps(dict(labels, labels=dict(labels["labels"],
+                                                                  **{"00,1": "3"})))}
         for name, text in bad.items():
             (tmp_path / name).write_text(text)
         for name in [*bad, "absent.json"]:
             code, out, err = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "1",
                                  "--labels", str(tmp_path / name))
             assert code == 2 and "labels" in err and not out, name
+
+    def test_labels_with_zero_and_opposite_signs(self, capsys, tmp_path):
+        """Exact output of toggling through a zero label or through upper
+        covers that cancel, as recorded before the parallel sum went
+        through reciprocals."""
+        pole = "arithmetic fault: parallel sum pole: a + b = 0\n"
+        cases = [
+            # an upper cover of (0,0) labelled 0: toggling (1,0) divides by it
+            (1, 1, {"0,0": "2", "0,1": "3", "1,0": "0", "1,1": "5"},
+             "arithmetic fault: pole while toggling at (1, 0)\n"),
+            # the upper covers of (0,0) have opposite signs
+            (1, 1, {"0,0": "2", "0,1": "-3", "1,0": "3", "1,1": "5"}, pole),
+            # (1,1) toggles to 0, (1,0) takes 0 ∥ 1 = 0, (0,0) meets 0 ∥ 0
+            (2, 1, {"0,0": "2", "0,1": "-1", "1,0": "1", "1,1": "2", "2,0": "2",
+                    "2,1": "2"}, pole),
+        ]
+        for r, s, labels, err_want in cases:
+            path = tmp_path / "labels.json"
+            path.write_text(json.dumps({"r": r, "s": s, "mode": "rational",
+                                        "labels": labels}))
+            got = run(capsys, "iterate", "--r", str(r), "--s", str(s), "--k", "1",
+                      "--labels", str(path))
+            assert got == (3, "", err_want), labels
 
 
 class TestFormula:

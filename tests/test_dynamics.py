@@ -13,7 +13,7 @@ from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             rowmotion_birational, rowmotion_combinatorial,
                             toggle_birational)
 from birow.errors import OutOfRangeValue
-from birow.exactnum import Factored, xvar
+from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
 
 W, X, Y, Z = (Factored.var(xvar(*p)) for p in [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -124,6 +124,13 @@ class TestPiecewiseLinear:
         for _ in range(4):
             g = rowmotion_birational(g)
         assert g.values == f.values
+
+    @given(st.fractions(-5, 5), st.fractions(-5, 5), st.integers(-3, 3))
+    @settings(max_examples=50)
+    def test_max_plus_power_and_parallel_sum(self, a, b, e):
+        # MaxPlus(0) is the max-plus one, so it is neither a zero nor a pole
+        assert MaxPlus(a) ** e == MaxPlus(a * e)
+        assert parallel(MaxPlus(a), MaxPlus(b)) == MaxPlus(min(a, b))
 
     def test_max_plus_rowmotion_matches_a_plain_pl_toggle(self):
         rng = random.Random(2)

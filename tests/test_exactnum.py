@@ -37,6 +37,15 @@ def rand_value(c):
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5)
 
+# Primitive polynomials with positive leading coefficients, shared between
+# values so that addition finds common factors with mixed-sign exponents.
+_px, _py, _pz = (Polynomial.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 1)])
+FACTOR_POOL = [_px, _py, _pz, _px + _py, _px + _pz.scale(2), _py * _pz + _px.scale(3)]
+factored_values = st.builds(
+    lambda c, exps: Factored.make(c, dict(zip(FACTOR_POOL, exps))),
+    nonzero_rationals,
+    st.lists(st.integers(-2, 2), min_size=len(FACTOR_POOL), max_size=len(FACTOR_POOL)))
+
 # Variables of both namespaces with the negative indices of
 # RectPoset.extended(); monomials are canonicalised by ``monomial``.
 variables = st.builds(Var, st.sampled_from("Ax"), st.integers(-4, 3), st.integers(-4, 3))
@@ -224,6 +233,35 @@ class TestParallel:
                 parallel(a, b)
         else:
             assert parallel(a, b) == 1 / (1 / a + 1 / b)
+
+    def test_zero_absorbs(self):
+        x = X[(0, 1)]
+        zero = Factored.const(0)
+        assert parallel(Fraction(0), Fraction(3, 2)) == 0
+        assert parallel(Fraction(-2), Fraction(0)) == 0
+        assert parallel(zero, x).is_zero() and parallel(x, zero).is_zero()
+
+    def test_poles_keep_their_message(self):
+        x, y, minus = X[(1, 0)], X[(0, 1)], Factored.const(-1)
+        for a, b in [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(-3, 2)),
+                     (Factored.const(0), Factored.const(0)), (x, minus * x),
+                     (x / (x + y), minus * x / (y + x))]:
+            with pytest.raises(PoleEncountered) as exc:
+                parallel(a, b)
+            assert str(exc.value) == "parallel sum pole: a + b = 0"
+
+    @given(factored_values, factored_values)
+    @settings(max_examples=100, deadline=None)
+    def test_factored_representation_matches_quotient(self, a, b):
+        """Through reciprocals, the parallel sum has the coefficient and the
+        factors of ab/(a + b), so it renders the same."""
+        if a + b == 0:
+            with pytest.raises(PoleEncountered):
+                parallel(a, b)
+            return
+        got, want = parallel(a, b), a * b / (a + b)
+        assert (got.coeff, got.factors) == (want.coeff, want.factors)
+        assert got.render() == want.render()
 
     def test_op_dispatch(self):
         # the same operator calls serve Fraction and Factored values alike
