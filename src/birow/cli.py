@@ -192,8 +192,8 @@ def _cmd_verify(args) -> int:
         rep = check_main_formula(r, s, points=trials, seed=seed)
     elif check == "file-homomesy":
         files = range(-r, s + 1) if args.d is None else [args.d]
-        return _emit_reports([check_file_homomesy(r, s, t, mode=args.mode, seed=seed)
-                              for t in files], args.plain)
+        return _emit_reports(check_file_homomesy(r, s, files, mode=args.mode, seed=seed),
+                             args.plain)
     elif check == "antipodal":
         rep = check_antipodal_product(r, s, seed=seed)
     elif check == "combinatorial":

@@ -10,6 +10,7 @@ phis of the Plucker-like check and the file ledger also come from here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, TypeVar
@@ -96,14 +97,21 @@ def rho_closed(q: IterateQuery) -> ClosedForm:
     return ClosedForm("x", a_to_x(fn, q.poset))
 
 
-def rho_closed_at(q: IterateQuery, A: Dict[GridPoint, Fraction]) -> Fraction:
-    """The closed form of the iterate at the point whose A-chart values are
-    A (grid point -> value), in either case of M.  The shift mu^(a,b) moves
-    the point, A'(u, v) = A(u-a, v-b), instead of a polynomial."""
+def rho_closed_at(poset: RectPoset,
+                  A: Dict[GridPoint, Fraction]) -> Callable[[IterateQuery], Fraction]:
+    """The closed form at the point whose A-chart values are A (grid point
+    -> value), as a function of the query, in either case of M.  The shift
+    mu^(a,b) moves the point, A'(u, v) = A(u-a, v-b), instead of a
+    polynomial.  Queries share corners, so each corner's shifted phi is
+    evaluated once per point."""
 
+    @functools.lru_cache(maxsize=None)
     def at(m: int, n: int, order: int, a: int, b: int) -> Fraction:
-        return phi_at(q.poset.hexagon(m, n, order),
+        return phi_at(poset.hexagon(m, n, order),
                       {(u + a, v + b): val for (u, v), val in A.items()})
 
-    num, den = _phi_pair(q, at)
-    return num / den
+    def closed(q: IterateQuery) -> Fraction:
+        num, den = _phi_pair(q, at)
+        return num / den
+
+    return closed

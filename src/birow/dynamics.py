@@ -20,7 +20,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
 from .errors import DivisionByZero, OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
@@ -106,15 +106,11 @@ def generic_labeling(poset: RectPoset) -> Labeling:
                     one, one)
 
 
-def random_positive_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 2 ** 16), rng.randint(1, 2 ** 8))
-
-
 def random_labeling(poset: RectPoset, rng: random.Random) -> Labeling:
     """Evaluation-mode labeling at a random positive rational point.
     Positivity keeps every toggle denominator nonzero."""
-    return Labeling(poset, {p: random_positive_rational(rng) for p in poset.members()},
-                    Fraction(1), Fraction(1))
+    return Labeling(poset, {p: Fraction(rng.randint(1, 2 ** 16), rng.randint(1, 2 ** 8))
+                            for p in poset.members()}, Fraction(1), Fraction(1))
 
 
 def pl_labeling(poset: RectPoset, values: Dict[GridPoint, Fraction]) -> Labeling:
@@ -162,9 +158,17 @@ def rowmotion_birational(f: Labeling) -> Labeling:
     return f
 
 
-def iterate_birational(f: Labeling, k: int) -> Labeling:
-    for _ in range(k):
+def iterates(f: Labeling, n: int) -> Iterator[Labeling]:
+    """Yield f, rho f, ..., rho^n f: n rowmotions, each run on demand."""
+    yield f
+    for _ in range(n):
         f = rowmotion_birational(f)
+        yield f
+
+
+def iterate_birational(f: Labeling, k: int) -> Labeling:
+    for f in iterates(f, k):
+        pass
     return f
 
 

@@ -5,9 +5,11 @@ Rationals are stdlib ``fractions.Fraction``.  Polynomials have arbitrary
 precision integer coefficients and variables indexed by a namespace
 (``"A"`` or ``"x"``) and a grid position ``(i, j)``.  A symbolic value is a
 ``Factored``: a rational coefficient times a product of primitive
-polynomials with integer exponents.  It has the operators of ``Fraction``
-(``+``, ``-``, ``*``, ``/``, ``**``, ``==``, ``str``), so code written for
-one kind of value runs unchanged on the other.  No multivariate gcd is ever
+polynomials with integer exponents.  It has the operators the birational
+toggle uses, ``+``, ``*``, ``/``, ``**`` with an ``int`` exponent and ``==``
+(``parallel`` tests ``== 0``), and ``str``.  Birational rowmotion never
+subtracts, and ``Factored`` has no unary minus, so the toggle runs
+unchanged on ``Fraction`` and ``Factored`` values.  No multivariate gcd is ever
 computed: division cancels equal factors syntactically, and equality
 expands the quotient of the two values and compares its numerator with its
 denominator, which is exact.

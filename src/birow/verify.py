@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
-from .dynamics import (OrderIdeal, all_order_ideals, generic_labeling, orbit_partition,
-                       random_labeling, rowmotion_birational)
+from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling, iterates,
+                       orbit_partition, random_labeling)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
@@ -29,25 +29,27 @@ def auto_mode(r: int, s: int) -> str:
     return "symbolic" if (r + 1) * (s + 1) <= 6 else "rational"
 
 
+def _starts(poset: RectPoset, mode: str, trials: int, seed: int) -> List[Labeling]:
+    """The start points of a check: the generic labeling in symbolic mode,
+    otherwise trials random points drawn from Random(seed)."""
+    if mode == "symbolic":
+        return [generic_labeling(poset)]
+    rng = random.Random(seed)
+    return [random_labeling(poset, rng) for _ in range(trials)]
+
+
 def check_periodicity(r: int, s: int, mode: Optional[str] = None,
                       trials: int = 5, seed: int = 0) -> Report:
     """Rowmotion returns to the start after r+s+2 steps; the observed
     minimal period is recorded (not asserted)."""
     mode = mode or auto_mode(r, s)
-    poset = RectPoset(r, s)
     period = r + s + 2
     rep = Report(name=f"periodicity r={r} s={s} mode={mode}", seed=seed)
     rep.notes["expected_period"] = period
-    rng = random.Random(seed)
     minimal: List[Optional[int]] = []
-    for _ in range(1 if mode == "symbolic" else trials):
-        f = generic_labeling(poset) if mode == "symbolic" else random_labeling(poset, rng)
-        g = f
-        first = None
-        for step in range(1, period + 1):
-            g = rowmotion_birational(g)
-            if first is None and f.values == g.values:
-                first = step
+    for f in _starts(RectPoset(r, s), mode, trials, seed):
+        first = next((step for step, g in enumerate(iterates(f, period))
+                      if step and g.values == f.values), None)
         minimal.append(first)
         rep.trials += 1
         if first is None or period % first:
@@ -63,17 +65,12 @@ def check_reciprocity(r: int, s: int, mode: Optional[str] = None,
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
     rep = Report(name=f"reciprocity r={r} s={s} mode={mode}", seed=seed)
-    rng = random.Random(seed)
-    for _ in range(1 if mode == "symbolic" else trials):
-        f = generic_labeling(poset) if mode == "symbolic" else random_labeling(poset, rng)
-        its = [f]
-        for _ in range(r + s + 1):
-            its.append(rowmotion_birational(its[-1]))
+    for f in _starts(poset, mode, trials, seed):
+        its = list(iterates(f, r + s + 1))
         rep.trials += 1
         for (i, j) in poset.members():
             got = its[i + j + 1].value((i, j))
-            anti = f.value((r - i, s - j))
-            want = anti ** -1
+            want = f.value((r - i, s - j)) ** -1
             if got != want:
                 rep.fail({"input": f.to_json(), "point": [i, j],
                           "observed": str(got), "expected": str(want)})
@@ -84,16 +81,12 @@ def check_antipodal_product(r: int, s: int, seed: int = 0) -> Report:
     """Product across a full period of the antipodal pair of point statistics
     equals 1 (periodicity and reciprocity combined)."""
     poset = RectPoset(r, s)
-    rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed)
-    rng = random.Random(seed)
-    f = random_labeling(poset, rng)
-    rep.trials = 1
+    rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed, trials=1)
+    f = random_labeling(poset, random.Random(seed))
     prods: Dict[tuple, Fraction] = {p: Fraction(1) for p in poset.members()}
-    g = f
-    for _ in range(r + s + 2):
+    for g in iterates(f, r + s + 1):
         for p in poset.members():
             prods[p] *= g.value(p)
-        g = rowmotion_birational(g)
     for (i, j) in poset.members():
         pair = prods[(i, j)] * prods[(r - i, s - j)]
         if pair != 1:
@@ -109,18 +102,14 @@ def check_main_formula(r: int, s: int, points: int = 3, seed: int = 0) -> Report
     no polynomial built."""
     poset = RectPoset(r, s)
     rep = Report(name=f"main-formula r={r} s={s}", seed=seed)
-    rng = random.Random(seed)
     queries = [IterateQuery(poset, i, j, k)
                for (i, j) in poset.members() for k in range(r + s + 2)]
-    for _ in range(points):
-        f = random_labeling(poset, rng)
+    for f in _starts(poset, "rational", points, seed):
         rep.trials += 1
-        A = x_to_A(f)
-        its = [f]
-        for _ in range(r + s + 2):
-            its.append(rowmotion_birational(its[-1]))
+        closed = rho_closed_at(poset, x_to_A(f))
+        its = list(iterates(f, r + s + 2))
         for q in queries:
-            got = rho_closed_at(q, A)
+            got = closed(q)
             want = its[q.k + 1].value((q.i, q.j))
             if got != want:
                 frame = "A" if m_value(q) <= q.k else "x"
@@ -129,53 +118,49 @@ def check_main_formula(r: int, s: int, points: int = 3, seed: int = 0) -> Report
     return rep
 
 
-def check_file_homomesy(r: int, s: int, file: int, mode: Optional[str] = None,
-                        seed: int = 0) -> Report:
-    """The double product of the file values over a full period equals 1.
+def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str] = None,
+                        seed: int = 0) -> List[Report]:
+    """For each file offset in files, a report that the double product of
+    the file values over a full period equals 1.
 
-    Rational mode multiplies honest iterates at a random positive point.
-    Symbolic mode multiplies the closed-form phi-ratio factors and cancels
-    equal polynomial factors syntactically before comparing the leftovers,
-    which avoids expanding the full product.
+    Rational mode multiplies honest iterates at a random positive point,
+    one orbit for every file.  Symbolic mode multiplies the closed-form
+    phi-ratio factors and cancels equal polynomial factors syntactically
+    before comparing the leftovers, which avoids expanding the full product.
     """
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
-    info = poset.file_by_offset(file)
-    rep = Report(name=f"file-homomesy r={r} s={s} file={file} mode={mode}", seed=seed)
-    rep.notes["case"] = info.case
-    rep.notes["d"] = info.d
-    rep.notes["points"] = [list(p) for p in info.points]
+    infos = [poset.file_by_offset(t) for t in files]
+    reps = [Report(name=f"file-homomesy r={r} s={s} file={info.offset} mode={mode}",
+                   seed=seed, trials=1, notes={"case": info.case, "d": info.d,
+                                               "points": [list(p) for p in info.points]})
+            for info in infos]
     if mode == "rational":
-        rng = random.Random(seed)
-        f = random_labeling(poset, rng)
-        rep.trials = 1
-        prod = Fraction(1)
-        g = f
-        for _ in range(r + s + 2):
-            for p in info.points:
-                prod *= g.value(p)
-            g = rowmotion_birational(g)
-        if prod != 1:
-            rep.fail({"input": f.to_json(), "observed": str(prod), "expected": "1"})
-        return rep
-    nums: Counter = Counter()
-    dens: Counter = Counter()
-    # The factor for iterate k+1 at each file point; over k = 0..r+s+1 this
-    # runs through one full period by periodicity.
-    for k in range(r + s + 2):
-        for (i, j) in info.points:
-            num, den = rho_closed_phi(IterateQuery(poset, i, j, k))
-            nums[num] += 1
-            dens[den] += 1
-    common = nums & dens
-    nums -= common
-    dens -= common
-    pn = Polynomial.product(nums.elements())
-    pd = Polynomial.product(dens.elements())
-    rep.trials = 1
-    if pn != pd:
-        rep.fail({"input": "closed-form factors", "observed": str(pn), "expected": str(pd)})
-    return rep
+        f = random_labeling(poset, random.Random(seed))
+        prods = [Fraction(1)] * len(infos)
+        for g in iterates(f, r + s + 1):
+            for n, info in enumerate(infos):
+                for p in info.points:
+                    prods[n] *= g.value(p)
+        for rep, prod in zip(reps, prods):
+            if prod != 1:
+                rep.fail({"input": f.to_json(), "observed": str(prod), "expected": "1"})
+        return reps
+    for rep, info in zip(reps, infos):
+        nums: Counter = Counter()
+        dens: Counter = Counter()
+        # The factor for iterate k+1 at each file point; over k = 0..r+s+1
+        # this runs through one full period by periodicity.
+        for k in range(r + s + 2):
+            for (i, j) in info.points:
+                num, den = rho_closed_phi(IterateQuery(poset, i, j, k))
+                nums[num] += 1
+                dens[den] += 1
+        pn = Polynomial.product((nums - dens).elements())
+        pd = Polynomial.product((dens - nums).elements())
+        if pn != pd:
+            rep.fail({"input": "closed-form factors", "observed": str(pn), "expected": str(pd)})
+    return reps
 
 
 def _file_counts(ideal: OrderIdeal) -> List[int]:

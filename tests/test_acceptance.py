@@ -133,8 +133,7 @@ def test_criterion_6_file_homomesy():
     t0 = time.time()
     ok, cases = True, set()
     for r, s in GRID_SET + [(4, 3)]:
-        for t in range(-r, s + 1):
-            rep = check_file_homomesy(r, s, t)
+        for rep in check_file_homomesy(r, s, range(-r, s + 1)):
             ok = ok and rep.passed
             cases.add(rep.notes["case"])
     ok = ok and cases == {"a", "b", "c"}

@@ -194,6 +194,20 @@ class TestVerify:
         data = json.loads(out)
         assert code == 0 and len(data["reports"]) == 4
 
+    def test_every_file_matches_the_single_file_runs(self, capsys):
+        # One orbit serves every file; each report is the one its own --d
+        # run prints, in the order of report names.
+        flags = ("verify", "file-homomesy", "--r", "4", "--s", "3", "--mode", "rational",
+                 "--seed", "2")
+        code, out, _ = run(capsys, *flags)
+        assert code == 0
+        single = []
+        for t in range(-4, 4):
+            code, one, _ = run(capsys, *flags, "--d", str(t))
+            assert code == 0
+            single += json.loads(one)["reports"]
+        assert json.loads(out)["reports"] == sorted(single, key=lambda rp: rp["name"])
+
     def test_ledger_requires_d(self, capsys):
         code, _, err = run(capsys, "verify", "ledger", "--r", "4", "--s", "3")
         assert code == 2 and "--d" in err

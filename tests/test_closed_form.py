@@ -174,7 +174,8 @@ def test_rho_closed_at_matches_the_shifted_phi_ratio():
     """Shifting the point equals shifting the polynomials, in both cases of M."""
     for poset in (P32, RectPoset(2, 3)):
         _, A, env = _point(poset, 9)
+        closed = rho_closed_at(poset, A)
         for (i, j) in poset.members():
             for k in range(poset.r + poset.s + 2):
                 q = IterateQuery(poset, i, j, k)
-                assert rho_closed_at(q, A) == evaluate(Factored.ratio(*rho_closed_phi(q)), env)
+                assert closed(q) == evaluate(Factored.ratio(*rho_closed_phi(q)), env)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
-                            generic_labeling, iterate_birational, orbit,
+                            generic_labeling, iterate_birational, iterates, orbit,
                             orbit_partition, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
                             toggle_birational)
@@ -75,6 +75,22 @@ class TestBirational:
         f = random_labeling(poset, random.Random(3))
         assert iterate_birational(f, 2).values == \
             rowmotion_birational(rowmotion_birational(f)).values
+
+    def test_iterates_applies_rowmotion_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return rowmotion_birational(f)
+
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", counted)
+        f = random_labeling(RectPoset(2, 1), random.Random(3))
+        its = iterates(f, 5)
+        assert next(its) is f and calls == []
+        rest = list(its)
+        assert len(calls) == 5 and len(rest) == 5
+        assert [g.values for g in rest] == \
+            [rowmotion_birational(g).values for g in [f] + rest[:-1]]
 
     def test_json_round_trip_both_modes(self):
         poset = RectPoset(1, 1)

@@ -76,7 +76,7 @@ def test_main_formula_witnesses_match_the_symbolic_closed_form(monkeypatch):
     """With rowmotion replaced by the identity, each witness names its query
     in (i, j, k) order, its frame from m_value, and as observed value the
     symbolic closed form evaluated at the witness's point."""
-    monkeypatch.setattr("birow.verify.rowmotion_birational", lambda f: f)
+    monkeypatch.setattr("birow.dynamics.rowmotion_birational", lambda f: f)
     rep = check_main_formula(2, 1, points=1, seed=3)
     assert not rep.passed
     poset = RectPoset(2, 1)
@@ -98,18 +98,20 @@ def test_main_formula_witnesses_match_the_symbolic_closed_form(monkeypatch):
 
 class TestFileHomomesy:
     def test_rational_every_file(self):
-        for t in range(-3, 3):
-            rep = check_file_homomesy(3, 2, t, mode="rational", seed=2)
+        reps = check_file_homomesy(3, 2, range(-3, 3), mode="rational", seed=2)
+        assert [rep.name for rep in reps] == \
+            [f"file-homomesy r=3 s=2 file={t} mode=rational" for t in range(-3, 3)]
+        for t, rep in zip(range(-3, 3), reps):
             assert rep.passed, t
             assert rep.notes["case"] in "abc"
 
     def test_symbolic_factor_cancellation(self):
-        for t in range(-2, 2):
-            assert check_file_homomesy(2, 1, t, mode="symbolic").passed, t
+        reps = check_file_homomesy(2, 1, range(-2, 2), mode="symbolic")
+        assert [rep.passed for rep in reps] == [True] * 4
 
     def test_all_three_cases_appear(self):
-        cases = {check_file_homomesy(4, 3, t, mode="rational").notes["case"]
-                 for t in range(-4, 4)}
+        cases = {rep.notes["case"]
+                 for rep in check_file_homomesy(4, 3, range(-4, 4), mode="rational")}
         assert cases == {"a", "b", "c"}
 
 
@@ -172,7 +174,7 @@ def test_failure_produces_witnesses():
 def test_failing_checks_build_their_witnesses(monkeypatch):
     # With rowmotion replaced by the identity, reciprocity and the antipodal
     # product fail at every point.
-    monkeypatch.setattr("birow.verify.rowmotion_birational", lambda f: f)
+    monkeypatch.setattr("birow.dynamics.rowmotion_birational", lambda f: f)
     rep = check_reciprocity(1, 1, mode="rational", trials=1, seed=2)
     assert not rep.passed and len(rep.witnesses) == 4
     w = rep.witnesses[0]
