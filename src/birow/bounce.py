@@ -24,7 +24,8 @@ from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import LatticePath, NilpFamily, _disjoint_families, enum_paths, uncovered_sum
+from .nilp import (LatticePath, NilpFamily, _disjoint_families, enum_paths, point_bits,
+                   uncovered_sum)
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
@@ -64,7 +65,8 @@ _SIDES = {"left": (0, (1, 0), (0, 1)), "right": (-1, (0, 1), (1, 0))}
 def _validate_family(region: Region, paths: Tuple[LatticePath, ...]) -> NilpFamily:
     if len(paths) != region.k:
         raise MalformedOverlay(f"expected {region.k} paths, got {len(paths)}")
-    seen: Set[GridPoint] = set()
+    bits = point_bits(region.poset)
+    mask = 0
     for l, p in enumerate(paths):
         if p.vertices[0] != region.sources[l] or p.vertices[-1] != region.sinks[l]:
             raise MalformedOverlay(f"path {l} endpoints {p.vertices[0]}..{p.vertices[-1]} "
@@ -72,10 +74,10 @@ def _validate_family(region: Region, paths: Tuple[LatticePath, ...]) -> NilpFami
         for v in p.vertices:
             if v not in region.members:
                 raise MalformedOverlay(f"vertex {v} outside region")
-            if v in seen:
+            if mask & bits[v]:
                 raise MalformedOverlay(f"vertex {v} shared between paths")
-            seen.add(v)
-    return NilpFamily(region, paths)
+            mask |= bits[v]
+    return NilpFamily(region, paths, mask)
 
 
 def make_overlay(blue: NilpFamily, red: NilpFamily) -> ColoredOverlay:
@@ -341,8 +343,8 @@ def _uncovered(fam: NilpFamily, ambient: RectPoset) -> Counter:
     """The family's weight: the region members inside the ambient rectangle
     that it leaves uncovered, as a multiset, so that weights compare and
     multiply without a polynomial."""
-    covered = fam.covered()
-    return Counter(p for p in _inside(fam.region, ambient) if p not in covered)
+    bits = point_bits(fam.region.poset)
+    return Counter(p for p in _inside(fam.region, ambient) if not fam.mask & bits[p])
 
 
 def _render_weight(weight: Counter) -> str:

@@ -17,16 +17,16 @@ denominator, which is exact.
 A value renders as its expanded numerator, or as ``(numerator)/(denominator)``
 when the denominator is not 1; the pair carries no common integer content
 and the denominator's leading coefficient is positive.  Terms are ordered
-by ``grlex_key``: graded lexicographic order with variables ranked by
-``(namespace, i, j)``, as a flat tuple of ints that ``sort`` compares
-directly.
+by graded lexicographic order with variables ranked by ``(namespace, i, j)``.
 
-Every product (``*``, ``**``, ``Factored.expand`` and ``Factored.+``) runs
-in ``Polynomial.product``, on monomials packed into single ints: the degree,
-then one exponent field per variable, earlier variables higher.  Multiplying
-two monomials is then one int addition, and descending packed-int order is
-descending ``grlex_key`` order.  Terms are stored as tuples of
-``(Var, exponent)`` pairs; only the product kernel packs them.
+Every monomial order is taken on monomials packed into single ints by
+``_packing``: the degree, then one exponent field per variable, earlier
+variables higher.  Descending packed order is descending graded
+lexicographic order, so ``Polynomial.from_dict`` sorts its terms by the
+packed int.  Every product (``*``, ``**``, ``Factored.expand`` and
+``Factored.+``) runs in ``Polynomial.product`` on the same packing, where
+fields wide enough that none carries make multiplying two monomials one int
+addition.  Terms are stored as tuples of ``(Var, exponent)`` pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .errors import DivisionByZero, ParseError, PoleEncountered, UnboundVariable
 
@@ -70,29 +71,38 @@ def monomial(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
 
 
-def grlex_key(m: Monomial) -> Tuple[int, ...]:
-    """Sort key for graded lexicographic order with variables ranked by
-    (ns, i, j): the degree, then (-ord(ns), -i, -j, e) for each pair in
-    ascending variable order.  A variable that comes earlier, or has a higher
-    exponent, at the first pair where two monomials of one degree differ
-    makes the larger key.  Namespaces are single characters, and exponents
-    are positive: with a negative exponent the key no longer gives grlex
-    order."""
-    key = [0]
-    for (ns, i, j), e in m:
-        key[0] += e
-        key += (-ord(ns), -i, -j, e)
-    return tuple(key)
+def _packing(pairs: Set[Tuple[Var, int]], bound: int
+             ) -> Tuple[int, List[Var], Dict[Tuple[Var, int], int]]:
+    """The packed-int key of monomials over the given (Var, exponent) pairs:
+    the field width ``w``, the variables in ``Var`` order, and the weight of
+    each pair.  A monomial packs to the sum of its pairs' weights: the
+    degree in the top field, then one field of ``w`` bits per variable,
+    earlier variables higher.  ``w`` is the bit length of ``bound``, which
+    must bound every exponent the key is to hold, so no field carries and
+    descending packed order is descending graded lexicographic order."""
+    vs = sorted({v for v, _ in pairs})
+    w = bound.bit_length()
+    top = w * len(vs)
+    shift = {v: w * k for k, v in enumerate(reversed(vs))}
+    return w, vs, {(v, e): (e << top) + (e << shift[v]) for v, e in pairs}
+
+
+class _PairText(dict):
+    """The text of each (Var, exponent) pair, rendered on first use."""
+
+    def __missing__(self, pair: Tuple[Var, int]) -> str:
+        v, e = pair
+        text = self[pair] = v.render() if e == 1 else f"{v.render()}^{e}"
+        return text
+
+
+_PAIR_TEXT = _PairText()
 
 
 def _render_mon(m: Monomial, coeff: int) -> str:
-    parts = []
-    if abs(coeff) != 1 or not m:
-        parts.append(str(abs(coeff)))
-    for v, e in m:
-        parts.append(v.render() if e == 1 else f"{v.render()}^{e}")
-    body = "*".join(parts)
-    return body
+    parts = [str(abs(coeff))] if abs(coeff) != 1 or not m else []
+    parts += map(_PAIR_TEXT.__getitem__, m)
+    return "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -100,16 +110,29 @@ class Polynomial:
     """Sparse polynomial with integer coefficients.
 
     ``terms`` is a tuple of (monomial, coefficient) pairs sorted by
-    descending ``grlex_key``, so ``terms[0]`` is the leading term.  The zero
-    polynomial has an empty terms tuple.
+    descending graded lexicographic order, so ``terms[0]`` is the leading
+    term.  The zero polynomial has an empty terms tuple.
     """
 
     terms: Tuple[Tuple[Monomial, int], ...]
 
     @staticmethod
     def from_dict(d: Dict[Monomial, int]) -> "Polynomial":
+        """The polynomial with the nonzero terms of d, sorted by their packed
+        keys.  The fields are as wide as the sum of the variables' largest
+        exponents, which bounds the degree and every exponent.  A
+        non-positive exponent raises ValueError: it renders as nothing
+        ``parse_factored`` reads, and its field would borrow from its
+        neighbours in the packed key."""
         items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda t: grlex_key(t[0]), reverse=True)
+        pairs = set(chain.from_iterable(m for m, _ in items))
+        largest: Dict[Var, int] = {}
+        for v, e in pairs:
+            if e <= 0:
+                raise ValueError(f"non-positive exponent {e} of {v.render()}")
+            largest[v] = max(largest.get(v, 0), e)
+        weight = _packing(pairs, sum(largest.values()))[2].__getitem__
+        items.sort(key=lambda t: sum(map(weight, t[0])), reverse=True)
         return Polynomial(tuple(items))
 
     @staticmethod
@@ -158,14 +181,11 @@ class Polynomial:
     def product(polys: Iterable["Polynomial"]) -> "Polynomial":
         """Product of the given polynomials; 1 for none.
 
-        Every monomial is packed into one int over the operands' variables
-        in ``Var`` order: the degree in the top field, then one field of
-        ``w`` bits per variable, earlier variables higher.  ``w`` is the
-        bit length of ``D``, the sum of the operands' degrees, which bounds
-        every exponent of every partial product, so no field carries and a
-        monomial product is one int addition.  Descending packed order is
-        descending ``grlex_key`` order, so the result is sorted by the int
-        and decoded once."""
+        Every monomial is packed by ``_packing`` over the operands' pairs,
+        with fields as wide as ``D``, the sum of the operands' degrees,
+        which bounds every exponent of every partial product, so a monomial
+        product is one int addition.  The result is sorted by the packed
+        int and decoded once."""
         # Largest operand first: each later step multiplies the partial
         # product by a smaller operand, which measured fastest.
         polys = sorted(polys, key=lambda p: len(p.terms), reverse=True)
@@ -173,15 +193,13 @@ class Polynomial:
             return polys[0]
         if any(p.is_zero() for p in polys):
             return Polynomial(())
-        vs = sorted({v for p in polys for m, _ in p.terms for v, _ in m})
         # terms[0] is the leading term, so it has the operand's degree.
-        w = sum(sum(e for _, e in p.terms[0][0]) for p in polys).bit_length()
+        w, vs, weight = _packing({pair for p in polys for m, _ in p.terms for pair in m},
+                                 sum(sum(e for _, e in p.terms[0][0]) for p in polys))
         top = w * len(vs)
-        shift = {v: w * k for k, v in enumerate(reversed(vs))}
         acc = {0: 1}
         for p in polys:
-            packed = [(sum((e << top) + (e << shift[v]) for v, e in m), c)
-                      for m, c in p.terms]
+            packed = [(sum(map(weight.__getitem__, m)), c) for m, c in p.terms]
             out: Dict[int, int] = defaultdict(int)
             for a, ca in acc.items():
                 for b, cb in packed:
@@ -230,12 +248,11 @@ class Polynomial:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        out = _render_mon(self.terms[0][0], self.terms[0][1])
-        if self.terms[0][1] < 0:
-            out = "-" + out
-        for m, c in self.terms[1:]:
-            out += (" - " if c < 0 else " + ") + _render_mon(m, c)
-        return out
+        parts = []
+        for m, c in self.terms:
+            parts += (" - " if c < 0 else " + ", _render_mon(m, c))
+        parts[0] = "-" if self.terms[0][1] < 0 else ""
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.render()

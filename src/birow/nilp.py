@@ -3,21 +3,25 @@
 phi of a region sums, over all vertex-disjoint path families from the
 region's sources to its sinks, the product of A-variables over the region
 members not covered by any path.  Order 0 regions contribute the full
-product over the filter.  phi_at evaluates phi at a point through the
-Lindstrom-Gessel-Viennot determinant instead, sharing no code with the
-enumeration.
+product over the filter.  A family carries the bitmask of the points its
+paths cover, one bit per grid point (``point_bits``), so disjointness and
+the uncovered members are int operations.  phi_at evaluates phi at a point
+through the Lindstrom-Gessel-Viennot determinant instead, sharing no code
+with the enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleEncountered, UnboundVariable
-from .exactnum import Polynomial, avar
-from .grid_poset import GridPoint, Region
+from .exactnum import Monomial, Polynomial, avar
+from .grid_poset import GridPoint, RectPoset, Region
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,32 @@ class LatticePath:
         return list(zip(self.vertices, self.vertices[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def point_bits(poset: RectPoset) -> Dict[GridPoint, int]:
+    """One bit per point of the poset, in (i, j) order."""
+    return {p: 1 << b for b, p in enumerate(poset.members())}
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
+    """For each 8-bit chunk of ``point_bits(poset)``, from the lowest, the
+    (Var, 1) pairs of the chunk's set bits for each byte value, in (i, j)
+    order."""
+    points = poset.members()
+    tables = []
+    for c in range(0, len(points), 8):
+        table: List[Monomial] = [()]
+        for p in points[c:c + 8]:
+            table += [t + ((avar(*p), 1),) for t in table]
+        tables.append(table)
+    return tables
+
+
 @dataclass(frozen=True)
 class NilpFamily:
     region: Region
     paths: Tuple[LatticePath, ...]
-
-    def covered(self) -> FrozenSet[GridPoint]:
-        return frozenset(v for p in self.paths for v in p.vertices)
+    mask: int  # the point_bits of the points the paths cover
 
     def key(self) -> Tuple[Tuple[GridPoint, ...], ...]:
         return tuple(p.vertices for p in self.paths)
@@ -76,21 +99,23 @@ def _disjoint_families(region: Region, options: List[List[LatticePath]]
     """All vertex-disjoint families whose path l is one of options[l],
     ordered as the options are."""
     k = len(options)
-    choices = [[(path, frozenset(path.vertices)) for path in opts] for opts in options]
+    bits = point_bits(region.poset)
+    choices = [[(path, sum(map(bits.__getitem__, path.vertices))) for path in opts]
+               for opts in options]
     out: List[NilpFamily] = []
 
-    def extend(l: int, chosen: List[LatticePath], occupied: FrozenSet[GridPoint]):
+    def extend(l: int, chosen: List[LatticePath], occupied: int):
         if l == k:
-            out.append(NilpFamily(region, tuple(chosen)))
+            out.append(NilpFamily(region, tuple(chosen), occupied))
             return
-        for path, verts in choices[l]:
-            if not verts.isdisjoint(occupied):
+        for path, mask in choices[l]:
+            if mask & occupied:
                 continue
             chosen.append(path)
-            extend(l + 1, chosen, occupied | verts)
+            extend(l + 1, chosen, occupied | mask)
             chosen.pop()
 
-    extend(0, [], frozenset())
+    extend(0, [], 0)
     return out
 
 
@@ -101,17 +126,24 @@ def enum_nilp(region: Region) -> List[NilpFamily]:
                                        for l in range(region.k)])
 
 
-def uncovered_sum(families: Iterable[NilpFamily], members) -> Polynomial:
+def uncovered_sum(families: Sequence[NilpFamily], members) -> Polynomial:
     """Sum over the families of the product of A-variables over the members
-    that each family leaves uncovered.  The monomials are counted in one
-    dict and sorted once, not added one polynomial at a time."""
-    # Members sorted by (i, j) give their A-variables in canonical order.
-    pairs = [(p, (avar(*p), 1)) for p in sorted(members)]
-    counts: Counter = Counter()
-    for fam in families:
-        covered = fam.covered()
-        counts[tuple([pair for p, pair in pairs if p not in covered])] += 1
-    return Polynomial.from_dict(counts)
+    that each family leaves uncovered.  The uncovered masks are counted in
+    one Counter, each distinct mask is decoded once through the chunk
+    tables, and the monomials are sorted once."""
+    if not families:
+        return Polynomial.from_dict({})
+    poset = families[0].region.poset
+    bits = point_bits(poset)
+    full = sum(map(bits.__getitem__, members))
+    counts = Counter(full & ~fam.mask for fam in families)
+    tables = _chunk_pairs(poset)
+
+    def decode(mask: int) -> Monomial:
+        chunks = mask.to_bytes(len(tables), "little")
+        return tuple(chain.from_iterable(map(list.__getitem__, tables, chunks)))
+
+    return Polynomial.from_dict({decode(mask): c for mask, c in counts.items()})
 
 
 def phi(region: Region) -> Polynomial:

@@ -266,6 +266,8 @@ PINNED = {
         "f8909615280c0d2e0926867094b5051cf39d354c8c5b7ad15acddce2005f19cc",
     "verify combinatorial --r 5 --s 5":
         "28c3d08901bde37314f34066632a1f4dc7302f9efb6df4a53b557ac9d4e13f39",
+    "phi --r 6 --s 6 --m 0 --n 0 --k 3":
+        "2aba7d6bd01870e26beab4588ee29b91fd78ece5afe027667f6917d90a70d65c",
 }
 
 

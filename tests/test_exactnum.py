@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birow.errors import DivisionByZero, ParseError, PoleEncountered
-from birow.exactnum import (Factored, Polynomial, Var, avar, evaluate, grlex_key,
-                            monomial, parallel, parse_factored, parse_rational,
-                            xvar)
+from birow.exactnum import (Factored, Polynomial, Var, avar, evaluate, monomial,
+                            parallel, parse_factored, parse_rational, xvar)
 
 X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
@@ -65,6 +64,20 @@ def mon_cmp(m1, m2):
         if a != b:
             return 1 if a > b else -1
     return 0
+
+
+def grlex_key(m):
+    """Reference sort key for graded lexicographic order with variables
+    ranked by (ns, i, j): the degree, then (-ord(ns), -i, -j, e) for each
+    pair in ascending variable order.  A variable that comes earlier, or has
+    a higher exponent, at the first pair where two monomials of one degree
+    differ makes the larger key.  The oracle of the packed keys by which
+    ``Polynomial.from_dict`` sorts."""
+    key = [0]
+    for (ns, i, j), e in m:
+        key[0] += e
+        key += (-ord(ns), -i, -j, e)
+    return tuple(key)
 
 
 def mon_mul(m1, m2):
@@ -138,6 +151,27 @@ class TestPolynomial:
     def test_grlex_key_orders_as_mon_cmp(self, m1, m2):
         k1, k2 = grlex_key(m1), grlex_key(m2)
         assert ((k1 > k2) - (k1 < k2)) == mon_cmp(m1, m2)
+
+    @given(st.dictionaries(
+        st.lists(st.tuples(variables, st.integers(1, 20)), max_size=5).map(monomial),
+        st.integers(-3, 3), max_size=8))
+    # One variable carries every exponent, up to 15 = 2**4 - 1: the fields
+    # are 4 bits wide and x[-4,3]'s field is full in the leading term.
+    @example({((xvar(-4, 3), 15),): 1, ((xvar(-4, 3), 7),): -2, (): 3})
+    @settings(max_examples=200, deadline=None)
+    def test_from_dict_orders_as_grlex_key(self, d):
+        want = sorted((m for m, c in d.items() if c), key=grlex_key, reverse=True)
+        assert [m for m, _ in Polynomial.from_dict(d).terms] == want
+
+    def test_from_dict_rejects_non_positive_exponents(self):
+        with pytest.raises(ValueError, match="x\\[0,0\\]"):
+            Polynomial.var(xvar(0, 0), -1)
+        with pytest.raises(ValueError):
+            Polynomial.from_dict({((avar(1, 2), 0),): 1})
+        with pytest.raises(ValueError):
+            Polynomial.from_dict({((avar(0, 0), 2),): 1, ((avar(0, 0), 1), (xvar(1, 1), -3)): 4})
+        # A zero exponent drops out of a monomial before it can reach the guard.
+        assert Polynomial.var(xvar(0, 0), 0) == Polynomial.const(1)
 
     @given(monomials, monomials)
     @settings(max_examples=100, deadline=None)

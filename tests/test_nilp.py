@@ -2,17 +2,20 @@
 point through the Lindstrom-Gessel-Viennot determinant."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birow import bounce
 from birow.avar import a_to_x
 from birow.errors import PoleEncountered
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
-from birow.nilp import det, enum_nilp, enum_paths, phi, phi_at
+from birow.nilp import det, enum_nilp, enum_paths, phi, phi_at, uncovered_sum
+from test_exactnum import grlex_key
 
 
 def _mono(*pairs):
@@ -123,6 +126,48 @@ def test_phi_at_matches_enumeration_on_every_region():
                     pt = _random_point(region, rng)
                     assert phi(region).evaluate(_in_avars(pt)) == phi_at(region, pt), \
                         (r, s, m, n, k)
+
+
+def _uncovered_oracle(families, members):
+    """The terms of uncovered_sum: each family's uncovered members as a tuple
+    of (Var, 1) pairs, counted, and sorted by descending grlex_key."""
+    counts = Counter()
+    for fam in families:
+        covered = {v for path in fam.paths for v in path.vertices}
+        counts[tuple((avar(*q), 1) for q in sorted(members) if q not in covered)] += 1
+    return tuple(sorted(counts.items(), key=lambda t: grlex_key(t[0]), reverse=True))
+
+
+def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
+    """On every hexagon of every grid up to 4x4, and on the hugging families
+    that every 3x3 Plucker query with M > 0 sums on the extended grid, whose
+    paths also cover points outside the summed members."""
+    cases = []
+    for r in range(5):
+        for s in range(5):
+            poset = RectPoset(r, s)
+            for (m, n) in poset.members():
+                for k in range(min(r - m, s - n) + 2):
+                    region = poset.hexagon(m, n, k)
+                    cases.append((enum_nilp(region), region.members))
+    hugging = []
+
+    def spy(families, members):
+        hugging.append((families, list(members)))
+        return uncovered_sum(families, members)
+
+    monkeypatch.setattr(bounce, "uncovered_sum", spy)
+    grid = RectPoset(3, 3)
+    for i in range(4):
+        for j in range(4):
+            for k in range(1, 8):
+                if 0 < max(k - i, 0) + max(k - j, 0) <= k:
+                    assert bounce.plucker_check(grid, i, j, k).passed
+    assert all(f.region.poset == grid.extended() for fams, _ in hugging for f in fams)
+    assert any(not {v for path in f.paths for v in path.vertices} <= set(members)
+               for families, members in hugging for f in families)
+    for families, members in cases + hugging:
+        assert uncovered_sum(families, members).terms == _uncovered_oracle(families, members)
 
 
 def test_phi_at_order_zero_and_poles():
