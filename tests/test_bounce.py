@@ -1,16 +1,21 @@
 """Colored overlays, the bounce-path swap bijection, boundary-hugging
 families, and the three-term phi identity."""
 
+from collections import Counter
+
 import pytest
 
 from birow import bounce
-from birow.bounce import (decompose, hugging_families, make_overlay, plucker_check,
-                          swap, unswap)
+from birow.bounce import (_SIDES, BounceDecomposition, decompose, hugging_families,
+                          make_overlay, plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset
-from birow.nilp import enum_nilp, phi, uncovered_sum
+from birow.nilp import LatticePath, NilpFamily, enum_nilp, phi, point_bits, uncovered_sum
+
+# The grids of the exhaustive checks.
+SMALL_GRIDS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3)]
 
 
 def _valid_queries(poset):
@@ -72,6 +77,12 @@ def test_rejects_mismatched_overlay():
     red = enum_nilp(p.hexagon(1, 0, 2))
     with pytest.raises(MalformedOverlay):
         make_overlay(blue[0], red[0])
+    # A path that skips a corner is a diagonal step, which no edge mask holds.
+    path = blue[0].paths[0]
+    jump = LatticePath(path.vertices[:1] + path.vertices[2:])
+    bad = NilpFamily(blue[0].region, (jump,) + blue[0].paths[1:], blue[0].mask)
+    with pytest.raises(MalformedOverlay, match="not a unit step"):
+        make_overlay(bad, enum_nilp(p.hexagon(2, 1, 1))[0])
 
 
 def test_hugging_families_conventions():
@@ -94,7 +105,7 @@ def test_mu_phi_matches_plain_phi_inside_the_grid():
 
 
 def test_exhaustive_bijection_on_small_grids():
-    for (r, s) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3)]:
+    for (r, s) in SMALL_GRIDS:
         p = RectPoset(r, s)
         for (i, j, k) in _valid_queries(p):
             rep = plucker_check(p, i, j, k)
@@ -120,3 +131,200 @@ def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
            if w["stage"] == "weight"]
     assert want and got == want
+
+
+# The reference bijection: colored edges as (lower, upper) vertex tuples in
+# dicts and Counters, with per-instance bookkeeping.  It shares no edge code
+# with bounce.py, whose bitmask swap must agree with it on every overlay.  It
+# works on (blue, red) pairs of families.
+
+def _validate_family(region, paths):
+    if len(paths) != region.k:
+        raise MalformedOverlay(f"expected {region.k} paths, got {len(paths)}")
+    bits = point_bits(region.poset)
+    mask = 0
+    for l, p in enumerate(paths):
+        if p.vertices[0] != region.sources[l] or p.vertices[-1] != region.sinks[l]:
+            raise MalformedOverlay(f"path {l} endpoints do not match")
+        for v in p.vertices:
+            if v not in region.members:
+                raise MalformedOverlay(f"vertex {v} outside region")
+            if mask & bits[v]:
+                raise MalformedOverlay(f"vertex {v} shared between paths")
+            mask |= bits[v]
+    return NilpFamily(region, paths, mask)
+
+
+def _edge_maps(paths):
+    up, down = {}, {}
+    for p in paths:
+        for a, b in p.edges():
+            up[a] = b
+            down[b] = a
+    return up, down
+
+
+def _traverse(start, up_map, down_map, up_color, down_color, used):
+    v = start
+    edges = []
+
+    def step(upward):
+        nonlocal v
+        for up in (not upward, upward):
+            w = up_map.get(v) if up else down_map.get(v)
+            e = (up_color, v, w) if up else (down_color, w, v)
+            if w is not None and e not in used:
+                used.add(e)
+                edges.append(e)
+                v = w
+                return up
+        return None
+
+    going_up = True
+    while going_up is not None:
+        going_up = step(going_up)
+    return v, edges
+
+
+def _decompose(blue, red):
+    br = blue.region
+    starts = (br.sources[0], br.sources[-1])
+    if not blue.paths[0].steps().startswith("R"):
+        starts = starts[::-1]
+    blue_up, _ = _edge_maps(blue.paths)
+    _, red_down = _edge_maps(red.paths)
+    used = set()
+    vertical = horizontal = v_start = None
+    for start in starts:
+        term, edges = _traverse(start, blue_up, red_down, "blue", "red", used)
+        if edges and term in br.sinks:
+            assert vertical is None
+            vertical, v_start = edges, start
+        else:
+            assert horizontal is None and (not edges or sum(term) == br.m + br.n + br.k)
+            horizontal = edges
+    _, u0, w0 = vertical[0]
+    step = (w0[0] - u0[0], w0[1] - u0[1])
+    side, = [name for name, (src, blue_step, _) in _SIDES.items()
+             if v_start == br.sources[src] and step == blue_step]
+    twigs = tuple((p.vertices[0], p.vertices[1]) for p in blue.paths[1:-1])
+    return BounceDecomposition(tuple(vertical), tuple(horizontal), twigs, side)
+
+
+def _family_from_edges(edges, region):
+    up, indeg = {}, Counter()
+    for u, w in edges:
+        if u in up:
+            raise MalformedOverlay(f"two edges leave {u}")
+        up[u] = w
+        indeg[w] += 1
+        if indeg[w] > 1:
+            raise MalformedOverlay(f"two edges enter {w}")
+    paths = []
+    consumed = 0
+    for l, src in enumerate(region.sources):
+        verts = [src]
+        while verts[-1] in up:
+            verts.append(up[verts[-1]])
+            consumed += 1
+        if verts[-1] != region.sinks[l]:
+            raise MalformedOverlay(f"path from {src} ends at {verts[-1]}")
+        paths.append(LatticePath(tuple(verts)))
+    if consumed != len(edges):
+        raise MalformedOverlay("leftover edges after path reconstruction")
+    return _validate_family(region, tuple(paths))
+
+
+def _edge_counts(fam):
+    return Counter((a, b) for p in fam.paths for a, b in p.edges())
+
+
+def _flip(counts, edge, frm_color):
+    blue, red = counts
+    frm, to = (blue, red) if frm_color == "blue" else (red, blue)
+    if frm[edge] <= 0:
+        raise MalformedOverlay(f"edge {edge} carries no {frm_color} instance to flip")
+    frm[edge] -= 1
+    to[edge] += 1
+
+
+def _counts_to_set(counts):
+    for e, c in counts.items():
+        if c > 1:
+            raise MalformedOverlay(f"edge {e} carries a color twice after the swap")
+    return {e for e, c in counts.items() if c == 1}
+
+
+def _reference_swap(blue, red):
+    dec = _decompose(blue, red)
+    counts = (_edge_counts(blue), _edge_counts(red))
+    for color, u, w in dec.horizontal:
+        _flip(counts, (u, w), color)
+    for e in dec.twigs:
+        _flip(counts, e, "blue")
+    _, u0, w0 = dec.vertical[0]
+    assert counts[0][(u0, w0)] > 0
+    counts[0][(u0, w0)] -= 1
+    br = blue.region
+    _, (bi, bj), (ri, rj) = _SIDES[dec.side]
+    blue2 = _family_from_edges(_counts_to_set(counts[0]),
+                               br.poset.hexagon(br.m + bi, br.n + bj, br.k))
+    red2 = _family_from_edges(_counts_to_set(counts[1]),
+                              br.poset.hexagon(br.m + ri, br.n + rj, br.k - 1))
+    return dec.side, blue2, red2
+
+
+def _reference_unswap(side, blue2, red2):
+    src, (bi, bj), _ = _SIDES[side]
+    br2, rr2 = blue2.region, red2.region
+    g, k = br2.poset, br2.k
+    m, n = br2.m - bi, br2.n - bj
+    v_start = br2.sources[src]
+    h_start = rr2.sources[~src] if k >= 2 else None
+    blue_up, blue_down = _edge_maps(blue2.paths)
+    red_up, red_down = _edge_maps(red2.paths)
+    twigs = [(p.vertices[0], p.vertices[1])
+             for p, s in zip(red2.paths, rr2.sources) if s != h_start]
+    used = {("red", u, w) for u, w in twigs}
+    vterm, _ = _traverse(v_start, blue_up, red_down, "blue", "red", used)
+    assert vterm in br2.sinks
+    hedges = []
+    if h_start is not None:
+        hterm, hedges = _traverse(h_start, red_up, blue_down, "red", "blue", used)
+        assert hterm in br2.sources
+    counts = (_edge_counts(blue2), _edge_counts(red2))
+    for color, u, w in hedges:
+        _flip(counts, (u, w), color)
+    for e in twigs:
+        _flip(counts, e, "red")
+    blue_target = g.hexagon(m, n, k)
+    p0, = [p for p in blue_target.sources if p not in rr2.sources]
+    counts[0][(p0, v_start)] += 1
+    return (_family_from_edges(_counts_to_set(counts[0]), blue_target),
+            _family_from_edges(_counts_to_set(counts[1]), g.hexagon(m + 1, n + 1, k - 1)))
+
+
+def _overlays(poset, i, j, k):
+    """The overlays B x R on which plucker_check runs the bijection."""
+    M = max(k - i, 0) + max(k - j, 0)
+    grid = poset if M == 0 else poset.extended()
+    B, R = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
+            for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
+    return [make_overlay(b, r) for b in B for r in R]
+
+
+def test_bitmask_bijection_matches_the_counter_reference():
+    seen = 0
+    for (r, s) in SMALL_GRIDS + [(4, 3)]:
+        p = RectPoset(r, s)
+        for (i, j, k) in _valid_queries(p):
+            for o in _overlays(p, i, j, k):
+                seen += 1
+                assert decompose(o) == _decompose(o.blue, o.red)
+                side, o2 = swap(o)
+                ref_side, blue2, red2 = _reference_swap(o.blue, o.red)
+                assert (side, o2.key(), o2.blue.mask, o2.red.mask) == \
+                    (ref_side, (blue2.key(), red2.key()), blue2.mask, red2.mask)
+                back = unswap(side, o2)
+                assert back.key() == tuple(f.key() for f in _reference_unswap(side, blue2, red2))
+    assert seen == 4643

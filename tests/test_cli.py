@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 from birow.cli import main
 
@@ -227,6 +228,19 @@ class TestVerify:
                            "--i", "1", "--j", "0", "--k", "2")
         assert code == 2
 
+    def test_every_small_plucker_query_exits_0_or_2(self, capsys):
+        # Every query on grids up to 2x2, in range or one step outside it,
+        # passes or is a usage error; none fails or ends in a traceback.
+        codes = Counter()
+        for r in range(3):
+            for s in range(3):
+                for i in range(-1, r + 2):
+                    for j in range(-1, s + 2):
+                        for k in range(r + s + 3):
+                            codes[run(capsys, "verify", "plucker", "--r", str(r), "--s", str(s),
+                                      "--i", str(i), "--j", str(j), "--k", str(k))[0]] += 1
+        assert codes == {0: 48, 2: 720}
+
 
 def test_determinism(capsys):
     a = run(capsys, "iterate", "--r", "2", "--s", "2", "--k", "3",
@@ -262,6 +276,8 @@ PINNED = {
         "a9205dd65b8ed92e126922f4015e1e553553ad93f6e990389b4e758a4491fe9c",
     "verify plucker --r 4 --s 4 --i 3 --j 3 --k 3":
         "1d6009c679d1eb704909bfc5763254ae68942d7be46b19c5fcb0b7f268e776dc",
+    "verify plucker --r 4 --s 3 --i 3 --j 2 --k 4":
+        "be7cf6d4c06b5a9ed75a626d8915d1c428333dd77783422f664c83998cb967b3",
     "orbit --r 4 --s 4":
         "f8909615280c0d2e0926867094b5051cf39d354c8c5b7ad15acddce2005f19cc",
     "verify combinatorial --r 5 --s 5":
