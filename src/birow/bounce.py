@@ -294,9 +294,7 @@ def unswap(side: str, o2: ColoredOverlay) -> ColoredOverlay:
     h_start = rr2.sources[~src] if k >= 2 else None
     twig_sources = _mask(g, [s for s in rr2.sources if s != h_start])
     twigs = [e & twig_sources for e in o2.red_edges]
-    # Twig edges hang below the blue sources; reserve them so neither bounce
-    # path can descend one and terminate at the wrong rank.
-    blue_free, red_free = list(o2.blue_edges), [e & ~t for e, t in zip(o2.red_edges, twigs)]
+    blue_free, red_free = list(o2.blue_edges), list(o2.red_edges)
     vterm, vsteps = _traverse(bits[v_start], w, blue_free, red_free)
     if not vsteps or not vterm & _mask(g, br2.sinks):
         raise MalformedOverlay("vertical bounce path does not reach the top")

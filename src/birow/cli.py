@@ -19,7 +19,7 @@ from .bounce import plucker_check
 from .closed_form import IterateQuery, rho_closed
 from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
                        iterate_birational, orbit, orbit_partition, random_labeling)
-from .errors import BirowError, DivisionByZero, ParseError, PoleEncountered
+from .errors import BirowError, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
 from .grid_poset import RectPoset
 from .nilp import enum_nilp, phi
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (PoleEncountered, DivisionByZero, ZeroDivisionError) as e:
+    except (PoleEncountered, ZeroDivisionError) as e:
         print(f"arithmetic fault: {e}", file=sys.stderr)
         return ARITHMETIC_FAULT
     except BirowError as e:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
-from .errors import DivisionByZero, OutOfRangeValue, ParseError, PoleEncountered
+from .errors import OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
 from .grid_poset import GridPoint, RectPoset, parse_point_key, point_key
 
@@ -147,7 +147,7 @@ def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
     up_par = functools.reduce(parallel, upper)
     try:
         new = low_sum * up_par / f.value(v)
-    except (ZeroDivisionError, DivisionByZero):
+    except ZeroDivisionError:
         raise PoleEncountered(f"pole while toggling at {v}")
     return f.with_value(v, new)
 

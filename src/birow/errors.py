@@ -5,10 +5,6 @@ class BirowError(Exception):
     pass
 
 
-class DivisionByZero(BirowError):
-    pass
-
-
 class PoleEncountered(BirowError):
     pass
 

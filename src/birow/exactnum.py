@@ -5,14 +5,20 @@ Rationals are stdlib ``fractions.Fraction``.  Polynomials have arbitrary
 precision integer coefficients and variables indexed by a namespace
 (``"A"`` or ``"x"``) and a grid position ``(i, j)``.  A symbolic value is a
 ``Factored``: a rational coefficient times a product of primitive
-polynomials with integer exponents.  It has the operators the birational
-toggle uses, ``+``, ``*``, ``/``, ``**`` with an ``int`` exponent and ``==``
-(``parallel`` tests ``== 0``), and ``str``.  Birational rowmotion never
-subtracts, and ``Factored`` has no unary minus, so the toggle runs
-unchanged on ``Fraction`` and ``Factored`` values.  No multivariate gcd is ever
-computed: division cancels equal factors syntactically, and equality
-expands the quotient of the two values and compares its numerator with its
-denominator, which is exact.
+polynomials with integer exponents.
+
+A value is anything with the operators the birational toggle uses:
+``a + b``, ``a * b``, ``a / b``, ``a ** e`` with an ``int`` exponent,
+``a == b`` (``parallel`` tests ``a == 0``) and ``str(a)``.  Birational
+rowmotion never subtracts, so the protocol has no ``-``, unary or binary,
+and neither ``Factored`` nor ``Polynomial`` defines one.  A zero divisor, in
+``/`` or in a non-positive power of zero, raises ``ZeroDivisionError``.
+``Fraction``, ``Factored`` and ``dynamics.MaxPlus`` are values, so the
+toggle runs unchanged on each.
+
+No multivariate gcd is ever computed: ``Factored`` division cancels equal
+factors syntactically, and equality expands the quotient of the two values
+and compares its numerator with its denominator, which is exact.
 
 A value renders as its expanded numerator, or as ``(numerator)/(denominator)``
 when the denominator is not 1; the pair carries no common integer content
@@ -23,7 +29,7 @@ Every monomial order is taken on monomials packed into single ints by
 ``_packing``: the degree, then one exponent field per variable, earlier
 variables higher.  Descending packed order is descending graded
 lexicographic order, so ``Polynomial.from_dict`` sorts its terms by the
-packed int.  Every product (``*``, ``**``, ``Factored.expand`` and
+packed int.  Every product (``*``, ``Factored.expand`` and
 ``Factored.+``) runs in ``Polynomial.product`` on the same packing, where
 fields wide enough that none carries make multiplying two monomials one int
 addition.  Terms are stored as tuples of ``(Var, exponent)`` pairs.
@@ -40,7 +46,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
-from .errors import DivisionByZero, ParseError, PoleEncountered, UnboundVariable
+from .errors import ParseError, PoleEncountered
 
 
 class Var(NamedTuple):
@@ -149,33 +155,14 @@ class Polynomial:
     def is_one(self) -> bool:
         return self.terms == (((), 1),)
 
-    def leading_coeff(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[0][1]
-
-    def content(self) -> int:
-        return math.gcd(*(c for _, c in self.terms)) if self.terms else 0
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         d = dict(self.terms)
         for m, c in other.terms:
             d[m] = d.get(m, 0) + c
         return Polynomial.from_dict(d)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.product((self, other))
-
-    def __pow__(self, exp: int) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("negative polynomial power")
-        return Polynomial.product([self] * exp)
 
     @staticmethod
     def product(polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -231,20 +218,6 @@ class Polynomial:
             return Polynomial(())
         return Polynomial(tuple((m, k * c) for m, k in self.terms))
 
-    def divide_content(self, g: int) -> "Polynomial":
-        return Polynomial(tuple((m, c // g) for m, c in self.terms))
-
-    def evaluate(self, point: Dict[Var, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms:
-            val = Fraction(c)
-            for v, e in m:
-                if v not in point:
-                    raise UnboundVariable(f"no value bound for {v.render()}")
-                val *= Fraction(point[v]) ** e
-            total += val
-        return total
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -263,10 +236,10 @@ def _primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
     the remaining polynomial is positive."""
     if p.is_zero():
         return Fraction(0), Polynomial.const(1)
-    g = p.content()
-    if p.leading_coeff() < 0:
+    g = math.gcd(*(c for _, c in p.terms))
+    if p.terms[0][1] < 0:
         g = -g
-    return Fraction(g), p.divide_content(g)
+    return Fraction(g), Polynomial(tuple((m, c // g) for m, c in p.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +278,7 @@ class Factored:
         """num/den, with the content and sign of both moved into the
         coefficient."""
         if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
+            raise ZeroDivisionError("rational function with zero denominator")
         cn, pn = _primitive(num)
         cd, pd = _primitive(den)
         d = {pn: 1}
@@ -327,7 +300,7 @@ class Factored:
     def __pow__(self, exp: int) -> "Factored":
         if self.is_zero():
             if exp <= 0:
-                raise DivisionByZero("zero to a nonpositive power")
+                raise ZeroDivisionError("zero to a nonpositive power")
             return self
         return Factored.make(self.coeff ** exp, {p: e * exp for p, e in self.factors})
 
@@ -349,9 +322,6 @@ class Factored:
         g, prim = _primitive(s)
         common[prim] = common.get(prim, 0) + 1
         return Factored.make(g / lcm, common)
-
-    def __sub__(self, other: "Factored") -> "Factored":
-        return self + Factored(-other.coeff, other.factors)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, numbers.Rational):
@@ -402,18 +372,6 @@ def parallel(a, b):
     return a * b if zero else s ** -1
 
 
-def evaluate(f: Factored, point: Dict[Var, Fraction]) -> Fraction:
-    """Evaluate at a rational point.  Raises PoleEncountered on a vanishing
-    denominator factor and UnboundVariable for a missing variable."""
-    total = f.coeff
-    for p, e in f.factors:
-        v = p.evaluate(point)
-        if v == 0 and e < 0:
-            raise PoleEncountered("denominator factor vanishes at evaluation point")
-        total *= v ** e
-    return total
-
-
 _TERM_FACTOR = re.compile(r"^([Ax])\[(-?\d+),(-?\d+)\](?:\^(\d+))?$")
 
 
@@ -454,7 +412,7 @@ def parse_factored(text: str) -> Factored:
         num_s, den_s = text[1:-1].split(")/(", 1)
         try:
             return Factored.ratio(_parse_poly(num_s), _parse_poly(den_s))
-        except DivisionByZero as e:
+        except ZeroDivisionError as e:
             raise ParseError(f"{text}: {e}")
     return Factored.ratio(_parse_poly(text), Polynomial.const(1))
 

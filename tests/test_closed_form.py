@@ -11,9 +11,10 @@ from birow.closed_form import (ClosedForm, IterateQuery, m_value, rho_closed,
                                rho_closed_at, rho_closed_phi)
 from birow.dynamics import generic_labeling, random_labeling, rowmotion_birational
 from birow.errors import OutOfRange
-from birow.exactnum import Factored, Polynomial, avar, evaluate, monomial, xvar
+from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
 from birow.nilp import phi
+from test_exactnum import evaluate
 
 P32 = RectPoset(3, 2)
 

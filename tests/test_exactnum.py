@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from birow.errors import DivisionByZero, ParseError, PoleEncountered
-from birow.exactnum import (Factored, Polynomial, Var, avar, evaluate, monomial,
+from birow.dynamics import MaxPlus
+from birow.errors import ParseError, PoleEncountered, UnboundVariable
+from birow.exactnum import (Factored, Polynomial, Var, _primitive, avar, monomial,
                             parallel, parse_factored, parse_rational, xvar)
 
 X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
@@ -17,6 +18,33 @@ POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
 
 rationals = st.fractions(min_value=-50, max_value=50)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+
+def evaluate_poly(p, point):
+    """Reference evaluation of a polynomial at a rational point, term by
+    term.  Raises UnboundVariable for a missing variable."""
+    total = Fraction(0)
+    for m, c in p.terms:
+        val = Fraction(c)
+        for v, e in m:
+            if v not in point:
+                raise UnboundVariable(f"no value bound for {v.render()}")
+            val *= Fraction(point[v]) ** e
+        total += val
+    return total
+
+
+def evaluate(f, point):
+    """Reference evaluation of a Factored value at a rational point, factor
+    by factor.  Raises PoleEncountered on a vanishing denominator factor and
+    UnboundVariable for a missing variable."""
+    total = f.coeff
+    for p, e in f.factors:
+        v = evaluate_poly(p, point)
+        if v == 0 and e < 0:
+            raise PoleEncountered("denominator factor vanishes at evaluation point")
+        total *= v ** e
+    return total
 
 
 def rand_pair(c):
@@ -126,9 +154,9 @@ polynomials = st.dictionaries(
 class TestPolynomial:
     def test_ring_basics(self):
         x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
-        assert (x + y) * (x - y) == x * x - y * y
-        assert (x + y) ** 2 == x * x + x * y.scale(2) + y * y
-        assert (x - x).is_zero()
+        assert (x + y) * (x + y.scale(-1)) == x * x + (y * y).scale(-1)
+        assert Polynomial.product([x + y] * 2) == x * x + x * y.scale(2) + y * y
+        assert (x + x.scale(-1)).is_zero()
 
     def test_render_sorted_graded(self):
         x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
@@ -138,13 +166,13 @@ class TestPolynomial:
     def test_content_and_primitive_scale(self):
         x = Polynomial.var(xvar(1, 0))
         p = (x + Polynomial.const(2)).scale(6)
-        assert p.content() == 6
-        assert p.divide_content(6) == x + Polynomial.const(2)
+        assert _primitive(p) == (6, x + Polynomial.const(2))
+        assert _primitive(p.scale(-1)) == (-6, x + Polynomial.const(2))
 
     def test_evaluate(self):
         x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
         p = x * y + Polynomial.const(1)
-        assert p.evaluate(POINT) == 2 * 3 + 1
+        assert evaluate_poly(p, POINT) == 2 * 3 + 1
 
     @given(monomials, monomials)
     @settings(max_examples=200, deadline=None)
@@ -185,9 +213,9 @@ class TestPolynomial:
     @example(Polynomial.var(xvar(0, 0), 21), Polynomial.var(avar(-4, 3), 20), 0, [0, 2, 0])
     @settings(max_examples=200, deadline=None)
     def test_product_matches_schoolbook(self, p, q, c, picks):
-        # p + q and p - q make cross terms cancel; 0 and c are the zero and
-        # constant operands; picks may repeat an operand.
-        pool = [p, q, p + q, p - q, Polynomial(()), Polynomial.const(c)]
+        # p + q and p - q (as p + q.scale(-1)) make cross terms cancel; 0 and
+        # c are the zero and constant operands; picks may repeat an operand.
+        pool = [p, q, p + q, p + q.scale(-1), Polynomial(()), Polynomial.const(c)]
         operands = [pool[i] for i in picks]
         assert Polynomial.product(operands) == schoolbook_product(operands)
 
@@ -197,8 +225,8 @@ class TestPolynomial:
         want = Polynomial.const(1)
         for _ in range(e):
             want = want * p
-        assert p ** e == want == schoolbook_product([p] * e)
-        assert p ** 0 == Polynomial.const(1)
+        assert Polynomial.product([p] * e) == want == schoolbook_product([p] * e)
+        assert Polynomial.product([p] * 0) == Polynomial.const(1)
 
 
 class TestRatFn:
@@ -206,16 +234,16 @@ class TestRatFn:
     powers, and evaluation."""
 
     def test_equality_cross_multiplication(self):
-        x, y = X[(1, 0)], X[(0, 1)]
-        a = (x * x - y * y) / (x + y)
-        assert a == x - y
+        x, y, minus = X[(1, 0)], X[(0, 1)], Factored.const(-1)
+        a = (x * x + minus * y * y) / (x + y)
+        assert a == x + minus * y
         assert a != x + y
 
     def test_inv_and_pow(self):
         x = X[(1, 0)]
         assert x ** -1 * x == 1
         assert x ** -2 * x ** 2 == Factored.const(1)
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError):
             Factored.const(0) ** -1
 
     @given(coeff_lists, coeff_lists)
@@ -223,7 +251,7 @@ class TestRatFn:
     def test_evaluate_is_a_homomorphism(self, ca, cb):
         (na, da), (nb, db) = rand_pair(ca), rand_pair(cb)
         pt = {xvar(0, 0): Fraction(3, 2), xvar(1, 1): Fraction(5)}
-        assume(da.evaluate(pt) != 0 and db.evaluate(pt) != 0)
+        assume(evaluate_poly(da, pt) != 0 and evaluate_poly(db, pt) != 0)
         a, b = Factored.ratio(na, da), Factored.ratio(nb, db)
         va, vb = evaluate(a, pt), evaluate(b, pt)
         assert evaluate(a + b, pt) == va + vb
@@ -241,7 +269,7 @@ class TestRatFn:
     def test_scalar_comparison_and_no_hash(self):
         assert Factored.const(Fraction(2, 4)) == Fraction(1, 2)
         assert Factored.const(3) != 2
-        assert X[(0, 0)] != 0 and X[(0, 0)] - X[(0, 0)] == 0
+        assert X[(0, 0)] != 0 and X[(0, 0)] + Factored.const(-1) * X[(0, 0)] == 0
         with pytest.raises(TypeError):
             hash(X[(0, 0)])
 
@@ -301,10 +329,64 @@ class TestParallel:
         # the same operator calls serve Fraction and Factored values alike
         x, y = X[(1, 0)], X[(0, 1)]
         qx, qy = POINT[xvar(1, 0)], POINT[xvar(0, 1)]
-        ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+        ops = [lambda a, b: a + b, lambda a, b: a * b,
                lambda a, b: a / b, lambda a, b: a ** -2 * b, parallel]
         for op in ops:
             assert evaluate(op(x, y), POINT) == op(qx, qy)
+
+
+# The value types of the protocol in the exactnum docstring: a strategy, the
+# one, and the zero and minus one where the type has them (the max-plus
+# semifield has neither).
+VALUE_TYPES = {
+    "Fraction": (rationals, Fraction(1), Fraction(0), Fraction(-1)),
+    "Factored": (factored_values, Factored.const(1), Factored.const(0), Factored.const(-1)),
+    "MaxPlus": (st.builds(MaxPlus, rationals), MaxPlus(Fraction(0)), None, None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_TYPES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_value_protocol(kind, data):
+    """Each value type is a commutative semifield under the toggle's
+    operators, with ZeroDivisionError for a zero divisor, the parallel sum
+    ab/(a + b) with a pole exactly where a + b == 0, and no subtraction."""
+    values, one, zero, minus = VALUE_TYPES[kind]
+    if zero is not None:
+        values = st.one_of(st.just(zero), values)
+    a, b, c = (data.draw(values) for _ in range(3))
+    if minus is not None and data.draw(st.booleans()):
+        b = minus * a  # an opposite pair, a + b == 0
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b ** -1
+    else:
+        assert (a / b) * b == a
+        assert b ** -1 * b == one
+    if a + b == 0:  # never for MaxPlus: it equals no int
+        assert zero is not None
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(PoleEncountered):
+                parallel(x, y)
+    else:
+        assert parallel(a, b) == parallel(b, a)
+        assert parallel(a, b) * (a + b) == a * b
+    if zero is not None:
+        assert a * zero == zero and zero * a == zero
+        if not a == 0:
+            assert parallel(a, zero) == zero and parallel(zero, a) == zero
+    if kind != "Fraction":
+        for x, y in [(a, b), (Polynomial.const(1), Polynomial.var(xvar(0, 0)))]:
+            with pytest.raises(TypeError):
+                x - y
+            with pytest.raises(TypeError):
+                -x
 
 
 class TestFactored:
@@ -351,11 +433,12 @@ class TestFactored:
 
     def test_zero_and_coefficients(self):
         x = Factored.var(xvar(0, 0))
-        assert (x - x).is_zero()
+        zero = x + Factored.const(-1) * x
+        assert zero.is_zero()
         half = Factored.const(Fraction(1, 2))
         assert half + half == 1
-        with pytest.raises(DivisionByZero):
-            (x - x) ** -1
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
 
     def test_evaluate(self):
         x, y = Factored.var(xvar(1, 0)), Factored.var(xvar(0, 1))

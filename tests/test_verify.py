@@ -13,13 +13,14 @@ from birow.cli import main
 from birow.closed_form import IterateQuery, m_value, rho_closed
 from birow.dynamics import Labeling, all_order_ideals, generic_labeling
 from birow.errors import PreconditionViolated
-from birow.exactnum import avar, evaluate, xvar
+from birow.exactnum import avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
 from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
                           check_combinatorial_homomesy, check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
+from test_exactnum import evaluate
 
 
 def test_auto_mode_cutoff():
