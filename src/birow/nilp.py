@@ -126,24 +126,40 @@ def enum_nilp(region: Region) -> List[NilpFamily]:
                                        for l in range(region.k)])
 
 
+# Each byte value with its bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def uncovered_sum(families: Sequence[NilpFamily], members) -> Polynomial:
     """Sum over the families of the product of A-variables over the members
     that each family leaves uncovered.  The uncovered masks are counted in
-    one Counter, each distinct mask is decoded once through the chunk
-    tables, and the monomials are sorted once."""
+    one Counter, and each distinct mask is decoded once through the chunk
+    tables.
+
+    The terms are sorted on the masks themselves.  Every exponent is 1, so
+    descending graded lexicographic order is descending popcount, then, at
+    the lowest bit where two masks differ (the earliest grid point), the
+    mask that has that bit set first.  That bit is the highest differing
+    bit of the two masks with their bits reversed."""
     if not families:
-        return Polynomial.from_dict({})
+        return Polynomial(())
     poset = families[0].region.poset
     bits = point_bits(poset)
     full = sum(map(bits.__getitem__, members))
     counts = Counter(full & ~fam.mask for fam in families)
     tables = _chunk_pairs(poset)
+    width = len(tables)
+
+    def key(mask: int) -> Tuple[int, int]:
+        chunks = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+        return mask.bit_count(), int.from_bytes(chunks, "big")
 
     def decode(mask: int) -> Monomial:
-        chunks = mask.to_bytes(len(tables), "little")
+        chunks = mask.to_bytes(width, "little")
         return tuple(chain.from_iterable(map(list.__getitem__, tables, chunks)))
 
-    return Polynomial.from_dict({decode(mask): c for mask, c in counts.items()})
+    return Polynomial(tuple((decode(mask), counts[mask])
+                            for mask in sorted(counts, key=key, reverse=True)))
 
 
 def phi(region: Region) -> Polynomial:

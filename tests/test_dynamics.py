@@ -1,5 +1,6 @@
 """Birational, piecewise-linear, and combinatorial toggle dynamics."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             orbit_partition, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
                             toggle_birational)
-from birow.errors import OutOfRangeValue
+from birow.errors import OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
 
@@ -32,6 +33,36 @@ def two_by_two_iterates():
          (0, 1): X * Z / ((X + Y) * W), (0, 0): X * Y / ((X + Y) * W)},
         {(1, 1): Z, (1, 0): X, (0, 1): Y, (0, 0): W},
     ]
+
+
+def _toggled(f):
+    """Rowmotion as the composed toggles, the reference for every sweep."""
+    for v in f.poset.linear_extension_desc():
+        f = toggle_birational(f, v)
+    return f
+
+
+def _steps(step, f, n):
+    """The values of n iterates of step from f, up to the first pole, and
+    that pole's message (None if there is none)."""
+    out = []
+    try:
+        for _ in range(n):
+            f = step(f)
+            out.append(f.values)
+    except PoleEncountered as e:
+        return out, str(e)
+    return out, None
+
+
+positive_fractions = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def positive_labelings(draw):
+    poset = RectPoset(draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    values = {p: draw(positive_fractions) for p in poset.members()}
+    return Labeling(poset, values, draw(positive_fractions), draw(positive_fractions))
 
 
 class TestBirational:
@@ -91,6 +122,57 @@ class TestBirational:
         assert len(calls) == 5 and len(rest) == 5
         assert [g.values for g in rest] == \
             [rowmotion_birational(g).values for g in [f] + rest[:-1]]
+
+    @given(positive_labelings(), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_sweep_matches_the_composed_toggles(self, f, n):
+        got, _ = _steps(rowmotion_birational, f, n)
+        want, _ = _steps(_toggled, f, n)
+        assert got == want
+        for g, h in zip(got, want):
+            for p, x in g.items():
+                assert type(x) is Fraction
+                assert (x.numerator, x.denominator, hash(x)) == \
+                    (h[p].numerator, h[p].denominator, hash(h[p]))
+
+    def test_only_positive_fraction_labelings_skip_the_toggle(self, monkeypatch):
+        toggles = []
+
+        def counted(f, v):
+            toggles.append(v)
+            return toggle_birational(f, v)
+
+        monkeypatch.setattr("birow.dynamics.toggle_birational", counted)
+        poset = RectPoset(2, 1)
+        f = random_labeling(poset, random.Random(3))
+        rowmotion_birational(f)
+        assert toggles == []
+        # a zero at the minimum is met only by the last toggle, a pole
+        for g in (f.with_value((1, 0), Fraction(-2)), f.with_value((0, 0), Fraction(0)),
+                  Labeling(poset, f.values, Fraction(1), Fraction(-1)),
+                  Labeling(poset, {p: Factored.const(2) for p in poset.members()}, ONE, ONE),
+                  pl_labeling(poset, {p: Fraction(1) for p in poset.members()})):
+            toggles.clear()
+            with contextlib.suppress(PoleEncountered):
+                rowmotion_birational(g)
+            assert toggles == poset.linear_extension_desc()
+
+    @given(positive_labelings(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_zero_or_negative_label_runs_the_composed_toggles(self, f, data):
+        p = data.draw(st.sampled_from(sorted(f.values)))
+        x = data.draw(st.sampled_from([Fraction(0), -f.values[p], Fraction(-1)]))
+        g = f.with_value(p, x)
+        n = data.draw(st.integers(1, 3))
+        assert _steps(rowmotion_birational, g, n) == _steps(_toggled, g, n)
+
+    def test_max_plus_and_factored_run_the_composed_toggles(self):
+        poset = RectPoset(2, 1)
+        rng = random.Random(4)
+        pl = pl_labeling(poset, {(i, j): Fraction(8 * (i + j) + rng.randint(0, 7), 32)
+                                 for (i, j) in poset.members()})
+        for f in (pl, generic_labeling(RectPoset(1, 1))):
+            assert _steps(rowmotion_birational, f, 4) == _steps(_toggled, f, 4)
 
     def test_json_round_trip_both_modes(self):
         poset = RectPoset(1, 1)

@@ -170,6 +170,18 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
         assert uncovered_sum(families, members).terms == _uncovered_oracle(families, members)
 
 
+@pytest.mark.parametrize("r, k", [(4, 2), (5, 1), (5, 3), (6, 2), (6, 3)])
+def test_uncovered_sum_sorts_as_from_dict(r, k):
+    """uncovered_sum orders its terms on the masks; from_dict sorts the same
+    counts by their packed graded lexicographic keys.  (The counts are
+    checked against the tuple oracle above.)"""
+    region = RectPoset(r, r).hexagon(0, 0, k)
+    families = enum_nilp(region)
+    terms = uncovered_sum(families, region.members).terms
+    assert sum(c for _, c in terms) == len(families)
+    assert terms == Polynomial.from_dict(dict(terms)).terms
+
+
 def test_phi_at_order_zero_and_poles():
     p = RectPoset(3, 2)
     filt = p.hexagon(2, 1, 0)
