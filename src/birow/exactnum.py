@@ -14,11 +14,8 @@ rowmotion never subtracts, so the protocol has no ``-``, unary or binary,
 and neither ``Factored`` nor ``Polynomial`` defines one.  A zero divisor, in
 ``/`` or in a non-positive power of zero, raises ``ZeroDivisionError``.
 ``Fraction``, ``Factored`` and ``dynamics.MaxPlus`` are values, so the
-toggle, ``dynamics.toggle_birational``, runs unchanged on each.  When a
-labeling's bottom, top and labels are all positive Fractions, rowmotion
-runs instead as one sweep over (numerator, denominator) int pairs, with the
-same values; every other labeling composes the toggle, which is also the
-sweep's reference.  The value protocol is the same for both.
+toggle runs unchanged on each.  (``dynamics`` says which labelings take
+its integer sweep instead; the protocol is unchanged.)
 
 No multivariate gcd is ever computed: ``Factored`` division cancels equal
 factors syntactically, and equality expands the quotient of the two values
