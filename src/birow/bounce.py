@@ -60,14 +60,6 @@ class ColoredOverlay:
         return (self.blue.key(), self.red.key())
 
 
-@dataclass(frozen=True)
-class BounceDecomposition:
-    vertical: Tuple[ColoredEdge, ...]
-    horizontal: Tuple[ColoredEdge, ...]
-    twigs: Tuple[Edge, ...]
-    side: str  # "left" or "right"
-
-
 # For each side: the index of the blue source where the vertical bounce path
 # starts, the blue base step (also the vertical path's first step) and the
 # red base step, which carry the overlay's base to the skewed pair's bases.
@@ -124,11 +116,6 @@ def _edge_masks(fam: NilpFamily) -> Edges:
 def _check_companions(br: Region, rr: Region):
     if (rr.m, rr.n, rr.k) != (br.m + 1, br.n + 1, br.k - 1) or rr.poset != br.poset:
         raise MalformedOverlay("red region is not the (+1,+1) companion of the blue region")
-
-
-def make_overlay(blue: NilpFamily, red: NilpFamily) -> ColoredOverlay:
-    _check_companions(blue.region, red.region)
-    return ColoredOverlay(blue, red, _edge_masks(blue), _edge_masks(red))
 
 
 def _traverse(v: int, w: int, up: List[int], down: List[int]) -> Tuple[int, List[Step]]:
@@ -190,16 +177,6 @@ def _bounce(o: ColoredOverlay) -> Tuple[str, List[Step], List[Step]]:
     if side is None:
         raise MalformedOverlay("vertical bounce path start and direction disagree")
     return side, vertical, horizontal
-
-
-def decompose(o: ColoredOverlay) -> BounceDecomposition:
-    """The overlay's bounce paths as colored edges, its twigs and its side."""
-    side, vertical, horizontal = _bounce(o)
-    g = o.blue.region.poset
-    paths = [tuple(("blue" if upward else "red", *_edge(g, d, low)) for upward, d, low in steps)
-             for steps in (vertical, horizontal)]
-    twigs = tuple((p.vertices[0], p.vertices[1]) for p in o.blue.paths[1:-1])
-    return BounceDecomposition(*paths, twigs, side)
 
 
 def _move(g: RectPoset, colors: Dict[str, List[int]], d: int, bits: int, frm, to):

@@ -23,6 +23,13 @@ unmultiplied factors.  Rowmotion never subtracts, so a positive labeling
 stays positive along its orbit.  Every other labeling (Factored, MaxPlus,
 or a Fraction labeling with a zero or negative label) composes
 ``toggle_birational``; the value protocol is the same for both.
+``rowmotion_inverse`` takes the same toggles, or the same sweep, from
+bottom to top: each toggle is an involution, so this is exactly rho^-1.
+
+``Labeling.to_json`` and ``from_json`` round-trip every labeling of one
+value type: mode "rational", "symbolic" or "pl" (MaxPlus values, written as
+their rationals), with the bottom and top labels written only where they
+differ from the mode's defaults.
 """
 
 from __future__ import annotations
@@ -66,6 +73,15 @@ class MaxPlus:
 Value = Union[Factored, Fraction, MaxPlus]
 
 
+# Each JSON mode's label parser and writer, and the texts of its default
+# bottom and top labels, which to_json leaves out.
+_MODES = {
+    "rational": (parse_rational, str, "1", "1"),
+    "symbolic": (parse_factored, str, "1", "1"),
+    "pl": (lambda text: MaxPlus(parse_rational(text)), lambda x: str(x.v), "0", "1"),
+}
+
+
 @dataclass(frozen=True)
 class Labeling:
     """Values at the grid points, with the labels of the adjoined bottom
@@ -78,7 +94,8 @@ class Labeling:
     @property
     def mode(self) -> str:
         v = next(iter(self.values.values()), None)
-        return "symbolic" if isinstance(v, Factored) else "rational"
+        return ("symbolic" if isinstance(v, Factored)
+                else "pl" if isinstance(v, MaxPlus) else "rational")
 
     def value(self, p: GridPoint) -> Value:
         return self.values[p]
@@ -89,27 +106,37 @@ class Labeling:
         return Labeling(self.poset, vals, self.bottom, self.top)
 
     def to_json(self) -> dict:
-        return {
+        """The grid, the mode, each label as text, and the bottom and top
+        labels where they differ from the mode's defaults (1 and 1, or 0
+        and 1 for "pl", whose labels are the MaxPlus values' rationals)."""
+        parse, text, bottom, top = _MODES[self.mode]
+        data = {
             "r": self.poset.r,
             "s": self.poset.s,
             "mode": self.mode,
-            "labels": {point_key(p): str(v) for p, v in sorted(self.values.items())},
+            "labels": {point_key(p): text(v) for p, v in sorted(self.values.items())},
         }
+        for key, x, default in (("bottom", self.bottom, bottom), ("top", self.top, top)):
+            if x != parse(default):
+                data[key] = text(x)
+        return data
 
     @staticmethod
     def from_json(data: dict) -> "Labeling":
+        """The labeling to_json wrote; a mode other than "symbolic" or "pl"
+        reads as "rational"."""
         r, s = data["r"], data["s"]
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in (r, s)):
             raise ParseError(f"grid size r={r!r}, s={s!r}: both must be integers")
         poset = RectPoset(r, s)
-        parse = parse_factored if data.get("mode") == "symbolic" else parse_rational
+        parse, _, bottom, top = _MODES.get(data.get("mode"), _MODES["rational"])
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
         # Two spellings of one point ("0,0", "00,0") parse to one key.
         if len(values) != len(data["labels"]) or not poset.members_are(values):
             raise ParseError(f"labels must name each point of the {poset.r}x{poset.s} "
                              "grid exactly once")
-        one = parse("1")
-        return Labeling(poset, values, one, one)
+        return Labeling(poset, values, parse(data.get("bottom", bottom)),
+                        parse(data.get("top", top)))
 
 
 def generic_labeling(poset: RectPoset) -> Labeling:
@@ -165,14 +192,35 @@ def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
     return f.with_value(v, new)
 
 
+def _sweeps(f: Labeling) -> bool:
+    """Whether the integer sweep serves f: its bottom, its top and every
+    label are positive Fractions."""
+    return all(type(x) is Fraction and x.numerator > 0
+               for x in (f.bottom, f.top, *f.values.values()))
+
+
 def rowmotion_birational(f: Labeling) -> Labeling:
     """The toggles composed from top to bottom; when the bottom, the top and
     every label are positive Fractions, the integer sweep, which gives the
     same values."""
-    if all(type(x) is Fraction and x.numerator > 0
-           for x in (f.bottom, f.top, *f.values.values())):
-        return _sweep(f)
+    if _sweeps(f):
+        return _sweep(f, 1)
     for v in f.poset.linear_extension_desc():
+        f = toggle_birational(f, v)
+    return f
+
+
+def rowmotion_inverse(f: Labeling) -> Labeling:
+    """The inverse of rowmotion: the toggles composed from bottom to top,
+    over positive Fraction labelings the integer sweep in that order.
+
+    Each toggle is an involution: the new label at v is L S / x_v, where the
+    lower sum L and the parallel sum S of the upper covers do not depend on
+    x_v, so toggling v twice gives x_v back.  Rowmotion's toggles taken in
+    reverse order therefore undo it exactly."""
+    if _sweeps(f):
+        return _sweep(f, -1)
+    for v in reversed(f.poset.linear_extension_desc()):
         f = toggle_birational(f, v)
     return f
 
@@ -230,9 +278,10 @@ def _cancel(x: int, y: int) -> Tuple[int, int]:
     return (x // g, y // g) if g > 1 else (x, y)
 
 
-def _sweep(f: Labeling) -> Labeling:
-    """Rowmotion of a labeling whose bottom, top and labels are all positive
-    Fractions, toggled in linear_extension_desc order on int pairs.
+def _sweep(f: Labeling, step: int) -> Labeling:
+    """Rowmotion (step 1) or its inverse (step -1) of a labeling whose
+    bottom, top and labels are all positive Fractions, toggled on int pairs
+    in linear_extension_desc order or in the reverse order.
 
     The toggle at a point labelled n/d, with lower sum a/b and reciprocal
     sum P/Q of its upper covers, gives (a d Q) / (b n P).  The pairs a/b,
@@ -248,7 +297,7 @@ def _sweep(f: Labeling) -> Labeling:
         num[slot[p]], den[slot[p]] = x.numerator, x.denominator
     num[-2], den[-2] = f.bottom.numerator, f.bottom.denominator
     num[-1], den[-1] = f.top.numerator, f.top.denominator
-    for k, w, lower, z, upper in plan:
+    for k, w, lower, z, upper in plan[::step]:
         a, b = num[w], den[w]
         for w in lower:
             a, b = _add(a, b, num[w], den[w])

@@ -3,20 +3,26 @@ reciprocity, closed-form equivalence, file homomesy (birational and
 combinatorial), and the leftover-block ledger behind the homomesy proof.
 
 Every check returns a Report; failures carry witnesses with enough inputs
-to replay them.  Random points use explicit seeds.
+to replay them.  Random points use explicit seeds.  The periodicity check
+runs the two halves of each orbit at once, the backward half in one forked
+child process where ``os.fork`` exists; its report is that of a single
+sequential loop.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
 from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling, iterates,
-                       orbit_partition, random_labeling)
+                       orbit_partition, random_labeling, rowmotion_inverse)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
@@ -38,22 +44,102 @@ def _starts(poset: RectPoset, mode: str, trials: int, seed: int) -> List[Labelin
     return [random_labeling(poset, rng) for _ in range(trials)]
 
 
+@contextlib.contextmanager
+def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
+    """An iterator over fn(x) for each x in items, computed ahead in one
+    forked child and sent back through a pipe, each result as it is ready.
+
+    A result the child does not deliver, because it raised or died, is
+    computed here instead, and so is every result where os.fork does not
+    exist; the values are the same either way.  The child always leaves by
+    os._exit, so it runs no exit handler and flushes none of this process's
+    buffers.  On leaving the block the child is killed, if it still runs,
+    and reaped, also when the block raises."""
+    import pickle
+    import signal
+    r, w = os.pipe()
+    try:
+        pid = os.fork() if hasattr(os, "fork") else None
+    except OSError:
+        pid = None
+    if pid is None:
+        os.close(r)
+        os.close(w)
+        yield map(fn, items)
+        return
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for x in items:
+                    pickle.dump(fn(x), out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(w)
+
+    def results(inp):
+        for n, x in enumerate(items):
+            try:
+                got = pickle.load(inp)
+            except (EOFError, pickle.UnpicklingError):
+                yield from map(fn, items[n:])
+                return
+            yield got
+
+    try:
+        with open(r, "rb") as inp:
+            yield results(inp)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _rewound(f: Labeling, n: int) -> dict:
+    """The labels of rho^-n f."""
+    for _ in range(n):
+        f = rowmotion_inverse(f)
+    return f.values
+
+
 def check_periodicity(r: int, s: int, mode: Optional[str] = None,
                       trials: int = 5, seed: int = 0) -> Report:
-    """Rowmotion returns to the start after r+s+2 steps; the observed
-    minimal period is recorded (not asserted)."""
+    """Rowmotion returns to the start after P = r+s+2 steps; the observed
+    minimal period is recorded (not asserted).
+
+    Each orbit is checked from both ends.  This process iterates rowmotion
+    h = ceil(P/2) times, comparing each iterate with the start, while one
+    forked child computes rho^-(P-h) f for every start (``_in_child``).  If
+    no step up to h returned, rho^h f == rho^-(P-h) f means rho^P f == f:
+    the minimal period divides P and exceeds h >= P/2, so it is P.  If the
+    two ends differ, the forward orbit runs on to step P, as a single
+    sequential loop would, so the periods and witnesses are the same."""
     mode = mode or auto_mode(r, s)
     period = r + s + 2
+    half = (period + 1) // 2
     rep = Report(name=f"periodicity r={r} s={s} mode={mode}", seed=seed)
     rep.notes["expected_period"] = period
     minimal: List[Optional[int]] = []
-    for f in _starts(RectPoset(r, s), mode, trials, seed):
-        first = next((step for step, g in enumerate(iterates(f, period))
-                      if step and g.values == f.values), None)
-        minimal.append(first)
-        rep.trials += 1
-        if first is None or period % first:
-            rep.fail({"input": f.to_json(), "observed": first, "expected": period})
+    starts = _starts(RectPoset(r, s), mode, trials, seed)
+    with _in_child(lambda f: _rewound(f, period - half), starts) as ends:
+        for f in starts:
+            orbit = enumerate(iterates(f, period))
+            next(orbit)
+            first = None
+            for t, g in islice(orbit, half):
+                if g.values == f.values:
+                    first = t
+                    break
+            end = next(ends)
+            if first is None:
+                if g.values == end:
+                    first = period
+                else:
+                    first = next((t for t, g in orbit if g.values == f.values), None)
+            minimal.append(first)
+            rep.trials += 1
+            if first is None or period % first:
+                rep.fail({"input": f.to_json(), "observed": first, "expected": period})
     rep.notes["observed_minimal_periods"] = minimal
     return rep
 

@@ -2,17 +2,45 @@
 families, and the three-term phi identity."""
 
 from collections import Counter
+from dataclasses import dataclass
+from typing import Tuple
 
 import pytest
 
 from birow import bounce
-from birow.bounce import (_SIDES, BounceDecomposition, decompose, hugging_families,
-                          make_overlay, plucker_check, swap, unswap)
+from birow.bounce import (_SIDES, ColoredEdge, ColoredOverlay, Edge, _bounce,
+                          _check_companions, _edge, _edge_masks, hugging_families,
+                          plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset
 from birow.nilp import LatticePath, NilpFamily, enum_nilp, phi, point_bits, uncovered_sum
+
+def make_overlay(blue: NilpFamily, red: NilpFamily) -> ColoredOverlay:
+    """The overlay of blue and red, validated as plucker_check validates it."""
+    _check_companions(blue.region, red.region)
+    return ColoredOverlay(blue, red, _edge_masks(blue), _edge_masks(red))
+
+
+@dataclass(frozen=True)
+class BounceDecomposition:
+    vertical: Tuple[ColoredEdge, ...]
+    horizontal: Tuple[ColoredEdge, ...]
+    twigs: Tuple[Edge, ...]
+    side: str  # "left" or "right"
+
+
+def decompose(o: ColoredOverlay) -> BounceDecomposition:
+    """The overlay's bitmask bounce paths as colored edges, its twigs and
+    its side, for comparison with the Counter reference below."""
+    side, vertical, horizontal = _bounce(o)
+    g = o.blue.region.poset
+    paths = [tuple(("blue" if upward else "red", *_edge(g, d, low)) for upward, d, low in steps)
+             for steps in (vertical, horizontal)]
+    twigs = tuple((p.vertices[0], p.vertices[1]) for p in o.blue.paths[1:-1])
+    return BounceDecomposition(*paths, twigs, side)
+
 
 # The grids of the exhaustive checks.
 SMALL_GRIDS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3)]

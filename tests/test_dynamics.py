@@ -1,6 +1,7 @@
 """Birational, piecewise-linear, and combinatorial toggle dynamics."""
 
 import contextlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             generic_labeling, iterate_birational, iterates, orbit,
                             orbit_partition, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
-                            toggle_birational)
+                            rowmotion_inverse, toggle_birational)
 from birow.errors import OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -38,6 +39,14 @@ def two_by_two_iterates():
 def _toggled(f):
     """Rowmotion as the composed toggles, the reference for every sweep."""
     for v in f.poset.linear_extension_desc():
+        f = toggle_birational(f, v)
+    return f
+
+
+def _toggled_up(f):
+    """The inverse of rowmotion as the toggles composed from bottom to top,
+    the reference for the reversed sweep."""
+    for v in reversed(f.poset.linear_extension_desc()):
         f = toggle_birational(f, v)
     return f
 
@@ -145,17 +154,21 @@ class TestBirational:
         monkeypatch.setattr("birow.dynamics.toggle_birational", counted)
         poset = RectPoset(2, 1)
         f = random_labeling(poset, random.Random(3))
-        rowmotion_birational(f)
-        assert toggles == []
-        # a zero at the minimum is met only by the last toggle, a pole
-        for g in (f.with_value((1, 0), Fraction(-2)), f.with_value((0, 0), Fraction(0)),
-                  Labeling(poset, f.values, Fraction(1), Fraction(-1)),
-                  Labeling(poset, {p: Factored.const(2) for p in poset.members()}, ONE, ONE),
-                  pl_labeling(poset, {p: Fraction(1) for p in poset.members()})):
+        down = poset.linear_extension_desc()
+        for step, order in ((rowmotion_birational, down), (rowmotion_inverse, down[::-1])):
             toggles.clear()
-            with contextlib.suppress(PoleEncountered):
-                rowmotion_birational(g)
-            assert toggles == poset.linear_extension_desc()
+            step(f)
+            assert toggles == []
+            # a zero at the point toggled last is met only by the last toggle, a pole
+            for g in (f.with_value((1, 0), Fraction(-2)), f.with_value(order[-1], Fraction(0)),
+                      Labeling(poset, f.values, Fraction(1), Fraction(-1)),
+                      Labeling(poset, {p: Factored.const(2) for p in poset.members()},
+                               ONE, ONE),
+                      pl_labeling(poset, {p: Fraction(1) for p in poset.members()})):
+                toggles.clear()
+                with contextlib.suppress(PoleEncountered):
+                    step(g)
+                assert toggles == order
 
     @given(positive_labelings(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -165,6 +178,34 @@ class TestBirational:
         g = f.with_value(p, x)
         n = data.draw(st.integers(1, 3))
         assert _steps(rowmotion_birational, g, n) == _steps(_toggled, g, n)
+
+    @given(positive_labelings())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_sweep_undoes_rowmotion(self, f):
+        back = rowmotion_inverse(f)
+        want = _toggled_up(f)
+        assert (back.poset, back.bottom, back.top) == (f.poset, f.bottom, f.top)
+        assert back.values == want.values
+        for p, x in back.values.items():
+            assert type(x) is Fraction
+            assert (x.numerator, x.denominator) == \
+                (want.values[p].numerator, want.values[p].denominator)
+        assert rowmotion_inverse(rowmotion_birational(f)).values == f.values
+        assert rowmotion_birational(back).values == f.values
+
+    def test_inverse_undoes_rowmotion_off_the_sweep(self):
+        poset = RectPoset(2, 1)
+        rng = random.Random(4)
+        pl = pl_labeling(poset, {(i, j): Fraction(8 * (i + j) + rng.randint(0, 7), 32)
+                                 for (i, j) in poset.members()})
+        negative = random_labeling(poset, random.Random(3)).with_value((1, 0), Fraction(-2))
+        for f in (generic_labeling(RectPoset(1, 1)), pl, negative):
+            back = rowmotion_inverse(f)
+            assert back.values == _toggled_up(f).values
+            assert rowmotion_inverse(rowmotion_birational(f)).values == f.values
+            assert rowmotion_birational(back).values == f.values
+            # the inverse really moves f: rowmotion's period here is above 1
+            assert back.values != f.values
 
     def test_max_plus_and_factored_run_the_composed_toggles(self):
         poset = RectPoset(2, 1)
@@ -182,6 +223,55 @@ class TestBirational:
             assert g.poset == poset and g.mode == f.mode
             for p in poset.members():
                 assert f.value(p) == g.value(p)
+
+
+@st.composite
+def any_labelings(draw):
+    """A rational, max-plus or symbolic labeling with any bottom and top,
+    the defaults among them."""
+    poset = RectPoset(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    q = st.fractions(-20, 20, max_denominator=50)
+    kind = draw(st.sampled_from(["rational", "pl", "symbolic"]))
+    if kind == "symbolic":
+        value = st.builds(lambda c, p, e: Factored.const(c) * Factored.var(xvar(*p)) ** e,
+                          q.filter(bool), st.sampled_from(poset.members()),
+                          st.integers(-2, 2))
+        defaults = [ONE]
+    elif kind == "pl":
+        value = q.map(MaxPlus)
+        defaults = [MaxPlus(Fraction(0)), MaxPlus(Fraction(1))]
+    else:
+        value, defaults = q, [Fraction(1)]
+    values = {p: draw(value) for p in poset.members()}
+    ends = st.one_of(st.sampled_from(defaults), value)
+    return Labeling(poset, values, draw(ends), draw(ends))
+
+
+class TestJson:
+    @given(any_labelings())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, f):
+        data = f.to_json()
+        g = Labeling.from_json(json.loads(json.dumps(data)))
+        assert (g.poset, g.mode) == (f.poset, f.mode)
+        for x, y in [(f.bottom, g.bottom), (f.top, g.top),
+                     *((f.values[p], g.values[p]) for p in f.poset.members())]:
+            assert type(x) is type(y) and x == y
+        assert g.to_json() == data
+        defaults = {"pl": (MaxPlus(Fraction(0)), MaxPlus(Fraction(1)))}.get(
+            f.mode, (Fraction(1), Fraction(1)))
+        for key, x, default in zip(("bottom", "top"), (f.bottom, f.top), defaults):
+            assert (key in data) == (x != default)
+
+    def test_defaults_are_left_out(self):
+        poset = RectPoset(1, 1)
+        f = pl_labeling(poset, {p: Fraction(1, 2) for p in poset.members()})
+        assert f.to_json() == {"r": 1, "s": 1, "mode": "pl",
+                               "labels": {k: "1/2" for k in ("0,0", "0,1", "1,0", "1,1")}}
+        for f in (random_labeling(poset, random.Random(1)), generic_labeling(poset)):
+            assert set(f.to_json()) == {"r", "s", "mode", "labels"}
+        data = Labeling(poset, f.values, Factored.var(xvar(0, 0)), ONE).to_json()
+        assert data["bottom"] == "x[0,0]" and "top" not in data
 
 
 class TestPiecewiseLinear:

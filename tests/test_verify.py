@@ -3,20 +3,28 @@ on grids small enough for fast runs."""
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import birow
 from birow.avar import x_to_A
 from birow.cli import main
 from birow.closed_form import IterateQuery, m_value, rho_closed
-from birow.dynamics import Labeling, all_order_ideals, generic_labeling
-from birow.errors import PreconditionViolated
+from birow.dynamics import Labeling, all_order_ideals, generic_labeling, iterates
+from birow.errors import PoleEncountered, PreconditionViolated
 from birow.exactnum import avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
-from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
+from birow.verify import (_file_counts, _starts, auto_mode, check_antipodal_product,
                           check_combinatorial_homomesy, check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
@@ -52,6 +60,124 @@ class TestPeriodicity:
         rep = check_periodicity(3, 2, mode="rational", trials=4, seed=7)
         assert rep.passed and rep.trials == 4
         assert rep.notes["observed_minimal_periods"] == [7, 7, 7, 7]
+
+
+def _sequential_periodicity(r, s, mode, trials, seed):
+    """check_periodicity as one forward loop over each orbit, the reference
+    for the split into two half-orbits."""
+    period = r + s + 2
+    rep = Report(name=f"periodicity r={r} s={s} mode={mode}", seed=seed)
+    rep.notes["expected_period"] = period
+    minimal = []
+    for f in _starts(RectPoset(r, s), mode, trials, seed):
+        first = next((step for step, g in enumerate(iterates(f, period))
+                      if step and g.values == f.values), None)
+        minimal.append(first)
+        rep.trials += 1
+        if first is None or period % first:
+            rep.fail({"input": f.to_json(), "observed": first, "expected": period})
+    rep.notes["observed_minimal_periods"] = minimal
+    return rep
+
+
+def _cycle(c, step):
+    """A fake rowmotion (step 1) or its inverse (step -1) that moves the
+    label x at (0, 0) around a cycle of length c: the cycle through x is
+    x - k, ..., x - k + c - 1 with k = floor(x) mod c."""
+    def move(f):
+        x = f.value((0, 0))
+        k = math.floor(x) % c
+        return f.with_value((0, 0), x + step if 0 <= k + step < c else x - step * (c - 1))
+    return move
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPeriodicitySplit:
+    """P = r+s+2 and h = ceil(P/2): cycles of length 1, h, P, between h and
+    P, and above P, with and without os.fork."""
+
+    @pytest.mark.parametrize("r, s, c", [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4),
+                                         (1, 1, 5), (1, 1, 8), (2, 1, 1), (2, 1, 3),
+                                         (2, 1, 4), (2, 1, 5), (2, 1, 7), (3, 3, 6)])
+    def test_fake_cycles_match_the_sequential_loop(self, monkeypatch, r, s, c):
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(c, 1))
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(c, -1))
+        want = _sequential_periodicity(r, s, "rational", 3, 4).to_json()
+        period = r + s + 2
+        assert want["notes"]["observed_minimal_periods"] == \
+            [c if c <= period else None] * 3
+        assert check_periodicity(r, s, mode="rational", trials=3, seed=4).to_json() == want
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert check_periodicity(r, s, mode="rational", trials=3, seed=4).to_json() == want
+        _no_child_left()
+
+    @pytest.mark.parametrize("r, s, mode, trials", [(0, 0, "symbolic", 1),
+                                                    (2, 1, "symbolic", 1),
+                                                    (3, 2, "rational", 3),
+                                                    (4, 4, "rational", 2)])
+    def test_rowmotion_matches_the_sequential_loop(self, r, s, mode, trials):
+        want = _sequential_periodicity(r, s, mode, trials, 2).to_json()
+        assert want["passed"]
+        assert check_periodicity(r, s, mode=mode, trials=trials, seed=2).to_json() == want
+        _no_child_left()
+
+    def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd):
+        # The child raises after the first start's half-orbit, silently; the
+        # parent computes the other ends itself.
+        parent, calls = os.getpid(), []
+
+        def inverse(f):
+            if os.getpid() != parent:
+                calls.append(f)
+                if len(calls) > 2:
+                    raise RuntimeError("child failure")
+            return _cycle(4, -1)(f)
+
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(4, 1))
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", inverse)
+        rep = check_periodicity(1, 1, mode="rational", trials=3, seed=4)
+        assert rep.to_json() == _sequential_periodicity(1, 1, "rational", 3, 4).to_json()
+        assert rep.passed and capfd.readouterr() == ("", "")
+        _no_child_left()
+
+    def test_the_child_is_killed_when_this_half_raises(self, monkeypatch):
+        def stuck(f):
+            time.sleep(20)
+            return f
+
+        def pole(f):
+            raise PoleEncountered("pole in the forward half")
+
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", pole)
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", stuck)
+        t0 = time.monotonic()
+        with pytest.raises(PoleEncountered, match="forward half"):
+            check_periodicity(3, 3, mode="rational", trials=2, seed=1)
+        _no_child_left()
+        assert time.monotonic() - t0 < 10
+
+
+    def test_the_child_flushes_nothing_and_runs_no_exit_handler(self):
+        # With stdout a block-buffered pipe, a child that unwound or exited
+        # normally would print the buffered line and the handler's line again.
+        code = textwrap.dedent("""
+            import atexit
+            from birow.verify import check_periodicity
+            atexit.register(print, "exit handler")
+            print("buffered")
+            print(check_periodicity(2, 2, mode="rational", trials=2, seed=1).passed)
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(birow.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (0, "buffered\nTrue\nexit handler\n", "")
 
 
 class TestReciprocity:
