@@ -364,8 +364,9 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     if lhs != rhs:
         rep.fail({"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
 
-    # A factor's families sit on its unshifted base with a + b pinned paths.
-    grid = poset if M == 0 else poset.extended()
+    # A factor's families sit on its unshifted base (i-k+eps_i, j-k+eps_j)
+    # with a + b pinned paths, so the grid reaches down to (i-k, j-k).
+    grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
     families = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
                 for (m, n, order, a, b) in corners]
     for fams, (ei, ej, delta), expect in zip(families, _CORNERS, phis):

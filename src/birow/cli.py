@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
 from .avar import a_to_x
 from .bounce import plucker_check
 from .closed_form import IterateQuery, rho_closed
-from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling,
-                       iterate_birational, orbit, orbit_partition, random_labeling)
+from .dynamics import (Labeling, OrderIdeal, all_order_ideals, iterate_birational, orbit,
+                       orbit_partition, starts)
 from .errors import BirowError, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
 from .grid_poset import RectPoset
@@ -58,10 +57,8 @@ def _cmd_iterate(args) -> int:
             raise BirowError(f"cannot read --labels file {args.labels}: {e}")
         if (f.poset.r, f.poset.s) != (args.r, args.s):
             raise BirowError("--labels grid does not match --r/--s")
-    elif args.mode == "rational":
-        f = random_labeling(poset, random.Random(args.seed))
     else:
-        f = generic_labeling(poset)
+        f, = starts(poset, args.mode, 1, args.seed)
     g = iterate_birational(f, k)
     payload = g.to_json()
     if notices:
@@ -162,51 +159,49 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-# The optional flags each check reads; giving any other is a usage error.
-_VERIFY_FLAGS = {
-    "periodicity": ("mode", "trials", "seed"),
-    "reciprocity": ("mode", "trials", "seed"),
-    "main-formula": ("trials", "seed"),
-    "file-homomesy": ("d", "mode", "seed"),
-    "antipodal": ("seed",),
-    "combinatorial": (),
-    "ledger": ("d",),
-    "plucker": ("i", "j", "k"),
+def _ledger(a) -> list:
+    if a.d is None:
+        raise BirowError("--d is required for the ledger check")
+    return [check_file_ledger(a.r, a.s, a.d)]
+
+
+def _plucker(a) -> list:
+    if a.i is None or a.j is None or a.k is None:
+        raise BirowError("--i, --j and --k are required for the plucker check")
+    return [plucker_check(RectPoset(a.r, a.s), a.i, a.j, a.k)]
+
+
+# Each check: a runner from the parsed flags to its reports, and the optional
+# flags it reads; giving any other is a usage error.  The runners look the
+# check functions up when called, so one rebound after import (by a tracer or
+# a test) is the one that runs.
+_CHECKS = {
+    "periodicity": (lambda a: [check_periodicity(a.r, a.s, a.mode, a.trials, a.seed)],
+                    ("mode", "trials", "seed")),
+    "reciprocity": (lambda a: [check_reciprocity(a.r, a.s, a.mode, a.trials, a.seed)],
+                    ("mode", "trials", "seed")),
+    "main-formula": (lambda a: [check_main_formula(a.r, a.s, a.trials, a.seed)],
+                     ("trials", "seed")),
+    "file-homomesy": (lambda a: check_file_homomesy(
+        a.r, a.s, range(-a.r, a.s + 1) if a.d is None else [a.d], a.mode, a.seed),
+                      ("d", "mode", "seed")),
+    "plucker": (_plucker, ("i", "j", "k")),
+    "ledger": (_ledger, ("d",)),
+    "combinatorial": (lambda a: [check_combinatorial_homomesy(a.r, a.s)], ()),
+    "antipodal": (lambda a: [check_antipodal_product(a.r, a.s, a.seed)], ("seed",)),
 }
 
 
 def _cmd_verify(args) -> int:
-    r, s, check = args.r, args.s, args.check
+    run, reads = _CHECKS[args.check]
     for flag in ("d", "i", "j", "k", "mode", "trials", "seed"):
-        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[check]:
-            raise BirowError(f"--{flag} is not read by the {check} check")
-    trials = 3 if args.trials is None else args.trials
-    seed = 0 if args.seed is None else args.seed
-    if trials < 1:
-        raise BirowError(f"--trials value {trials} is below 1")
-    if check == "periodicity":
-        rep = check_periodicity(r, s, mode=args.mode, trials=trials, seed=seed)
-    elif check == "reciprocity":
-        rep = check_reciprocity(r, s, mode=args.mode, trials=trials, seed=seed)
-    elif check == "main-formula":
-        rep = check_main_formula(r, s, points=trials, seed=seed)
-    elif check == "file-homomesy":
-        files = range(-r, s + 1) if args.d is None else [args.d]
-        return _emit_reports(check_file_homomesy(r, s, files, mode=args.mode, seed=seed),
-                             args.plain)
-    elif check == "antipodal":
-        rep = check_antipodal_product(r, s, seed=seed)
-    elif check == "combinatorial":
-        rep = check_combinatorial_homomesy(r, s)
-    elif check == "ledger":
-        if args.d is None:
-            raise BirowError("--d is required for the ledger check")
-        rep = check_file_ledger(r, s, args.d)
-    else:
-        if args.i is None or args.j is None or args.k is None:
-            raise BirowError("--i, --j and --k are required for the plucker check")
-        rep = plucker_check(RectPoset(r, s), args.i, args.j, args.k)
-    return _emit_reports([rep], args.plain)
+        if getattr(args, flag) is not None and flag not in reads:
+            raise BirowError(f"--{flag} is not read by the {args.check} check")
+    args.trials = 3 if args.trials is None else args.trials
+    args.seed = 0 if args.seed is None else args.seed
+    if args.trials < 1:
+        raise BirowError(f"--trials value {args.trials} is below 1")
+    return _emit_reports(run(args), args.plain)
 
 
 def _emit_reports(reps, plain: bool) -> int:
@@ -257,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("verify", help="run a verification check")
-    p.add_argument("check", choices=["periodicity", "reciprocity", "main-formula",
-                                     "file-homomesy", "plucker", "ledger",
-                                     "combinatorial", "antipodal"])
+    p.add_argument("check", choices=list(_CHECKS))
     grid_flags(p)
     p.add_argument("--d", type=int, help="file offset / ledger parameter")
     p.add_argument("--i", type=int)

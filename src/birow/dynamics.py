@@ -153,6 +153,15 @@ def random_labeling(poset: RectPoset, rng: random.Random) -> Labeling:
                             for p in poset.members()}, Fraction(1), Fraction(1))
 
 
+def starts(poset: RectPoset, mode: str, trials: int, seed: int) -> List[Labeling]:
+    """The start points of a check or an iteration: the generic labeling in
+    symbolic mode, otherwise trials random points drawn from Random(seed)."""
+    if mode == "symbolic":
+        return [generic_labeling(poset)]
+    rng = random.Random(seed)
+    return [random_labeling(poset, rng) for _ in range(trials)]
+
+
 def pl_labeling(poset: RectPoset, values: Dict[GridPoint, Fraction]) -> Labeling:
     """Piecewise-linear labeling: the given values, a point of the order
     polytope (each in [0,1] and order-preserving), as max-plus values, with

@@ -1,9 +1,9 @@
 """The poset [0,r] x [0,s] (componentwise order), its files, and hexagonal
 regions used for lattice path enumeration.
 
-A grid point is a plain (i, j) tuple.  The rectangle can be "extended" to
-negative lower bounds (same maximal corner) for the enlarged-grid arguments;
-files and most consumers only use the standard rectangle.
+A grid point is a plain (i, j) tuple.  The rectangle may have negative
+lower bounds (same maximal corner) for the enlarged-grid arguments; files
+and most consumers only use the standard rectangle.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ class RectPoset:
             else:
                 case, d = "c", r + t
         return FileInfo(t, tuple(pts), case, d)
-
-    def extended(self) -> "RectPoset":
-        """Enlarged grid with the same maximal corner, lower bounds pushed
-        down far enough for every shifted hexagon base and sink."""
-        lo = -(self.r + self.s + 1)
-        return RectPoset(self.r, self.s, lo, lo)
 
     def hexagon(self, m: int, n: int, k: int) -> "Region":
         return Region.build(self, m, n, k)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -21,8 +20,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
-from .dynamics import (Labeling, OrderIdeal, all_order_ideals, generic_labeling, iterates,
-                       orbit_partition, random_labeling, rowmotion_inverse)
+from .dynamics import (Labeling, OrderIdeal, all_order_ideals, iterates, orbit_partition,
+                       rowmotion_inverse, starts)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import RectPoset
@@ -35,38 +34,26 @@ def auto_mode(r: int, s: int) -> str:
     return "symbolic" if (r + 1) * (s + 1) <= 6 else "rational"
 
 
-def _starts(poset: RectPoset, mode: str, trials: int, seed: int) -> List[Labeling]:
-    """The start points of a check: the generic labeling in symbolic mode,
-    otherwise trials random points drawn from Random(seed)."""
-    if mode == "symbolic":
-        return [generic_labeling(poset)]
-    rng = random.Random(seed)
-    return [random_labeling(poset, rng) for _ in range(trials)]
-
-
 @contextlib.contextmanager
 def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
     """An iterator over fn(x) for each x in items, computed ahead in one
     forked child and sent back through a pipe, each result as it is ready.
 
     A result the child does not deliver, because it raised or died, is
-    computed here instead, and so is every result where os.fork does not
-    exist; the values are the same either way.  The child always leaves by
+    computed here instead; where os.fork does not exist or fails, no child
+    runs, the pipe reads empty at once, and every result is computed here.
+    The values are the same either way.  The child always leaves by
     os._exit, so it runs no exit handler and flushes none of this process's
     buffers.  On leaving the block the child is killed, if it still runs,
     and reaped, also when the block raises."""
     import pickle
     import signal
     r, w = os.pipe()
+    pid = None
     try:
-        pid = os.fork() if hasattr(os, "fork") else None
-    except OSError:
-        pid = None
-    if pid is None:
-        os.close(r)
-        os.close(w)
-        yield map(fn, items)
-        return
+        pid = os.fork()
+    except (AttributeError, OSError):
+        pass
     if pid == 0:
         try:
             os.close(r)
@@ -91,8 +78,9 @@ def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
         with open(r, "rb") as inp:
             yield results(inp)
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _rewound(f: Labeling, n: int) -> dict:
@@ -120,9 +108,9 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
     rep = Report(name=f"periodicity r={r} s={s} mode={mode}", seed=seed)
     rep.notes["expected_period"] = period
     minimal: List[Optional[int]] = []
-    starts = _starts(RectPoset(r, s), mode, trials, seed)
-    with _in_child(lambda f: _rewound(f, period - half), starts) as ends:
-        for f in starts:
+    fs = starts(RectPoset(r, s), mode, trials, seed)
+    with _in_child(lambda f: _rewound(f, period - half), fs) as ends:
+        for f in fs:
             orbit = enumerate(iterates(f, period))
             next(orbit)
             first = None
@@ -151,7 +139,7 @@ def check_reciprocity(r: int, s: int, mode: Optional[str] = None,
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
     rep = Report(name=f"reciprocity r={r} s={s} mode={mode}", seed=seed)
-    for f in _starts(poset, mode, trials, seed):
+    for f in starts(poset, mode, trials, seed):
         its = list(iterates(f, r + s + 1))
         rep.trials += 1
         for (i, j) in poset.members():
@@ -168,7 +156,7 @@ def check_antipodal_product(r: int, s: int, seed: int = 0) -> Report:
     equals 1 (periodicity and reciprocity combined)."""
     poset = RectPoset(r, s)
     rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed, trials=1)
-    f = random_labeling(poset, random.Random(seed))
+    f, = starts(poset, "rational", 1, seed)
     prods: Dict[tuple, Fraction] = {p: Fraction(1) for p in poset.members()}
     for g in iterates(f, r + s + 1):
         for p in poset.members():
@@ -190,7 +178,7 @@ def check_main_formula(r: int, s: int, points: int = 3, seed: int = 0) -> Report
     rep = Report(name=f"main-formula r={r} s={s}", seed=seed)
     queries = [IterateQuery(poset, i, j, k)
                for (i, j) in poset.members() for k in range(r + s + 2)]
-    for f in _starts(poset, "rational", points, seed):
+    for f in starts(poset, "rational", points, seed):
         rep.trials += 1
         closed = rho_closed_at(poset, x_to_A(f))
         its = list(iterates(f, r + s + 2))
@@ -222,7 +210,7 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
                                                "points": [list(p) for p in info.points]})
             for info in infos]
     if mode == "rational":
-        f = random_labeling(poset, random.Random(seed))
+        f, = starts(poset, mode, 1, seed)
         prods = [Fraction(1)] * len(infos)
         for g in iterates(f, r + s + 1):
             for n, info in enumerate(infos):
@@ -274,18 +262,14 @@ def check_combinatorial_homomesy(r: int, s: int) -> Report:
     def points(ideal: OrderIdeal) -> list:
         return sorted(map(list, ideal.members))
 
+    per_orbit = []
     for orb in orbits:
         rep.trials += 1
         avg = Fraction(sum(o.size() for o in orb), len(orb))
         if avg != target:
             rep.fail({"input": points(orb[0]), "observed": str(avg), "expected": str(target)})
-    counts = {i.heights: _file_counts(i) for i in ideals}
-
-    def totals(group: List[OrderIdeal]) -> List[int]:
-        return [sum(col) for col in zip(*(counts[i.heights] for i in group))]
-
-    per_orbit = [totals(orb) for orb in orbits]
-    overall = totals(ideals)
+        per_orbit.append([sum(col) for col in zip(*map(_file_counts, orb))])
+    overall = [sum(col) for col in zip(*per_orbit)]
     for t in range(-r, s + 1):
         global_avg = Fraction(overall[t + r], len(ideals))
         for orb, tot in zip(orbits, per_orbit):

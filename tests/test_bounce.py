@@ -114,7 +114,7 @@ def test_rejects_mismatched_overlay():
 
 
 def test_hugging_families_conventions():
-    grid = RectPoset(2, 2).extended()
+    grid = RectPoset(2, 2, -5, -5)
     assert hugging_families(grid, 0, 0, -1, 0, 0) == []
     assert hugging_families(grid, 0, 0, 1, 1, 1) == []  # c + d > k
     free = hugging_families(grid, 0, 0, 1, 0, 0)
@@ -334,8 +334,7 @@ def _reference_unswap(side, blue2, red2):
 
 def _overlays(poset, i, j, k):
     """The overlays B x R on which plucker_check runs the bijection."""
-    M = max(k - i, 0) + max(k - j, 0)
-    grid = poset if M == 0 else poset.extended()
+    grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
     B, R = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
             for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
     return [make_overlay(b, r) for b in B for r in R]

@@ -4,7 +4,7 @@ import hashlib
 import json
 from collections import Counter
 
-from birow.cli import main
+from birow.cli import _CHECKS, main
 
 
 def run(capsys, *argv):
@@ -122,12 +122,7 @@ class TestFormula:
     def test_out_of_range_names_flag(self, capsys):
         verify = "verify periodicity --r 3 --s 3 --mode rational --trials".split()
         for argv, flag in [("formula --r 3 --s 2 --i 5 --j 1 --k 0".split(), "--i"),
-                           (verify + ["0"], "--trials"), (verify + ["-2"], "--trials"),
-                           # flags the chosen verify check does not read
-                           ("verify main-formula --r 2 --s 2 --mode symbolic".split(), "--mode"),
-                           ("verify ledger --r 4 --s 3 --d 2 --mode rational".split(), "--mode"),
-                           ("verify antipodal --r 2 --s 2 --trials 9".split(), "--trials"),
-                           ("verify combinatorial --r 2 --s 2 --seed 5".split(), "--seed")]:
+                           (verify + ["0"], "--trials"), (verify + ["-2"], "--trials")]:
             code, out, err = run(capsys, *argv)
             assert code == 2 and flag in err and not out, argv
 
@@ -227,6 +222,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "plucker", "--r", "2", "--s", "2",
                            "--i", "1", "--j", "0", "--k", "2")
         assert code == 2
+
+    def test_every_flag_a_check_does_not_read_is_a_usage_error(self, capsys):
+        # Every check against every optional verify flag: an unread flag
+        # exits 2 with its name on stderr and nothing on stdout; a read one
+        # is never refused as unread.
+        refused = []
+        for check, (_, reads) in _CHECKS.items():
+            for flag in ("d", "i", "j", "k", "mode", "trials", "seed"):
+                value = "rational" if flag == "mode" else "1"
+                code, out, err = run(capsys, "verify", check, "--r", "2", "--s", "2",
+                                     f"--{flag}", value)
+                if flag in reads:
+                    assert "is not read" not in err, (check, flag)
+                    continue
+                assert (code, out, err) == \
+                    (2, "", f"error: --{flag} is not read by the {check} check\n")
+                refused.append((check, flag))
+        assert len(refused) == 40
 
     def test_every_small_plucker_query_exits_0_or_2(self, capsys):
         # Every query on grids up to 2x2, in range or one step outside it,

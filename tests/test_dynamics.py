@@ -13,7 +13,7 @@ from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             generic_labeling, iterate_birational, iterates, orbit,
                             orbit_partition, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
-                            rowmotion_inverse, toggle_birational)
+                            rowmotion_inverse, starts, toggle_birational)
 from birow.errors import OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -245,6 +245,16 @@ def any_labelings(draw):
     values = {p: draw(value) for p in poset.members()}
     ends = st.one_of(st.sampled_from(defaults), value)
     return Labeling(poset, values, draw(ends), draw(ends))
+
+
+def test_starts_draw_each_trial_from_one_seeded_stream():
+    poset = RectPoset(2, 1)
+    rng = random.Random(9)
+    want = [random_labeling(poset, rng).values for _ in range(3)]
+    assert [f.values for f in starts(poset, "rational", 3, 9)] == want
+    assert want[0] != want[1]
+    symbolic, = starts(poset, "symbolic", 3, 9)
+    assert symbolic.values == generic_labeling(poset).values
 
 
 class TestJson:

@@ -73,8 +73,8 @@ factored_values = st.builds(
     nonzero_rationals,
     st.lists(st.integers(-2, 2), min_size=len(FACTOR_POOL), max_size=len(FACTOR_POOL)))
 
-# Variables of both namespaces with the negative indices of
-# RectPoset.extended(); monomials are canonicalised by ``monomial``.
+# Variables of both namespaces with negative indices, as on the lowered grids
+# of the Plucker check; monomials are canonicalised by ``monomial``.
 variables = st.builds(Var, st.sampled_from("Ax"), st.integers(-4, 3), st.integers(-4, 3))
 monomials = st.lists(st.tuples(variables, st.integers(1, 4)), max_size=6).map(monomial)
 

@@ -108,8 +108,9 @@ class TestHexagon:
             p.hexagon(1, 0, 4)
 
     def test_extended_grid(self):
-        p = RectPoset(2, 1)
-        big = p.extended()
-        assert big.imin == big.jmin == -4
-        assert big.contains((-3, -2))
+        # Negative lower bounds under the same maximal corner, as the Plucker
+        # check builds for its hugging families.
+        big = RectPoset(2, 1, -4, -4)
+        assert len(big.members()) == 7 * 6
+        assert big.contains((-3, -2)) and not big.contains((-5, 0))
         assert big.hexagon(-2, -1, 1).sinks == ((2, 1),)

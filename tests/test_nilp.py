@@ -140,8 +140,9 @@ def _uncovered_oracle(families, members):
 
 def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
     """On every hexagon of every grid up to 4x4, and on the hugging families
-    that every 3x3 Plucker query with M > 0 sums on the extended grid, whose
-    paths also cover points outside the summed members."""
+    that every 3x3 Plucker query with M > 0 sums on its grid lowered to
+    (i - k, j - k), whose paths also cover points outside the summed
+    members."""
     cases = []
     for r in range(5):
         for s in range(5):
@@ -162,8 +163,10 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
         for j in range(4):
             for k in range(1, 8):
                 if 0 < max(k - i, 0) + max(k - j, 0) <= k:
+                    seen = len(hugging)
                     assert bounce.plucker_check(grid, i, j, k).passed
-    assert all(f.region.poset == grid.extended() for fams, _ in hugging for f in fams)
+                    low = RectPoset(3, 3, min(0, i - k), min(0, j - k))
+                    assert all(f.region.poset == low for fams, _ in hugging[seen:] for f in fams)
     assert any(not {v for path in f.paths for v in path.vertices} <= set(members)
                for families, members in hugging for f in families)
     for families, members in cases + hugging:

@@ -19,12 +19,12 @@ import birow
 from birow.avar import x_to_A
 from birow.cli import main
 from birow.closed_form import IterateQuery, m_value, rho_closed
-from birow.dynamics import Labeling, all_order_ideals, generic_labeling, iterates
+from birow.dynamics import Labeling, all_order_ideals, generic_labeling, iterates, starts
 from birow.errors import PoleEncountered, PreconditionViolated
 from birow.exactnum import avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
-from birow.verify import (_file_counts, _starts, auto_mode, check_antipodal_product,
+from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
                           check_combinatorial_homomesy, check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
@@ -69,7 +69,7 @@ def _sequential_periodicity(r, s, mode, trials, seed):
     rep = Report(name=f"periodicity r={r} s={s} mode={mode}", seed=seed)
     rep.notes["expected_period"] = period
     minimal = []
-    for f in _starts(RectPoset(r, s), mode, trials, seed):
+    for f in starts(RectPoset(r, s), mode, trials, seed):
         first = next((step for step, g in enumerate(iterates(f, period))
                       if step and g.values == f.values), None)
         minimal.append(first)
@@ -96,9 +96,29 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _refuse_fork():
+    raise OSError("fork refused")
+
+
+# os.fork as it is, missing (as on Windows), and failing as it does when no
+# process can be started.
+_FORK_STATES = {"present": lambda mp: None,
+                "missing": lambda mp: mp.delattr(os, "fork"),
+                "raising": lambda mp: mp.setattr(os, "fork", _refuse_fork)}
+
+
+def _matches_in_every_fork_state(monkeypatch, want, r, s, mode, trials, seed):
+    for state, set_fork in _FORK_STATES.items():
+        with monkeypatch.context() as mp:
+            set_fork(mp)
+            got = check_periodicity(r, s, mode=mode, trials=trials, seed=seed).to_json()
+        assert got == want, state
+        _no_child_left()
+
+
 class TestPeriodicitySplit:
     """P = r+s+2 and h = ceil(P/2): cycles of length 1, h, P, between h and
-    P, and above P, with and without os.fork."""
+    P, and above P, with os.fork present, missing and failing."""
 
     @pytest.mark.parametrize("r, s, c", [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4),
                                          (1, 1, 5), (1, 1, 8), (2, 1, 1), (2, 1, 3),
@@ -110,21 +130,16 @@ class TestPeriodicitySplit:
         period = r + s + 2
         assert want["notes"]["observed_minimal_periods"] == \
             [c if c <= period else None] * 3
-        assert check_periodicity(r, s, mode="rational", trials=3, seed=4).to_json() == want
-        _no_child_left()
-        monkeypatch.delattr(os, "fork")
-        assert check_periodicity(r, s, mode="rational", trials=3, seed=4).to_json() == want
-        _no_child_left()
+        _matches_in_every_fork_state(monkeypatch, want, r, s, "rational", 3, 4)
 
     @pytest.mark.parametrize("r, s, mode, trials", [(0, 0, "symbolic", 1),
                                                     (2, 1, "symbolic", 1),
                                                     (3, 2, "rational", 3),
                                                     (4, 4, "rational", 2)])
-    def test_rowmotion_matches_the_sequential_loop(self, r, s, mode, trials):
+    def test_rowmotion_matches_the_sequential_loop(self, monkeypatch, r, s, mode, trials):
         want = _sequential_periodicity(r, s, mode, trials, 2).to_json()
         assert want["passed"]
-        assert check_periodicity(r, s, mode=mode, trials=trials, seed=2).to_json() == want
-        _no_child_left()
+        _matches_in_every_fork_state(monkeypatch, want, r, s, mode, trials, 2)
 
     def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd):
         # The child raises after the first start's half-orbit, silently; the
