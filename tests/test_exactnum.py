@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: polynomials, factored symbolic values, parallel
 sums, and parsing."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -142,13 +143,40 @@ def schoolbook_product(polys):
     return out
 
 
+# Small coefficients make cross terms cancel; coefficients up to 2**40 make
+# the product kernel's dense fields wide.
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-2 ** 40, 2 ** 40))
+
 # Sparse polynomials with exponents up to 20 over four variables of both
 # namespaces, some with negative indices.  Operands share variables, so the
 # exponents of a product of a few of them come near its field width.
 few_variables = st.sampled_from([xvar(0, 0), xvar(-4, 3), avar(-1, -2), avar(3, 0)])
 polynomials = st.dictionaries(
     st.lists(st.tuples(few_variables, st.integers(1, 20)), max_size=3).map(monomial),
-    st.integers(-6, 6), max_size=4).map(Polynomial.from_dict)
+    coefficients, max_size=4).map(Polynomial.from_dict)
+
+
+@st.composite
+def homogeneous_polynomials(draw):
+    """A nonzero polynomial whose terms all have one degree, over three
+    variables: the operands the product kernel packs most densely."""
+    d = draw(st.integers(0, 8))
+    a, b, c = xvar(0, 0), xvar(2, -1), avar(1, 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        ea = draw(st.integers(0, d))
+        eb = draw(st.integers(0, d - ea))
+        terms[monomial([(a, ea), (b, eb), (c, d - ea - eb)])] = draw(
+            coefficients.filter(bool))
+    return Polynomial.from_dict(terms)
+
+
+# Chains whose product has at most one variable: with no partner variable
+# every term of a one-variable chain is in one dense row.
+one_variable_chains = st.lists(st.dictionaries(
+    st.integers(0, 12).map(lambda e: monomial([(avar(-2, 5), e)])),
+    coefficients, max_size=5).map(Polynomial.from_dict), max_size=5)
+constant_chains = st.lists(coefficients.map(Polynomial.const), max_size=5)
 
 
 class TestPolynomial:
@@ -211,6 +239,14 @@ class TestPolynomial:
     # Degrees summing to 63 = 2**6 - 1: every field is 6 bits wide, and the
     # exponent 63 of x[0,0] is the largest value a field holds.
     @example(Polynomial.var(xvar(0, 0), 21), Polynomial.var(avar(-4, 3), 20), 0, [0, 2, 0])
+    # (x - y)^5 (x + y)^5 = (x^2 - y^2)^5: the signs alternate, so the
+    # negative coefficients borrow from every higher slot of the dense row.
+    @example(Polynomial.var(xvar(0, 0)), Polynomial.var(xvar(0, 1)), 0, [3] * 5 + [2] * 5)
+    # (4x)^2 (-4): the L1 bound 64 = 2**6 is a power of two, and the
+    # product's coefficient -64 reaches it.
+    @example(Polynomial.var(xvar(0, 0)).scale(4), Polynomial(()), -4, [0, 0, 5])
+    # (4x)^2: the positive coefficient 16 reaches the L1 bound 2**4.
+    @example(Polynomial.var(xvar(0, 0)).scale(4), Polynomial(()), 0, [0, 0])
     @settings(max_examples=200, deadline=None)
     def test_product_matches_schoolbook(self, p, q, c, picks):
         # p + q and p - q (as p + q.scale(-1)) make cross terms cancel; 0 and
@@ -218,6 +254,23 @@ class TestPolynomial:
         pool = [p, q, p + q, p + q.scale(-1), Polynomial(()), Polynomial.const(c)]
         operands = [pool[i] for i in picks]
         assert Polynomial.product(operands) == schoolbook_product(operands)
+
+    @given(st.one_of(st.lists(homogeneous_polynomials(), max_size=4),
+                     one_variable_chains, constant_chains))
+    @settings(max_examples=300, deadline=None)
+    def test_chain_product_matches_schoolbook(self, operands):
+        assert Polynomial.product(operands) == schoolbook_product(operands)
+
+    def test_equal_polynomials_hash_equally(self):
+        x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(avar(0, 1))
+        a = Polynomial.from_dict({((xvar(1, 0), 1),): 1, ((avar(0, 1), 1),): -1})
+        b = (x + y) * (x + y.scale(-1)) + x * x.scale(-1) + y * y + x + y.scale(-1)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        # The cached hash stays behind: another interpreter hashes str anew.
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and "_hash" not in vars(c) and hash(c) == hash(a)
 
     @given(polynomials, st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
