@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .avar import a_to_x
 from .bounce import plucker_check
@@ -29,9 +30,11 @@ from .verify import (check_antipodal_product, check_combinatorial_homomesy,
 USAGE_ERROR, ARITHMETIC_FAULT = 2, 3
 
 
-def _emit(payload: dict, plain: bool, plain_text: str):
+def _emit(payload: dict, plain: bool, plain_text: Callable[[], str]):
+    """Print the payload as JSON, or under --plain the text that plain_text
+    builds; the text is built only when it is printed."""
     if plain:
-        print(plain_text)
+        print(plain_text())
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -63,8 +66,8 @@ def _cmd_iterate(args) -> int:
     payload = g.to_json()
     if notices:
         payload["notices"] = notices
-    plain = "\n".join(f"({p}) = {v}" for p, v in sorted(payload["labels"].items()))
-    _emit(payload, args.plain, plain)
+    _emit(payload, args.plain,
+          lambda: "\n".join(f"({p}) = {v}" for p, v in sorted(payload["labels"].items())))
     return 0
 
 
@@ -104,7 +107,7 @@ def _cmd_formula(args) -> int:
                "frame": frame, "value": text}
     if notices:
         payload["notices"] = notices
-    _emit(payload, args.plain, text)
+    _emit(payload, args.plain, lambda: text)
     return 0
 
 
@@ -119,7 +122,7 @@ def _cmd_phi(args) -> int:
                "phi": text}
     if args.list_families:
         payload["families"] = [fam.to_json() for fam in enum_nilp(region)]
-    _emit(payload, args.plain, text)
+    _emit(payload, args.plain, lambda: text)
     return 0
 
 
@@ -152,10 +155,9 @@ def _cmd_orbit(args) -> int:
     else:
         orbits = orbit_partition(all_order_ideals(poset))
     payload = {"r": args.r, "s": args.s, "orbits": [_orbit_json(o) for o in orbits]}
-    plain = "\n".join(
+    _emit(payload, args.plain, lambda: "\n".join(
         f"orbit of length {o['length']}, size average {o['size_average']}"
-        for o in payload["orbits"])
-    _emit(payload, args.plain, plain)
+        for o in payload["orbits"]))
     return 0
 
 
@@ -207,8 +209,8 @@ def _cmd_verify(args) -> int:
 def _emit_reports(reps, plain: bool) -> int:
     reps = sorted(reps, key=lambda rp: rp.name)
     payload = {"reports": [rp.to_json() for rp in reps]}
-    text = "\n".join(f"{rp.name}: {'PASS' if rp.passed else 'FAIL'}" for rp in reps)
-    _emit(payload, plain, text)
+    _emit(payload, plain,
+          lambda: "\n".join(f"{rp.name}: {'PASS' if rp.passed else 'FAIL'}" for rp in reps))
     return 0 if all(rp.passed for rp in reps) else 1
 
 

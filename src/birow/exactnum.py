@@ -47,13 +47,14 @@ that differs only in how it splits that sum.  Terms are stored as tuples of
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
@@ -102,6 +103,23 @@ def _packing(pairs: Set[Tuple[Var, int]], bound: int
     top = w * len(vs)
     shift = {v: w * k for k, v in enumerate(reversed(vs))}
     return w, vs, {(v, e): (e << top) + (e << shift[v]) for v, e in pairs}
+
+
+def _without_cyclic_gc(fn):
+    """fn with the cyclic garbage collector off during each call and left as
+    it was found afterwards, so nested calls are safe.  A large product
+    builds millions of term tuples, and each full collection would walk
+    every live one again."""
+    @wraps(fn)
+    def call(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return call
 
 
 class _PairText(dict):
@@ -188,6 +206,7 @@ class Polynomial:
         return Polynomial.product((self, other))
 
     @staticmethod
+    @_without_cyclic_gc
     def product(polys: Iterable["Polynomial"]) -> "Polynomial":
         """Product of the given polynomials; 1 for none.
 

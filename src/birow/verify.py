@@ -3,10 +3,19 @@ reciprocity, closed-form equivalence, file homomesy (birational and
 combinatorial), and the leftover-block ledger behind the homomesy proof.
 
 Every check returns a Report; failures carry witnesses with enough inputs
-to replay them.  Random points use explicit seeds.  The periodicity check
-runs the two halves of each orbit at once, the backward half in one forked
-child process where ``os.fork`` exists; its report is that of a single
-sequential loop.
+to replay them.  Random points use explicit seeds.
+
+Four checks share their work with one forked child process (``_in_child``)
+where ``os.fork`` exists, so they run faster only with a second CPU free;
+each report is that of one sequential loop in this process.  Periodicity
+and the orbit products run the two halves of an orbit at once: with
+P = r+s+2 and h = ceil(P/2), this process takes the forward iterates from
+``dynamics.iterates`` and the child the backward ones from
+``rowmotion_inverse``.  The antipodal product and rational file homomesy
+multiply over the window rho^-(P-h) f, ..., rho^(h-1) f, one full period
+from the start rho^-(P-h) f, and test each product by comparing its two
+halves as reciprocals (``_period_products``).  Reciprocity runs its first
+ceil(T/2) starts here and the other starts in the child.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ import contextlib
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
@@ -24,7 +33,7 @@ from .dynamics import (Labeling, OrderIdeal, all_order_ideals, iterates, orbit_p
                        rowmotion_inverse, starts)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
-from .grid_poset import RectPoset
+from .grid_poset import GridPoint, RectPoset
 from .report import Report
 
 
@@ -40,8 +49,9 @@ def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
     forked child and sent back through a pipe, each result as it is ready.
 
     A result the child does not deliver, because it raised or died, is
-    computed here instead; where os.fork does not exist or fails, no child
-    runs, the pipe reads empty at once, and every result is computed here.
+    computed here instead; where items is empty, or os.fork does not exist
+    or fails, no child runs, the pipe reads empty at once, and every result
+    is computed here.
     The values are the same either way.  The child always leaves by
     os._exit, so it runs no exit handler and flushes none of this process's
     buffers.  On leaving the block the child is killed, if it still runs,
@@ -51,7 +61,8 @@ def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
     r, w = os.pipe()
     pid = None
     try:
-        pid = os.fork()
+        if items:
+            pid = os.fork()
     except (AttributeError, OSError):
         pass
     if pid == 0:
@@ -83,11 +94,57 @@ def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
             os.waitpid(pid, 0)
 
 
-def _rewound(f: Labeling, n: int) -> dict:
-    """The labels of rho^-n f."""
+def _rewound(f: Labeling, n: int) -> Iterator[Labeling]:
+    """Yield rho^-1 f, ..., rho^-n f."""
     for _ in range(n):
         f = rowmotion_inverse(f)
+        yield f
+
+
+def _rewound_labels(f: Labeling, n: int) -> dict:
+    """The labels of rho^-n f."""
+    for f in _rewound(f, n):
+        pass
     return f.values
+
+
+def _products(labelings: Iterable[Labeling], groups: List[Tuple[GridPoint, ...]]
+              ) -> List[Fraction]:
+    """For each group of points, the product of its labels over labelings."""
+    prods = [Fraction(1)] * len(groups)
+    for g in labelings:
+        for n, points in enumerate(groups):
+            for p in points:
+                prods[n] *= g.value(p)
+    return prods
+
+
+def _period_products(f: Labeling, fold: Callable[[Iterable[Labeling]], List[Fraction]]
+                     ) -> List[Optional[str]]:
+    """For each product that fold forms over a run of iterates, None when
+    it is 1 over the P = r+s+2 iterates rho^-(P-h) f, ..., rho^(h-1) f, with
+    h = ceil(P/2), and else its value over them as text.  These iterates
+    are one full period, taken from the start rho^-(P-h) f.  fold must be
+    multiplicative, over two runs giving the products of its values over
+    each, and its values positive, as products of positive labels are.
+
+    This process folds the h forward iterates rho^0 f, ..., rho^(h-1) f,
+    while one forked child (``_in_child``) folds the P-h backward ones and
+    sends back its products as (numerator, denominator) pairs.  A product
+    is 1 when its two halves x and y are reciprocal: both positive and in
+    lowest terms, x's numerator and denominator are y's denominator and
+    numerator.  So no two halves are multiplied, and no gcd is taken,
+    except to print a product that is not 1."""
+    period = f.poset.r + f.poset.s + 2
+    half = (period + 1) // 2
+
+    def behind(f: Labeling) -> List[Tuple[int, int]]:
+        return [(y.numerator, y.denominator) for y in fold(_rewound(f, period - half))]
+
+    with _in_child(behind, [f]) as back:
+        ahead = fold(iterates(f, half - 1))
+        return [None if (x.numerator, x.denominator) == (d, n) else str(x * Fraction(n, d))
+                for x, (n, d) in zip(ahead, next(back))]
 
 
 def check_periodicity(r: int, s: int, mode: Optional[str] = None,
@@ -109,7 +166,7 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
     rep.notes["expected_period"] = period
     minimal: List[Optional[int]] = []
     fs = starts(RectPoset(r, s), mode, trials, seed)
-    with _in_child(lambda f: _rewound(f, period - half), fs) as ends:
+    with _in_child(lambda f: _rewound_labels(f, period - half), fs) as ends:
         for f in fs:
             orbit = enumerate(iterates(f, period))
             next(orbit)
@@ -135,37 +192,59 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
 def check_reciprocity(r: int, s: int, mode: Optional[str] = None,
                       trials: int = 3, seed: int = 0) -> Report:
     """Iterate i+j+1 at (i, j) is the reciprocal of the start label at the
-    antipodal point (r-i, s-j)."""
+    antipodal point (r-i, s-j).
+
+    Of the T starts, the first ceil(T/2) run here and the others in one
+    forked child (``_in_child``; none for a single start); the witnesses
+    are kept in start order."""
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
     rep = Report(name=f"reciprocity r={r} s={s} mode={mode}", seed=seed)
-    for f in starts(poset, mode, trials, seed):
+
+    def witnesses(f: Labeling) -> List[dict]:
         its = list(iterates(f, r + s + 1))
-        rep.trials += 1
+        found = []
         for (i, j) in poset.members():
             got = its[i + j + 1].value((i, j))
             want = f.value((r - i, s - j)) ** -1
             if got != want:
-                rep.fail({"input": f.to_json(), "point": [i, j],
-                          "observed": str(got), "expected": str(want)})
+                found.append({"input": f.to_json(), "point": [i, j],
+                              "observed": str(got), "expected": str(want)})
+        return found
+
+    fs = starts(poset, mode, trials, seed)
+    here = (len(fs) + 1) // 2
+    with _in_child(witnesses, fs[here:]) as rest:
+        for found in chain(map(witnesses, fs[:here]), rest):
+            rep.trials += 1
+            for w in found:
+                rep.fail(w)
     return rep
 
 
 def check_antipodal_product(r: int, s: int, seed: int = 0) -> Report:
     """Product across a full period of the antipodal pair of point statistics
-    equals 1 (periodicity and reciprocity combined)."""
+    equals 1 (periodicity and reciprocity combined).
+
+    The period is the window rho^-(P-h) f, ..., rho^(h-1) f of
+    ``_period_products``.  Each half of the window multiplies the labels of
+    each point, then the products of each antipodal pair."""
     poset = RectPoset(r, s)
     rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed, trials=1)
     f, = starts(poset, "rational", 1, seed)
-    prods: Dict[tuple, Fraction] = {p: Fraction(1) for p in poset.members()}
-    for g in iterates(f, r + s + 1):
-        for p in poset.members():
-            prods[p] *= g.value(p)
-    for (i, j) in poset.members():
-        pair = prods[(i, j)] * prods[(r - i, s - j)]
-        if pair != 1:
+    points = poset.members()
+    pairs = sorted({min(p, (r - p[0], s - p[1])) for p in points})
+
+    def fold(labelings: Iterable[Labeling]) -> List[Fraction]:
+        prods = dict(zip(points, _products(labelings, [(p,) for p in points])))
+        return [prods[p] * prods[(r - p[0], s - p[1])] for p in pairs]
+
+    pair = dict(zip(pairs, _period_products(f, fold)))
+    for (i, j) in points:
+        wrong = pair[min((i, j), (r - i, s - j))]
+        if wrong:
             rep.fail({"input": f.to_json(), "point": [i, j],
-                      "observed": str(pair), "expected": "1"})
+                      "observed": wrong, "expected": "1"})
     return rep
 
 
@@ -198,9 +277,11 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
     the file values over a full period equals 1.
 
     Rational mode multiplies honest iterates at a random positive point,
-    one orbit for every file.  Symbolic mode multiplies the closed-form
-    phi-ratio factors and cancels equal polynomial factors syntactically
-    before comparing the leftovers, which avoids expanding the full product.
+    one orbit for every file, over the window rho^-(P-h) f, ...,
+    rho^(h-1) f of ``_period_products``.  Symbolic mode multiplies the
+    closed-form phi-ratio factors and cancels equal polynomial factors
+    syntactically before comparing the leftovers, which avoids expanding
+    the full product.
     """
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
@@ -211,14 +292,11 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
             for info in infos]
     if mode == "rational":
         f, = starts(poset, mode, 1, seed)
-        prods = [Fraction(1)] * len(infos)
-        for g in iterates(f, r + s + 1):
-            for n, info in enumerate(infos):
-                for p in info.points:
-                    prods[n] *= g.value(p)
-        for rep, prod in zip(reps, prods):
-            if prod != 1:
-                rep.fail({"input": f.to_json(), "observed": str(prod), "expected": "1"})
+        groups = [info.points for info in infos]
+        wrongs = _period_products(f, lambda labelings: _products(labelings, groups))
+        for rep, wrong in zip(reps, wrongs):
+            if wrong:
+                rep.fail({"input": f.to_json(), "observed": wrong, "expected": "1"})
         return reps
     for rep, info in zip(reps, infos):
         nums: Counter = Counter()

@@ -4,6 +4,9 @@ import hashlib
 import json
 from collections import Counter
 
+import pytest
+
+from birow import cli
 from birow.cli import _CHECKS, main
 
 
@@ -305,3 +308,27 @@ def test_pinned_output_digests(capsys):
         code, out, _ = run(capsys, *command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["iterate", "--r", "1", "--s", "1", "--k", "1"],
+     "(0,0) = (1)/(x[1,1])\n"
+     "(0,1) = (x[0,0]*x[0,1] + x[0,0]*x[1,0])/(x[0,1]*x[1,1])\n"
+     "(1,0) = (x[0,0]*x[0,1] + x[0,0]*x[1,0])/(x[1,0]*x[1,1])\n"
+     "(1,1) = (x[0,1] + x[1,0])/(x[1,1])\n"),
+    (["formula", "--r", "1", "--s", "1", "--i", "0", "--j", "0", "--k", "1"],
+     "(x[1,1])/(x[0,1] + x[1,0])\n"),
+    (["phi", "--r", "1", "--s", "1", "--m", "0", "--n", "0", "--k", "1"],
+     "A[0,1] + A[1,0]\n"),
+    (["orbit", "--r", "1", "--s", "1"],
+     "orbit of length 4, size average 2\norbit of length 2, size average 2\n"),
+    (["verify", "reciprocity", "--r", "1", "--s", "1"],
+     "reciprocity r=1 s=1 mode=symbolic: PASS\n"),
+])
+def test_plain_text_is_built_only_when_printed(monkeypatch, capsys, argv, text):
+    built, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, plain, plain_text: emit(
+        payload, plain, lambda: built.append(argv[0]) or plain_text()))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out) and built == []
+    assert run(capsys, *argv, "--plain") == (0, text, "") and built == [argv[0]]

@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: polynomials, factored symbolic values, parallel
 sums, and parsing."""
 
+import gc
 import pickle
 from fractions import Fraction
 
@@ -271,6 +272,33 @@ class TestPolynomial:
         # The cached hash stays behind: another interpreter hashes str anew.
         c = pickle.loads(pickle.dumps(a))
         assert c == a and "_hash" not in vars(c) and hash(c) == hash(a)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_product_leaves_the_garbage_collector_as_it_was(self, enabled):
+        # Also through a nested product and one whose operands raise.
+        x, y = Polynomial.var(xvar(1, 0)), Polynomial.var(avar(0, 1))
+        seen = []
+
+        def operands():
+            seen.append(gc.isenabled())
+            yield Polynomial.product([x + y, x])
+            seen.append(gc.isenabled())
+            yield x + y
+
+        def failing():
+            yield x
+            raise RuntimeError("operand failure")
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert Polynomial.product(operands()) == (x + y) * (x + y) * x
+            assert seen == [False, False] and gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="operand failure"):
+                Polynomial.product(failing())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @given(polynomials, st.integers(0, 4))
     @settings(max_examples=100, deadline=None)

@@ -107,13 +107,19 @@ _FORK_STATES = {"present": lambda mp: None,
                 "raising": lambda mp: mp.setattr(os, "fork", _refuse_fork)}
 
 
-def _matches_in_every_fork_state(monkeypatch, want, r, s, mode, trials, seed):
+def _matches_in_every_fork_state(monkeypatch, want, run):
+    """run() returns want with os.fork present, missing and failing, and
+    leaves no child behind."""
     for state, set_fork in _FORK_STATES.items():
         with monkeypatch.context() as mp:
             set_fork(mp)
-            got = check_periodicity(r, s, mode=mode, trials=trials, seed=seed).to_json()
+            got = run()
         assert got == want, state
         _no_child_left()
+
+
+def _json(reps):
+    return [rep.to_json() for rep in reps]
 
 
 class TestPeriodicitySplit:
@@ -130,7 +136,9 @@ class TestPeriodicitySplit:
         period = r + s + 2
         assert want["notes"]["observed_minimal_periods"] == \
             [c if c <= period else None] * 3
-        _matches_in_every_fork_state(monkeypatch, want, r, s, "rational", 3, 4)
+        _matches_in_every_fork_state(
+            monkeypatch, want,
+            lambda: check_periodicity(r, s, mode="rational", trials=3, seed=4).to_json())
 
     @pytest.mark.parametrize("r, s, mode, trials", [(0, 0, "symbolic", 1),
                                                     (2, 1, "symbolic", 1),
@@ -139,7 +147,9 @@ class TestPeriodicitySplit:
     def test_rowmotion_matches_the_sequential_loop(self, monkeypatch, r, s, mode, trials):
         want = _sequential_periodicity(r, s, mode, trials, 2).to_json()
         assert want["passed"]
-        _matches_in_every_fork_state(monkeypatch, want, r, s, mode, trials, 2)
+        _matches_in_every_fork_state(
+            monkeypatch, want,
+            lambda: check_periodicity(r, s, mode=mode, trials=trials, seed=2).to_json())
 
     def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd):
         # The child raises after the first start's half-orbit, silently; the
@@ -160,6 +170,7 @@ class TestPeriodicitySplit:
         assert rep.passed and capfd.readouterr() == ("", "")
         _no_child_left()
 
+
     def test_the_child_is_killed_when_this_half_raises(self, monkeypatch):
         def stuck(f):
             time.sleep(20)
@@ -175,7 +186,6 @@ class TestPeriodicitySplit:
             check_periodicity(3, 3, mode="rational", trials=2, seed=1)
         _no_child_left()
         assert time.monotonic() - t0 < 10
-
 
     def test_the_child_flushes_nothing_and_runs_no_exit_handler(self):
         # With stdout a block-buffered pipe, a child that unwound or exited
@@ -193,6 +203,169 @@ class TestPeriodicitySplit:
                              text=True, timeout=120)
         assert (out.returncode, out.stdout, out.stderr) == \
             (0, "buffered\nTrue\nexit handler\n", "")
+
+
+def _window(f):
+    """The iterates rho^-(P-h) f, ..., rho^(h-1) f of one full period, with
+    P = r+s+2 and h = ceil(P/2), as one forward loop."""
+    period = f.poset.r + f.poset.s + 2
+    for _ in range(period - (period + 1) // 2):
+        f = birow.verify.rowmotion_inverse(f)
+    return iterates(f, period - 1)
+
+
+def _sequential_antipodal(r, s, seed):
+    """check_antipodal_product as one loop over its window, forming each
+    pair's product."""
+    poset = RectPoset(r, s)
+    rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed, trials=1)
+    f, = starts(poset, "rational", 1, seed)
+    prods = {p: Fraction(1) for p in poset.members()}
+    for g in _window(f):
+        for p in poset.members():
+            prods[p] *= g.value(p)
+    for (i, j) in poset.members():
+        pair = prods[(i, j)] * prods[(r - i, s - j)]
+        if pair != 1:
+            rep.fail({"input": f.to_json(), "point": [i, j],
+                      "observed": str(pair), "expected": "1"})
+    return rep
+
+
+def _sequential_file_homomesy(r, s, files, seed):
+    """Rational check_file_homomesy as one loop over its window per file."""
+    poset = RectPoset(r, s)
+    f, = starts(poset, "rational", 1, seed)
+    reps = []
+    for t in files:
+        info = poset.file_by_offset(t)
+        rep = Report(name=f"file-homomesy r={r} s={s} file={t} mode=rational", seed=seed,
+                     trials=1, notes={"case": info.case, "d": info.d,
+                                      "points": [list(p) for p in info.points]})
+        prod = math.prod((g.value(p) for g in _window(f) for p in info.points), start=Fraction(1))
+        if prod != 1:
+            rep.fail({"input": f.to_json(), "observed": str(prod), "expected": "1"})
+        reps.append(rep)
+    return reps
+
+
+def _sequential_reciprocity(r, s, mode, trials, seed):
+    """check_reciprocity as one loop over its starts in order."""
+    poset = RectPoset(r, s)
+    rep = Report(name=f"reciprocity r={r} s={s} mode={mode}", seed=seed)
+    for f in starts(poset, mode, trials, seed):
+        its = list(iterates(f, r + s + 1))
+        rep.trials += 1
+        for (i, j) in poset.members():
+            got, want = its[i + j + 1].value((i, j)), f.value((r - i, s - j)) ** -1
+            if got != want:
+                rep.fail({"input": f.to_json(), "point": [i, j],
+                          "observed": str(got), "expected": str(want)})
+    return rep
+
+
+# Each check that shares its work with a child, and its sequential reference,
+# on an r x s grid from seed 4.
+_SPLIT_CHECKS = {
+    "antipodal": (lambda r, s: check_antipodal_product(r, s, seed=4).to_json(),
+                  lambda r, s: _sequential_antipodal(r, s, 4).to_json()),
+    "file-homomesy": (
+        lambda r, s: _json(check_file_homomesy(r, s, range(-r, s + 1), mode="rational", seed=4)),
+        lambda r, s: _json(_sequential_file_homomesy(r, s, range(-r, s + 1), 4))),
+    "reciprocity": (
+        lambda r, s: check_reciprocity(r, s, mode="rational", trials=5, seed=4).to_json(),
+        lambda r, s: _sequential_reciprocity(r, s, "rational", 5, 4).to_json()),
+}
+
+
+class TestOrbitSplit:
+    """The antipodal product and rational file homomesy over the window
+    rho^-(P-h) f, ..., rho^(h-1) f, and reciprocity over its starts in
+    order, each against one sequential loop, with os.fork present, missing
+    and failing."""
+
+    @pytest.mark.parametrize("check", list(_SPLIT_CHECKS))
+    @pytest.mark.parametrize("r, s, c", [(1, 1, 3), (1, 1, 8), (2, 1, 3), (2, 1, 4),
+                                         (2, 2, 4), (3, 2, 5), (3, 3, 3)])
+    def test_fake_cycles_match_the_sequential_loop(self, monkeypatch, check, r, s, c):
+        # No cycle length divides P, so every check fails, and each product
+        # at (0, 0) depends on where its window starts.
+        assert (r + s + 2) % c
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(c, 1))
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(c, -1))
+        run, sequential = _SPLIT_CHECKS[check]
+        want = sequential(r, s)
+        assert '"passed": true' not in json.dumps(want)
+        _matches_in_every_fork_state(monkeypatch, want, lambda: run(r, s))
+
+    @pytest.mark.parametrize("check", list(_SPLIT_CHECKS))
+    @pytest.mark.parametrize("r, s", [(0, 0), (1, 0), (2, 1), (3, 3)])
+    def test_rowmotion_matches_the_sequential_loop(self, monkeypatch, check, r, s):
+        run, sequential = _SPLIT_CHECKS[check]
+        want = sequential(r, s)
+        assert '"passed": false' not in json.dumps(want)
+        _matches_in_every_fork_state(monkeypatch, want, lambda: run(r, s))
+
+    def test_witnesses_keep_the_start_order(self, monkeypatch):
+        # With rowmotion the identity, every start fails at every point.
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", lambda f: f)
+        want = _sequential_reciprocity(2, 1, "rational", 4, 3).to_json()
+        assert [w["input"] for w in want["witnesses"][::6]] == \
+            [f.to_json() for f in starts(RectPoset(2, 1), "rational", 4, 3)]
+        _matches_in_every_fork_state(
+            monkeypatch, want,
+            lambda: check_reciprocity(2, 1, mode="rational", trials=4, seed=3).to_json())
+
+    @pytest.mark.parametrize("run", [lambda: check_reciprocity(2, 1),
+                                     lambda: check_reciprocity(3, 2, mode="rational", trials=1)])
+    def test_a_single_start_forks_no_child(self, monkeypatch, run):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert run().passed
+
+    # On 3x3 the child takes 4 backward steps for a product check, and 7
+    # forward steps for each of reciprocity's starts 4 and 5.
+    @pytest.mark.parametrize("check, patched, steps", [
+        ("antipodal", "birow.verify.rowmotion_inverse", 2),
+        ("file-homomesy", "birow.verify.rowmotion_inverse", 2),
+        ("reciprocity", "birow.dynamics.rowmotion_birational", 9)])
+    def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd, check, patched,
+                                                 steps):
+        # The child raises partway, silently; the parent does its work itself.
+        parent, calls = os.getpid(), []
+        step = _cycle(3, -1 if "inverse" in patched else 1)
+
+        def move(f):
+            if os.getpid() != parent:
+                calls.append(f)
+                if len(calls) > steps:
+                    raise RuntimeError("child failure")
+            return step(f)
+
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(3, 1))
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(3, -1))
+        monkeypatch.setattr(patched, move)
+        run, sequential = _SPLIT_CHECKS[check]
+        assert run(3, 3) == sequential(3, 3)
+        assert capfd.readouterr() == ("", "")
+        _no_child_left()
+
+    @pytest.mark.parametrize("check", list(_SPLIT_CHECKS))
+    def test_the_child_is_killed_when_this_process_raises(self, monkeypatch, check):
+        parent = os.getpid()
+
+        def stuck_or_pole(f):
+            if os.getpid() != parent:
+                time.sleep(20)
+                return f
+            raise PoleEncountered("pole in this process")
+
+        monkeypatch.setattr("birow.dynamics.rowmotion_birational", stuck_or_pole)
+        monkeypatch.setattr("birow.verify.rowmotion_inverse", stuck_or_pole)
+        t0 = time.monotonic()
+        with pytest.raises(PoleEncountered, match="this process"):
+            _SPLIT_CHECKS[check][0](3, 3)
+        _no_child_left()
+        assert time.monotonic() - t0 < 10
 
 
 class TestReciprocity:
