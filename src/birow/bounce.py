@@ -9,11 +9,14 @@ bottom endpoints, and truncating the vertical path by its bottommost edge
 produces a pair of families with bases skewed left or right; the procedure
 is reversible.
 
-Each color's edges are two masks on the grid's ``point_bits`` layout,
-``east`` and ``north``, holding the bit of each edge's lower vertex: with
-W = s - jmin + 1 the east neighbour of bit b is b << W and the north
+``swap`` and ``unswap`` take and return each family as its masks, the three
+ints ``(cover, east, north)`` on the grid's ``point_bits`` layout: the points
+its paths cover, and the lower vertex of each of its east and north edges.
+With W = s - jmin + 1 the east neighbour of bit b is b << W and the north
 neighbour b << 1.  A flip may hand a color an edge it already holds, so a
-color under a swap also keeps the mask of edges it holds twice.
+color under a swap also keeps the mask of edges it holds twice.  An image is
+checked by walking these bits from each source, and no path object is built
+for it; each region's sources, sinks and twigs are turned into bits once.
 
 The boundary-hugging variant runs the same machinery on an enlarged grid
 whose extreme paths are pinned to the leftmost/rightmost routes; weights
@@ -24,8 +27,8 @@ uncovered members inside it, (u_b & u_r, u_b ^ u_r) is an overlay's weight.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
@@ -37,27 +40,13 @@ from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
 ColoredEdge = Tuple[str, GridPoint, GridPoint]
-Edges = Tuple[int, int]  # one color's (east, north) edge masks
+Masks = Tuple[int, int, int]  # one family's (cover, east, north) point_bits masks
 Step = Tuple[bool, int, int]  # (upward, direction: 0 east or 1 north, lower vertex bit)
-
-
-@dataclass(frozen=True)
-class ColoredOverlay:
-    blue: NilpFamily
-    red: NilpFamily
-    # Each color's edge masks, derived from its family.
-    blue_edges: Edges = field(compare=False, repr=False)
-    red_edges: Edges = field(compare=False, repr=False)
-
-    def edge_colors(self) -> List[ColoredEdge]:
-        out: List[ColoredEdge] = []
-        for color, fam in (("blue", self.blue), ("red", self.red)):
-            for p in fam.paths:
-                out.extend((color, a, b) for a, b in p.edges())
-        return out
-
-    def key(self):
-        return (self.blue.key(), self.red.key())
+Taken = Tuple[Tuple[int, int], Tuple[int, int]]  # the (east, north) edges taken of up, of down
+# A color under a swap is the masks [east, north, east twice, north twice],
+# and the colors are indexed blue 0, red 1.
+_BLUE, _RED = 0, 1
+_COLOR_NAMES = ("blue", "red")
 
 
 # For each side: the index of the blue source where the vertical bounce path
@@ -68,8 +57,7 @@ _SIDES = {"left": (0, (1, 0), (0, 1)), "right": (-1, (0, 1), (1, 0))}
 
 @functools.lru_cache(maxsize=None)
 def _points(g: RectPoset) -> List[GridPoint]:
-    """The grid's points in bit order.  Rebuilt paths take their vertices
-    from here, so the image keys a check keeps share one tuple per point."""
+    """The grid's points in bit order."""
     return list(point_bits(g))
 
 
@@ -88,8 +76,8 @@ def _mask(g: RectPoset, points) -> int:
     return sum(map(point_bits(g).__getitem__, points))
 
 
-def _edge_masks(fam: NilpFamily) -> Edges:
-    """Validate the family against its region and return its edge masks."""
+def _masks(fam: NilpFamily) -> Masks:
+    """Validate the family against its region and return its masks."""
     region = fam.region
     if len(fam.paths) != region.k:
         raise MalformedOverlay(f"expected {region.k} paths, got {len(fam.paths)}")
@@ -110,7 +98,13 @@ def _edge_masks(fam: NilpFamily) -> Edges:
             if d not in (0, 1) or b != (a[0] + 1 - d, a[1] + d):
                 raise MalformedOverlay(f"step from {a} to {b} is not a unit step")
             edges[d] |= bits[a]
-    return edges[0], edges[1]
+    return mask, edges[0], edges[1]
+
+
+def _edge_colors(blue: NilpFamily, red: NilpFamily) -> List[ColoredEdge]:
+    """The overlay's edges with their colors, as a witness names them."""
+    return [(color, a, b) for color, fam in (("blue", blue), ("red", red))
+            for p in fam.paths for a, b in p.edges()]
 
 
 def _check_companions(br: Region, rr: Region):
@@ -118,102 +112,170 @@ def _check_companions(br: Region, rr: Region):
         raise MalformedOverlay("red region is not the (+1,+1) companion of the blue region")
 
 
-def _traverse(v: int, w: int, up: List[int], down: List[int]) -> Tuple[int, List[Step]]:
+@dataclass(frozen=True)
+class _Plan:
+    """A region's constants on its grid's point_bits layout, taken once per
+    region: the column width w, the sources and the sinks as bits, the
+    number of edges of each of its families, the points one rank above the
+    sources (where the horizontal bounce path of a blue family of the region
+    ends) and the twig sources (every source but the first and the last)."""
+    region: Region
+    w: int
+    sources: Tuple[int, ...]
+    sinks: Tuple[int, ...]
+    source_mask: int
+    sink_mask: int
+    edges: int
+    above: int
+    twigs: int
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(region: Region) -> _Plan:
+    g = region.poset
+    bits = point_bits(g)
+    sources = tuple(map(bits.__getitem__, region.sources))
+    sinks = tuple(map(bits.__getitem__, region.sinks))
+    edges = sum(sum(t) - sum(u) for u, t in zip(region.sources, region.sinks))
+    rank = region.m + region.n + region.k
+    return _Plan(region, g.s - g.jmin + 1, sources, sinks, sum(sources), sum(sinks), edges,
+                 _mask(g, (p for p in g.members() if sum(p) == rank)), sum(sources[1:-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _image(br: Region, side: str) -> Tuple[_Plan, _Plan]:
+    """The blue and red regions of a swap's image on the given side."""
+    _, (bi, bj), (ri, rj) = _SIDES[side]
+    g = br.poset
+    return (_plan(g.hexagon(br.m + bi, br.n + bj, br.k)),
+            _plan(g.hexagon(br.m + ri, br.n + rj, br.k - 1)))
+
+
+def _traverse(v: int, w: int, up: List[int], down: List[int]
+              ) -> Tuple[int, List[Step], Taken]:
     """Bounce traversal from the bit v on a grid of column width w: free
     (east, north) edges of ``up`` upward and of ``down`` downward, reversing
-    whenever possible.  Clears the edges taken; returns the end and steps."""
+    whenever possible, east before north.  Clears the edges taken; returns
+    the end, the steps and the edges taken of up and of down."""
+    (up_e, up_n), (down_e, down_n) = up, down
     steps: List[Step] = []
     going_up = True
     while True:
-        for upward, d in ((not going_up, 0), (not going_up, 1), (going_up, 0), (going_up, 1)):
-            shift = 1 if d else w
-            low = v if upward else v >> shift
-            free = up if upward else down
-            if free[d] & low:
-                break
+        if going_up and down_e & (v >> w):
+            v >>= w
+            down_e ^= v
+            steps.append((False, 0, v))
+            going_up = False
+        elif going_up and down_n & (v >> 1):
+            v >>= 1
+            down_n ^= v
+            steps.append((False, 1, v))
+            going_up = False
+        elif up_e & v:
+            up_e ^= v
+            steps.append((True, 0, v))
+            v <<= w
+            going_up = True
+        elif up_n & v:
+            up_n ^= v
+            steps.append((True, 1, v))
+            v <<= 1
+            going_up = True
+        elif down_e & (v >> w):
+            v >>= w
+            down_e ^= v
+            steps.append((False, 0, v))
+        elif down_n & (v >> 1):
+            v >>= 1
+            down_n ^= v
+            steps.append((False, 1, v))
         else:
-            return v, steps
-        free[d] ^= low
-        steps.append((upward, d, low))
-        v, going_up = (low << shift if upward else low), upward
+            break
+    taken = ((up[0] ^ up_e, up[1] ^ up_n), (down[0] ^ down_e, down[1] ^ down_n))
+    up[:], down[:] = (up_e, up_n), (down_e, down_n)
+    return v, steps, taken
 
 
-def _bounce(o: ColoredOverlay) -> Tuple[str, List[Step], List[Step]]:
+def _bounce(plan: _Plan, blue: Masks, red: Masks) -> Tuple[str, List[Step], List[Step], Taken]:
     """Run the two bounce traversals, from the leftmost source first exactly
     when the leftmost blue path starts east, and classify them: the side,
-    the vertical and the horizontal bounce path."""
-    br = o.blue.region
-    g = br.poset
-    bits = point_bits(g)
-    starts = (br.sources[0], br.sources[-1])
-    if not o.blue_edges[0] & bits[starts[0]]:
+    the vertical and the horizontal bounce path, and the edges the
+    horizontal one took."""
+    g = plan.region.poset
+    starts = (plan.sources[0], plan.sources[-1])
+    if not blue[1] & starts[0]:
         starts = starts[::-1]
-    up, down = list(o.blue_edges), list(o.red_edges)
-    sinks = _mask(g, br.sinks)
-    bottom_rank = br.m + br.n + br.k  # the red-source rank
-    vertical = horizontal = v_start = None
+    up, down = list(blue[1:]), list(red[1:])
+    vertical = horizontal = v_start = h_taken = None
     for start in starts:
-        term, steps = _traverse(bits[start], g.s - g.jmin + 1, up, down)
-        if steps and term & sinks:
+        term, steps, taken = _traverse(start, plan.w, up, down)
+        if steps and term & plan.sink_mask:
             if vertical is not None:
                 raise MalformedOverlay("two vertical bounce paths")
             vertical, v_start = steps, start
-        elif not steps or sum(_point(g, term)) == bottom_rank:
+        elif not steps or term & plan.above:
             if horizontal is not None:
                 raise MalformedOverlay("two horizontal bounce paths")
-            horizontal = steps
+            horizontal, h_taken = steps, taken
         else:
             raise MalformedOverlay(f"bounce path ends at internal vertex {_point(g, term)}")
     if vertical is None or horizontal is None:
         raise MalformedOverlay("missing vertical or horizontal bounce path")
     upward, d, low = vertical[0]
-    if not upward or low != bits[v_start]:
+    if not upward or low != v_start:
         raise MalformedOverlay("vertical bounce path does not start upward from its source")
     # The truncated vertical must supply the one new blue source of the
     # skewed base: leftmost start stepping east, or rightmost stepping north.
     # The other pairing cannot be completed consistently.
     side = next((name for name, (src, blue_step, _) in _SIDES.items()
-                 if v_start == br.sources[src] and (1 - d, d) == blue_step), None)
+                 if v_start == plan.sources[src] and (1 - d, d) == blue_step), None)
     if side is None:
         raise MalformedOverlay("vertical bounce path start and direction disagree")
-    return side, vertical, horizontal
+    return side, vertical, horizontal, h_taken
 
 
-def _move(g: RectPoset, colors: Dict[str, List[int]], d: int, bits: int, frm, to):
+def _move(g: RectPoset, colors: List[List[int]], d: int, bits: int,
+          frm: Optional[int], to: Optional[int]):
     """Move one instance of each direction-d edge in bits from the color frm
-    to the color to (None: outside the overlay).  A color is the masks
-    [east, north, east twice, north twice]."""
-    if frm:
+    to the color to (None: outside the overlay)."""
+    if frm is not None:
         c = colors[frm]
         missing = bits & ~c[d]
         if missing:
-            raise MalformedOverlay(f"edge {_edge(g, d, missing)} carries no {frm} instance to flip")
+            raise MalformedOverlay(f"edge {_edge(g, d, missing)} carries no "
+                                   f"{_COLOR_NAMES[frm]} instance to flip")
         twice = c[d + 2] & bits
         c[d + 2] ^= twice
         c[d] ^= bits ^ twice
-    if to:
+    if to is not None:
         c = colors[to]
         c[d + 2] |= c[d] & bits
         c[d] |= bits
 
 
-def _flip(g: RectPoset, colors, steps: List[Step], twigs: List[int], up: str, down: str):
-    """Flip a bounce path walking up upward and down downward, then up's twigs."""
-    for upward, d, low in steps:
-        _move(g, colors, d, low, *((up, down) if upward else (down, up)))
+def _flip(g: RectPoset, colors, taken: Taken, twigs: List[int], up: int, down: int):
+    """Flip a bounce path that took the edges taken of the color up upward
+    and of the color down downward, then up's twigs.  Each edge instance
+    taken was held by its color and is taken once, so the path moves them
+    all at once; the colors hold no edge twice before it."""
+    cu, cd = colors[up], colors[down]
+    for d in (0, 1):
+        x, y = taken[0][d], taken[1][d]
+        kept_u, kept_d = cu[d] & ~x, cd[d] & ~y
+        cu[d], cu[d + 2] = kept_u | y, kept_u & y
+        cd[d], cd[d + 2] = kept_d | x, kept_d & x
     for d in (0, 1):
         _move(g, colors, d, twigs[d], up, down)
 
 
-def _rebuild(colors: Dict[str, List[int]], br: Region, rr: Region) -> ColoredOverlay:
-    """The overlay whose blue and red families, of the regions br and rr,
+def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Masks, Masks]:
+    """The masks of the blue and red families, of the target regions, that
     run along the colors' edges.  Walks that end at their sinks are monotone
     routes inside the region, and no two meet: no vertex has two edges in or
     out, and the sinks are distinct."""
-    g = br.poset
-    w, bits, points = g.s - g.jmin + 1, point_bits(g), _points(g)
-    fams, edges = [], []
-    for (east, north, east2, north2), region in zip(colors.values(), (br, rr)):
+    out_masks = []
+    for (east, north, east2, north2), plan in zip(colors, targets):
+        g, w = plan.region.poset, plan.w
         if east2 | north2:
             raise MalformedOverlay(f"edge {_edge(g, 0 if east2 else 1, east2 or north2)} "
                                    f"carries a color twice after the swap")
@@ -221,76 +283,85 @@ def _rebuild(colors: Dict[str, List[int]], br: Region, rr: Region) -> ColoredOve
             raise MalformedOverlay(f"two edges leave {_point(g, east & north)}")
         if (east << w) & (north << 1):
             raise MalformedOverlay(f"two edges enter {_point(g, (east << w) & (north << 1))}")
-        out, paths = east | north, []
-        for src, snk in zip(region.sources, region.sinks):
-            v = bits[src]
-            t = v.bit_length() - 1
-            verts = [points[t]]
+        out = east | north
+        for src, snk in zip(plan.sources, plan.sinks):
+            v = src
             while v & out:
-                v, t = (v << w, t + w) if v & east else (v << 1, t + 1)
-                verts.append(points[t])
-            if verts[-1] != snk:
-                raise MalformedOverlay(f"path from {src} ends at {verts[-1]}, expected {snk}")
-            paths.append(LatticePath(tuple(verts)))
-        if sum(len(p.vertices) - 1 for p in paths) != bin(out).count("1"):
+                v = v << w if v & east else v << 1
+            if v != snk:
+                raise MalformedOverlay(f"path from {_point(g, src)} ends at {_point(g, v)}, "
+                                       f"expected {_point(g, snk)}")
+        # Walks from distinct sources to distinct sinks share no edge, so
+        # they took the region's number of edges.
+        if out.bit_count() != plan.edges:
             raise MalformedOverlay("leftover edges after path reconstruction")
         # Every covered point but a sink is the lower vertex of an edge.
-        fams.append(NilpFamily(region, tuple(paths), out | _mask(g, region.sinks)))
-        edges.append((east, north))
-    return ColoredOverlay(*fams, *edges)
+        out_masks.append((out | plan.sink_mask, east, north))
+    return out_masks[0], out_masks[1]
 
 
-def swap(o: ColoredOverlay) -> Tuple[str, ColoredOverlay]:
-    side, vertical, horizontal = _bounce(o)
-    br = o.blue.region
-    g = br.poset
-    colors = {"blue": [*o.blue_edges, 0, 0], "red": [*o.red_edges, 0, 0]}
-    twig_sources = _mask(g, br.sources[1:-1])
-    _flip(g, colors, horizontal, [e & twig_sources for e in o.blue_edges], "blue", "red")
+def swap(region: Region, blue: Masks, red: Masks) -> Tuple[str, Masks, Masks]:
+    """The image of the overlay of ``blue``, a family of ``region``, and
+    ``red``, a family of its (+1,+1) companion: the side its bases are skewed
+    to, and its blue and red masks."""
+    plan = _plan(region)
+    side, vertical, _, taken = _bounce(plan, blue, red)
+    g = region.poset
+    colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
+    _flip(g, colors, taken, [blue[1] & plan.twigs, blue[2] & plan.twigs], _BLUE, _RED)
     _, d, low = vertical[0]
-    if not colors["blue"][d] & low:
+    if not colors[_BLUE][d] & low:
         raise MalformedOverlay("truncation target edge is not blue")
-    _move(g, colors, d, low, "blue", None)
-    _, (bi, bj), (ri, rj) = _SIDES[side]
-    return side, _rebuild(colors, g.hexagon(br.m + bi, br.n + bj, br.k),
-                          g.hexagon(br.m + ri, br.n + rj, br.k - 1))
+    _move(g, colors, d, low, _BLUE, None)
+    return (side, *_rebuild(colors, _image(region, side)))
 
 
-def unswap(side: str, o2: ColoredOverlay) -> ColoredOverlay:
+@functools.lru_cache(maxsize=None)
+def _preimage(side: str, region: Region):
+    """What unswap needs of an image on the given side whose blue region is
+    ``region``: its plan, the vertical and the mirror bounce starts, the red
+    twig sources, the direction and the bit of the truncated edge, and the
+    plans of the preimage's blue and red regions."""
     if side not in _SIDES:
         raise PreconditionViolated(f"bad side {side!r}")
     src, (bi, bj), (ri, rj) = _SIDES[side]
-    br2, rr2 = o2.blue.region, o2.red.region
-    g, k = br2.poset, br2.k
-    m, n = br2.m - bi, br2.n - bj
-    if (rr2.m, rr2.n, rr2.k) != (m + ri, n + rj, k - 1):
-        raise MalformedOverlay("red region base does not match the given side")
-    bits, w = point_bits(g), g.s - g.jmin + 1
-    v_start = br2.sources[src]
+    g, k = region.poset, region.k
+    m, n = region.m - bi, region.n - bj
+    red_sources = g.hexagon(m + ri, n + rj, k - 1).sources
+    v_start = region.sources[src]
     # The mirror bounce path starts at the red source at the other end.
-    h_start = rr2.sources[~src] if k >= 2 else None
-    twig_sources = _mask(g, [s for s in rr2.sources if s != h_start])
-    twigs = [e & twig_sources for e in o2.red_edges]
-    blue_free, red_free = list(o2.blue_edges), list(o2.red_edges)
-    vterm, vsteps = _traverse(bits[v_start], w, blue_free, red_free)
-    if not vsteps or not vterm & _mask(g, br2.sinks):
-        raise MalformedOverlay("vertical bounce path does not reach the top")
-    hsteps: List[Step] = []
-    if h_start is not None:
-        hterm, hsteps = _traverse(bits[h_start], w, red_free, blue_free)
-        if not hterm & _mask(g, br2.sources):
-            raise MalformedOverlay(f"mirror bounce path ends at {_point(g, hterm)}")
-    colors = {"blue": [*o2.blue_edges, 0, 0], "red": [*o2.red_edges, 0, 0]}
-    _flip(g, colors, hsteps, twigs, "red", "blue")
+    h_start = red_sources[~src] if k >= 2 else None
     blue_target = g.hexagon(m, n, k)
-    missing = [p for p in blue_target.sources if p not in set(rr2.sources)]
+    missing = [p for p in blue_target.sources if p not in red_sources]
     if len(missing) != 1:
         raise MalformedOverlay("cannot locate the truncated source position")
     p0 = missing[0]
     if (v_start[0] - p0[0], v_start[1] - p0[1]) not in ((1, 0), (0, 1)):
         raise MalformedOverlay(f"{p0} is not adjacent below {v_start}")
-    _move(g, colors, v_start[1] - p0[1], bits[p0], None, "blue")
-    return _rebuild(colors, blue_target, g.hexagon(m + 1, n + 1, k - 1))
+    bits = point_bits(g)
+    return (_plan(region), bits[v_start], None if h_start is None else bits[h_start],
+            _mask(g, [s for s in red_sources if s != h_start]), v_start[1] - p0[1], bits[p0],
+            (_plan(blue_target), _plan(g.hexagon(m + 1, n + 1, k - 1))))
+
+
+def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, Masks]:
+    """The inverse of swap: the blue and red masks of the overlay whose image
+    on the given side is ``blue``, a family of ``region``, and ``red``."""
+    plan, v_start, h_start, twigs, d, p0, targets = _preimage(side, region)
+    g, w = region.poset, plan.w
+    blue_free, red_free = list(blue[1:]), list(red[1:])
+    vterm, vsteps, _ = _traverse(v_start, w, blue_free, red_free)
+    if not vsteps or not vterm & plan.sink_mask:
+        raise MalformedOverlay("vertical bounce path does not reach the top")
+    taken: Taken = ((0, 0), (0, 0))
+    if h_start is not None:
+        hterm, _, taken = _traverse(h_start, w, red_free, blue_free)
+        if not hterm & plan.source_mask:
+            raise MalformedOverlay(f"mirror bounce path ends at {_point(g, hterm)}")
+    colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
+    _flip(g, colors, taken, [red[1] & twigs, red[2] & twigs], _RED, _BLUE)
+    _move(g, colors, d, p0, None, _BLUE)
+    return _rebuild(colors, targets)
 
 
 def _forced_path(region: Region, l: int, leftmost: bool) -> LatticePath:
@@ -384,41 +455,47 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     def inside(region: Region) -> int:
         return _mask(region.poset, _inside(region, poset))
 
-    # The regions and each family of B and R are validated once; each family
-    # is keyed and weighed once.
+    # The regions and each family are validated, masked and weighed once.
+    # The images a side may take are its blue families times its red ones.
+    # Each side's image regions are looked up, and their members inside the
+    # rectangle masked, at the first image on that side.
     if B and R:
         _check_companions(B[0].region, R[0].region)
-    reds = [(r, r.key(), _edge_masks(r), inside(r.region) & ~r.mask) for r in R]
-    left_keys = {(b.key(), r.key()) for b in L1 for r in L2}
-    right_keys = {(b.key(), r.key()) for b in R1 for r in R2}
+    blues, reds = ([(f, _masks(f), inside(f.region) & ~f.mask) for f in fams] for fams in (B, R))
+    targets = {side: tuple({_masks(f) for f in fams} for fams in pair)
+               for side, pair in (("left", (L1, L2)), ("right", (R1, R2)))}
+    sides: Dict[str, Tuple[Region, int, int]] = {}
     images = set()
-    for b in B:
-        b_key, b_edges, u_b = b.key(), _edge_masks(b), inside(b.region) & ~b.mask
-        for rfam, r_key, r_edges, u_r in reds:
-            o = ColoredOverlay(b, rfam, b_edges, r_edges)
+    for b, b_masks, u_b in blues:
+        for rfam, r_masks, u_r in reds:
             try:
-                side, o2 = swap(o)
+                side, blue2, red2 = swap(b.region, b_masks, r_masks)
             except MalformedOverlay as e:
-                rep.fail({"stage": "swap", "overlay": o.edge_colors(), "error": str(e)})
+                rep.fail({"stage": "swap", "overlay": _edge_colors(b, rfam), "error": str(e)})
                 continue
             rep.trials += 1
-            key = o2.key()
-            target = left_keys if side == "left" else right_keys
-            if key not in target:
-                rep.fail({"stage": "membership", "side": side, "overlay": o.edge_colors()})
-            if key in images:
-                rep.fail({"stage": "injectivity", "overlay": o.edge_colors()})
-            images.add(key)
-            v_b, v_r = (inside(f.region) & ~f.mask for f in (o2.blue, o2.red))
+            image = (blue2, red2)
+            target_blues, target_reds = targets[side]
+            if blue2 not in target_blues or red2 not in target_reds:
+                rep.fail({"stage": "membership", "side": side,
+                          "overlay": _edge_colors(b, rfam)})
+            if image in images:
+                rep.fail({"stage": "injectivity", "overlay": _edge_colors(b, rfam)})
+            images.add(image)
+            if side not in sides:
+                blue_plan, red_plan = _image(b.region, side)
+                sides[side] = (blue_plan.region, inside(blue_plan.region),
+                               inside(red_plan.region))
+            region2, in_b, in_r = sides[side]
+            v_b, v_r = in_b & ~blue2[0], in_r & ~red2[0]
             w_in, w_out = (u_b & u_r, u_b ^ u_r), (v_b & v_r, v_b ^ v_r)
             if w_in != w_out:
-                rep.fail({"stage": "weight", "overlay": o.edge_colors(),
+                rep.fail({"stage": "weight", "overlay": _edge_colors(b, rfam),
                           "observed": _render_weight(grid, *w_out),
                           "expected": _render_weight(grid, *w_in)})
             try:
-                back = unswap(side, o2)
-                if back.key() != (b_key, r_key):
-                    rep.fail({"stage": "round-trip", "overlay": o.edge_colors()})
+                if unswap(side, region2, blue2, red2) != (b_masks, r_masks):
+                    rep.fail({"stage": "round-trip", "overlay": _edge_colors(b, rfam)})
             except MalformedOverlay as e:
-                rep.fail({"stage": "unswap", "overlay": o.edge_colors(), "error": str(e)})
+                rep.fail({"stage": "unswap", "overlay": _edge_colors(b, rfam), "error": str(e)})
     return rep

@@ -170,6 +170,8 @@ def _ledger(a) -> list:
 def _plucker(a) -> list:
     if a.i is None or a.j is None or a.k is None:
         raise BirowError("--i, --j and --k are required for the plucker check")
+    _check_range("i", a.i, 0, a.r)
+    _check_range("j", a.j, 0, a.s)
     return [plucker_check(RectPoset(a.r, a.s), a.i, a.j, a.k)]
 
 

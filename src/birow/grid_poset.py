@@ -135,6 +135,15 @@ class Region:
     sources: Tuple[GridPoint, ...]
     sinks: Tuple[GridPoint, ...]
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.poset, self.m, self.n, self.k))
+
+    def __hash__(self) -> int:
+        # Regions key the caches that swap and unswap look up once per
+        # overlay; the base and order determine the other fields.
+        return self._hash
+
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def build(poset: RectPoset, m: int, n: int, k: int) -> "Region":

@@ -8,19 +8,38 @@ from typing import Tuple
 import pytest
 
 from birow import bounce
-from birow.bounce import (_SIDES, ColoredEdge, ColoredOverlay, Edge, _bounce,
-                          _check_companions, _edge, _edge_masks, hugging_families,
-                          plucker_check, swap, unswap)
+from birow.bounce import (_SIDES, ColoredEdge, Edge, Masks, _bounce, _check_companions, _edge,
+                          _edge_colors, _image, _masks, _plan, _rebuild,
+                          hugging_families, plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
-from birow.grid_poset import RectPoset
+from birow.grid_poset import RectPoset, Region
 from birow.nilp import LatticePath, NilpFamily, enum_nilp, phi, point_bits, uncovered_sum
 
-def make_overlay(blue: NilpFamily, red: NilpFamily) -> ColoredOverlay:
-    """The overlay of blue and red, validated as plucker_check validates it."""
+
+def overlay_masks(blue: NilpFamily, red: NilpFamily) -> Tuple[Masks, Masks]:
+    """The masks of the overlay of blue and red, validated as plucker_check
+    validates them."""
     _check_companions(blue.region, red.region)
-    return ColoredOverlay(blue, red, _edge_masks(blue), _edge_masks(red))
+    return _masks(blue), _masks(red)
+
+
+def family(region: Region, masks: Masks) -> NilpFamily:
+    """The family of the region with the given (cover, east, north) masks,
+    its paths walked from the sources along the edge bits."""
+    bits = point_bits(region.poset)
+    point = {b: p for p, b in bits.items()}
+    cover, east, north = masks
+    w = region.poset.s - region.poset.jmin + 1
+    paths = []
+    for src in region.sources:
+        v, verts = bits[src], [src]
+        while v & (east | north):
+            v = v << w if v & east else v << 1
+            verts.append(point[v])
+        paths.append(LatticePath(tuple(verts)))
+    return NilpFamily(region, tuple(paths), cover)
 
 
 @dataclass(frozen=True)
@@ -31,14 +50,20 @@ class BounceDecomposition:
     side: str  # "left" or "right"
 
 
-def decompose(o: ColoredOverlay) -> BounceDecomposition:
+def decompose(blue: NilpFamily, red: NilpFamily) -> BounceDecomposition:
     """The overlay's bitmask bounce paths as colored edges, its twigs and
-    its side, for comparison with the Counter reference below."""
-    side, vertical, horizontal = _bounce(o)
-    g = o.blue.region.poset
+    its side, for comparison with the Counter reference below.  The edges
+    the horizontal path took, which its flip moves, are checked against its
+    steps."""
+    side, vertical, horizontal, taken = _bounce(_plan(blue.region), *overlay_masks(blue, red))
+    by_step = [[0, 0], [0, 0]]
+    for upward, d, low in horizontal:
+        by_step[not upward][d] |= low
+    assert [list(t) for t in taken] == by_step
+    g = blue.region.poset
     paths = [tuple(("blue" if upward else "red", *_edge(g, d, low)) for upward, d, low in steps)
              for steps in (vertical, horizontal)]
-    twigs = tuple((p.vertices[0], p.vertices[1]) for p in o.blue.paths[1:-1])
+    twigs = tuple((p.vertices[0], p.vertices[1]) for p in blue.paths[1:-1])
     return BounceDecomposition(*paths, twigs, side)
 
 
@@ -74,14 +99,13 @@ def test_overlay_and_decompose_shapes():
     p = RectPoset(3, 2)
     blue = enum_nilp(p.hexagon(1, 0, 2))
     red = enum_nilp(p.hexagon(2, 1, 1))
-    o = make_overlay(blue[0], red[0])
-    d = decompose(o)
+    d = decompose(blue[0], red[0])
     assert d.side in ("left", "right")
     color, frm, to = d.vertical[0]
-    assert color == "blue" and frm in o.blue.region.sources
-    assert d.vertical[-1][2] in o.blue.region.sinks
+    assert color == "blue" and frm in blue[0].region.sources
+    assert d.vertical[-1][2] in blue[0].region.sinks
     # bounce paths and twigs only use edge instances present in the overlay
-    overlay_edges = set(o.edge_colors())
+    overlay_edges = set(_edge_colors(blue[0], red[0]))
     for e in d.vertical + d.horizontal:
         assert e in overlay_edges
     for (u, w) in d.twigs:
@@ -92,11 +116,17 @@ def test_swap_round_trip_single_case():
     p = RectPoset(3, 2)
     blue = enum_nilp(p.hexagon(1, 0, 2))
     red = enum_nilp(p.hexagon(2, 1, 1))
-    o = make_overlay(blue[0], red[0])
-    side, o2 = swap(o)
-    assert (o2.blue.region.m, o2.blue.region.n) != (1, 0)
-    back = unswap(side, o2)
-    assert back.key() == o.key()
+    masks = overlay_masks(blue[0], red[0])
+    side, blue2, red2 = swap(blue[0].region, *masks)
+    blue_plan, red_plan = _image(blue[0].region, side)
+    assert (blue_plan.region.m, blue_plan.region.n) != (1, 0)
+    # The image masks are those of families of the skewed regions.
+    image = family(blue_plan.region, blue2), family(red_plan.region, red2)
+    assert image[0] in enum_nilp(blue_plan.region) and image[1] in enum_nilp(red_plan.region)
+    assert (_masks(image[0]), _masks(image[1])) == (blue2, red2)
+    back = unswap(side, blue_plan.region, blue2, red2)
+    assert back == masks
+    assert (family(blue[0].region, back[0]), family(red[0].region, back[1])) == (blue[0], red[0])
 
 
 def test_rejects_mismatched_overlay():
@@ -104,13 +134,13 @@ def test_rejects_mismatched_overlay():
     blue = enum_nilp(p.hexagon(1, 0, 2))
     red = enum_nilp(p.hexagon(1, 0, 2))
     with pytest.raises(MalformedOverlay):
-        make_overlay(blue[0], red[0])
+        overlay_masks(blue[0], red[0])
     # A path that skips a corner is a diagonal step, which no edge mask holds.
     path = blue[0].paths[0]
     jump = LatticePath(path.vertices[:1] + path.vertices[2:])
     bad = NilpFamily(blue[0].region, (jump,) + blue[0].paths[1:], blue[0].mask)
     with pytest.raises(MalformedOverlay, match="not a unit step"):
-        make_overlay(bad, enum_nilp(p.hexagon(2, 1, 1))[0])
+        overlay_masks(bad, enum_nilp(p.hexagon(2, 1, 1))[0])
 
 
 def test_hugging_families_conventions():
@@ -144,18 +174,20 @@ def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     # A swap that sends every overlay to one fixed image fails the weight
     # stage wherever an overlay's weight differs from the image's.
     p = RectPoset(3, 2)
-    overlays = [make_overlay(b, r) for b in enum_nilp(p.hexagon(1, 0, 1))
+    overlays = [(b, r) for b in enum_nilp(p.hexagon(1, 0, 1))
                 for r in enum_nilp(p.hexagon(2, 1, 0))]
-    side, image = swap(overlays[0])
-    monkeypatch.setattr(bounce, "swap", lambda o: (side, image))
+    region = overlays[0][0].region
+    side, *image = swap(region, *overlay_masks(*overlays[0]))
+    monkeypatch.setattr(bounce, "swap", lambda *overlay: (side, *image))
     rep = plucker_check(p, 2, 1, 1)
 
-    def weight(o):
-        return str(uncovered_sum([o.blue], o.blue.region.members)
-                   * uncovered_sum([o.red], o.red.region.members))
+    def weight(blue, red):
+        return str(uncovered_sum([blue], blue.region.members)
+                   * uncovered_sum([red], red.region.members))
 
-    want = [(o.edge_colors(), weight(image), weight(o)) for o in overlays
-            if weight(o) != weight(image)]
+    image_fams = [family(e.region, m) for e, m in zip(_image(region, side), image)]
+    want = [(_edge_colors(*o), weight(*image_fams), weight(*o)) for o in overlays
+            if weight(*o) != weight(*image_fams)]
     got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
            if w["stage"] == "weight"]
     assert want and got == want
@@ -337,7 +369,12 @@ def _overlays(poset, i, j, k):
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
     B, R = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
             for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
-    return [make_overlay(b, r) for b in B for r in R]
+    return [(b, r) for b in B for r in R]
+
+
+def _reference_masks(fam):
+    """A reference family's masks: its own cover and its edge masks."""
+    return (fam.mask, *_masks(fam)[1:])
 
 
 def test_bitmask_bijection_matches_the_counter_reference():
@@ -345,13 +382,140 @@ def test_bitmask_bijection_matches_the_counter_reference():
     for (r, s) in SMALL_GRIDS + [(4, 3)]:
         p = RectPoset(r, s)
         for (i, j, k) in _valid_queries(p):
-            for o in _overlays(p, i, j, k):
+            for blue, red in _overlays(p, i, j, k):
                 seen += 1
-                assert decompose(o) == _decompose(o.blue, o.red)
-                side, o2 = swap(o)
-                ref_side, blue2, red2 = _reference_swap(o.blue, o.red)
-                assert (side, o2.key(), o2.blue.mask, o2.red.mask) == \
-                    (ref_side, (blue2.key(), red2.key()), blue2.mask, red2.mask)
-                back = unswap(side, o2)
-                assert back.key() == tuple(f.key() for f in _reference_unswap(side, blue2, red2))
+                assert decompose(blue, red) == _decompose(blue, red)
+                side, blue2, red2 = swap(blue.region, *overlay_masks(blue, red))
+                ref_side, ref_blue2, ref_red2 = _reference_swap(blue, red)
+                assert (side, blue2, red2) == \
+                    (ref_side, _reference_masks(ref_blue2), _reference_masks(ref_red2))
+                back = unswap(side, ref_blue2.region, blue2, red2)
+                assert back == tuple(map(_reference_masks,
+                                         _reference_unswap(side, ref_blue2, ref_red2)))
     assert seen == 4643
+
+
+def _spied(monkeypatch, name, change):
+    """Rebind bounce.name to the real function with its result passed
+    through change(args, result)."""
+    real = getattr(bounce, name)
+    monkeypatch.setattr(bounce, name, lambda *args: change(args, real(*args)))
+
+
+def test_a_wrong_red_preimage_fails_the_round_trip(monkeypatch):
+    # unswap gives back the right blue family with another red one: every
+    # overlay fails the round trip, and nothing else.
+    p, (i, j, k) = RectPoset(3, 2), (2, 1, 2)
+    reds = [_masks(r) for _, r in _overlays(p, i, j, k)]
+    _spied(monkeypatch, "unswap",
+           lambda args, back: (back[0], next(m for m in reds if m != back[1])))
+    rep = plucker_check(p, i, j, k)
+    assert rep.trials == 36 and len(set(reds)) > 1
+    assert [(w["stage"], w["overlay"]) for w in rep.witnesses] == \
+        [("round-trip", _edge_colors(b, r)) for b, r in _overlays(p, i, j, k)]
+
+
+def test_an_image_on_the_other_side_fails_membership(monkeypatch):
+    # swap reports the other side for the same image: no image is among the
+    # families of that side, so every overlay fails membership there.
+    p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
+    other = {"left": "right", "right": "left"}
+    _spied(monkeypatch, "swap", lambda args, image: (other[image[0]], *image[1:]))
+    rep = plucker_check(p, i, j, k)
+    sides = [swap(b.region, *overlay_masks(b, r))[0] for b, r in _overlays(p, i, j, k)]
+    assert rep.trials == 6 and set(sides) == {"left", "right"}
+    assert [(w["side"], w["overlay"]) for w in rep.witnesses if w["stage"] == "membership"] == \
+        [(other[side], _edge_colors(b, r))
+         for side, (b, r) in zip(sides, _overlays(p, i, j, k))]
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_an_image_part_of_no_target_fails_membership(monkeypatch, part):
+    # swap keeps the side and one part of its image, but hands back the
+    # overlay's own family for the other part (1 blue, 2 red), a family of
+    # no image region: each overlay fails membership.
+    p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
+    _spied(monkeypatch, "swap",
+           lambda args, image: tuple(args[n] if n == part else x for n, x in enumerate(image)))
+    rep = plucker_check(p, i, j, k)
+    assert [w["overlay"] for w in rep.witnesses if w["stage"] == "membership"] == \
+        [_edge_colors(b, r) for b, r in _overlays(p, i, j, k)]
+
+
+def _regions(poset):
+    for m in range(poset.imin, poset.r + 1):
+        for n in range(poset.jmin, poset.s + 1):
+            for k in range(min(poset.r - m, poset.s - n) + 2):
+                yield poset.hexagon(m, n, k)
+
+
+def test_masks_name_each_family_and_walk_back_to_its_paths():
+    # On every hexagon region of the grids up to 5x5, and of one grid with
+    # negative lower bounds, each family's (cover, east, north) masks are
+    # distinct, and walking the edge bits from the sources gives back its
+    # paths and its cover.
+    grids = [RectPoset(r, s) for r in range(1, 6) for s in range(1, 6)] + [RectPoset(3, 2, -2, -1)]
+    families = 0
+    for g in grids:
+        for region in _regions(g):
+            fams = enum_nilp(region)
+            masks = [_masks(f) for f in fams]
+            assert len(set(masks)) == len(fams)
+            assert [family(region, m) for m in masks] == fams
+            families += len(fams)
+    assert families > 10 ** 4
+
+
+def _colors(region, masks):
+    return [[*m[1:], 0, 0] for m in masks], (_plan(region), _plan(region))
+
+
+def test_rebuild_rejects_each_malformed_image():
+    # Two copies of one family of a region (so the red color here is a
+    # family of the same region): each change to the edges of the blue copy
+    # breaks one rule that _rebuild checks.
+    region = RectPoset(3, 3).hexagon(0, 0, 2)
+    fam = enum_nilp(region)[4]
+    colors, targets = _colors(region, [_masks(fam)] * 2)
+    assert _rebuild(colors, targets) == (_masks(fam),) * 2
+    g = region.poset
+    bits = point_bits(g)
+    u2, v2 = fam.paths[0].edges()[-1]  # the last edge of path 0
+    d2 = v2[1] - u2[1]
+
+    def rejects(change, message):
+        colors, targets = _colors(region, [_masks(fam)] * 2)
+        change(colors[0])
+        with pytest.raises(MalformedOverlay, match=message):
+            _rebuild(colors, targets)
+
+    def add_twice(c):
+        c[d2 + 2] |= bits[u2]
+    rejects(add_twice, r"edge \(\(.*\)\) carries a color twice after the swap")
+
+    def add_other_direction(c):
+        c[1 - d2] |= bits[u2]
+    rejects(add_other_direction, rf"two edges leave \({u2[0]}, {u2[1]}\)")
+
+    def drop_last(c):
+        c[d2] ^= bits[u2]
+    rejects(drop_last, rf"path from \({fam.paths[0].vertices[0][0]}, "
+                       rf"{fam.paths[0].vertices[0][1]}\) ends at \({u2[0]}, {u2[1]}\), "
+                       rf"expected \({v2[0]}, {v2[1]}\)")
+
+    # A free edge into the sink of path 0 from its other side.
+    into = (v2[0] - d2, v2[1] - (1 - d2))
+    assert into not in fam.paths[0].vertices
+
+    def add_entering(c):
+        c[1 - d2] |= bits[into]
+    rejects(add_entering, rf"two edges enter \({v2[0]}, {v2[1]}\)")
+
+    # An edge between two points no path covers, touching no path.
+    free = next((p, e) for p in g.members() for e in (0, 1)
+                if (q := (p[0] + 1 - e, p[1] + e)) in region.members
+                and not (bits[p] | bits[q]) & fam.mask)
+
+    def add_leftover(c):
+        c[free[1]] |= bits[free[0]]
+    rejects(add_leftover, "leftover edges after path reconstruction")

@@ -226,6 +226,14 @@ class TestVerify:
                            "--i", "1", "--j", "0", "--k", "2")
         assert code == 2
 
+    def test_plucker_query_off_the_grid_names_the_flag(self, capsys):
+        for flags, message in ((("--i", "9", "--j", "3"), "--i value 9 outside [0, 4]"),
+                               (("--i", "-1", "--j", "3"), "--i value -1 outside [0, 4]"),
+                               (("--i", "3", "--j", "5"), "--j value 5 outside [0, 4]")):
+            code, out, err = run(capsys, "verify", "plucker", "--r", "4", "--s", "4",
+                                 *flags, "--k", "3")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_every_flag_a_check_does_not_read_is_a_usage_error(self, capsys):
         # Every check against every optional verify flag: an unread flag
         # exits 2 with its name on stderr and nothing on stdout; a read one

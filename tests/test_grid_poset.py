@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birow.errors import HypothesisViolated, OutOfRange
-from birow.grid_poset import RectPoset, parse_point_key, point_key
+from birow.grid_poset import RectPoset, Region, parse_point_key, point_key
 
 grids = st.tuples(st.integers(min_value=0, max_value=5),
                   st.integers(min_value=0, max_value=5))
@@ -114,3 +114,14 @@ class TestHexagon:
         assert len(big.members()) == 7 * 6
         assert big.contains((-3, -2)) and not big.contains((-5, 0))
         assert big.hexagon(-2, -1, 1).sinks == ((2, 1),)
+
+    def test_equal_regions_hash_alike(self):
+        # A region built apart from the shared one is equal to it and keys
+        # the same dict entry; regions on other bases or orders do not.
+        p = RectPoset(3, 2)
+        shared = p.hexagon(1, 0, 2)
+        apart = Region(RectPoset(3, 2), 1, 0, 2, frozenset(shared.members),
+                       shared.sources, shared.sinks)
+        assert apart is not shared and apart == shared and hash(apart) == hash(shared)
+        table = {shared: "shared", p.hexagon(1, 0, 1): "order 1", p.hexagon(0, 0, 2): "base"}
+        assert table[apart] == "shared" and len(table) == 3
