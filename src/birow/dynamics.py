@@ -25,6 +25,9 @@ or a Fraction labeling with a zero or negative label) composes
 ``toggle_birational``; the value protocol is the same for both.
 ``rowmotion_inverse`` takes the same toggles, or the same sweep, from
 bottom to top: each toggle is an involution, so this is exactly rho^-1.
+``light_cone`` yields rank m-1 of rho^m f for m = 1, ..., r+s+1, taking at
+step m only the toggles of the ranks >= m-1, on which those labels depend,
+over the same sweep or the same composed toggles.
 
 ``Labeling.to_json`` and ``from_json`` round-trip every labeling of one
 value type: mode "rational", "symbolic" or "pl" (MaxPlus values, written as
@@ -287,10 +290,21 @@ def _cancel(x: int, y: int) -> Tuple[int, int]:
     return (x // g, y // g) if g > 1 else (x, y)
 
 
-def _sweep(f: Labeling, step: int) -> Labeling:
-    """Rowmotion (step 1) or its inverse (step -1) of a labeling whose
-    bottom, top and labels are all positive Fractions, toggled on int pairs
-    in linear_extension_desc order or in the reverse order.
+def _pairs(f: Labeling, slot: Dict[GridPoint, int]) -> Tuple[List[int], List[int]]:
+    """The numerators and denominators of f's labels by slot, then those of
+    its bottom and its top."""
+    num = [0] * (len(slot) + 2)
+    den = num[:]
+    for p, x in f.values.items():
+        num[slot[p]], den[slot[p]] = x.numerator, x.denominator
+    num[-2], den[-2] = f.bottom.numerator, f.bottom.denominator
+    num[-1], den[-1] = f.top.numerator, f.top.denominator
+    return num, den
+
+
+def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> None:
+    """The toggles of plan's entries in order, on positive labels held as
+    coprime int pairs in num and den.
 
     The toggle at a point labelled n/d, with lower sum a/b and reciprocal
     sum P/Q of its upper covers, gives (a d Q) / (b n P).  The pairs a/b,
@@ -299,14 +313,7 @@ def _sweep(f: Labeling, step: int) -> Labeling:
     share most are cancelled first, so the later gcds run on smaller ints:
     along random 15x15 orbits Q and b share about nine tenths of their
     bits, and a and n, and d and P, about half."""
-    slot, plan = _sweep_plan(f.poset)
-    num = [0] * (len(slot) + 2)
-    den = num[:]
-    for p, x in f.values.items():
-        num[slot[p]], den[slot[p]] = x.numerator, x.denominator
-    num[-2], den[-2] = f.bottom.numerator, f.bottom.denominator
-    num[-1], den[-1] = f.top.numerator, f.top.denominator
-    for k, w, lower, z, upper in plan[::step]:
+    for k, w, lower, z, upper in plan:
         a, b = num[w], den[w]
         for w in lower:
             a, b = _add(a, b, num[w], den[w])
@@ -321,8 +328,54 @@ def _sweep(f: Labeling, step: int) -> Labeling:
         a, P = _cancel(a, P)
         Q, n = _cancel(Q, n)
         num[k], den[k] = a * d * Q, b * n * P
+
+
+def _sweep(f: Labeling, step: int) -> Labeling:
+    """Rowmotion (step 1) or its inverse (step -1) of a labeling whose
+    bottom, top and labels are all positive Fractions, toggled on int pairs
+    in linear_extension_desc order or in the reverse order."""
+    slot, plan = _sweep_plan(f.poset)
+    num, den = _pairs(f, slot)
+    _toggle_pairs(num, den, plan[::step])
     values = {p: Fraction(_Coprime(num[slot[p]], den[slot[p]])) for p in f.values}
     return Labeling(f.poset, values, f.bottom, f.top)
+
+
+def light_cone(f: Labeling) -> Iterator[Dict[GridPoint, Value]]:
+    """For m = 1, ..., r+s+1, yield the labels of rho^m f on rank m-1, the
+    points (i, j) with i + j = m-1, toggling only what they depend on.
+
+    Rowmotion toggles from the top rank down, so the toggle at a point of
+    rank k reads its upper covers already toggled and its lower covers not
+    yet: rho^m f on rank k depends on rho^m f on rank k+1 and rho^(m-1) f on
+    ranks k and k-1.  So rho^m f on the ranks >= m-1 depends only on
+    rho^(m-1) f on the ranks >= m-2, and step m toggles only the points of
+    rank >= m-1, a prefix of linear_extension_desc.  The ranks below keep
+    labels that no later step reads.  Over all steps a point of rank k is
+    toggled k+1 times, where r+s+1 full rowmotions toggle it r+s+1 times,
+    and every label yielded is exactly that of rho^m f.
+
+    A toggle that is skipped is never evaluated, so a pole there is not
+    raised.  Positive Fraction labelings run the integer sweep over each
+    prefix and build Fractions only for the rank yielded; every other
+    labeling composes toggle_birational over it, as rowmotion_birational
+    does."""
+    r, s = f.poset.r, f.poset.s
+    order = f.poset.linear_extension_desc()
+    # ends[k]: the number of points of rank >= k, the length of the prefix.
+    ends = [sum(i + j >= k for i, j in order) for k in range(r + s + 2)]
+    if _sweeps(f):
+        slot, plan = _sweep_plan(f.poset)
+        num, den = _pairs(f, slot)
+        for m in range(1, r + s + 2):
+            _toggle_pairs(num, den, plan[:ends[m - 1]])
+            yield {p: Fraction(_Coprime(num[slot[p]], den[slot[p]]))
+                   for p in order[ends[m]:ends[m - 1]]}
+        return
+    for m in range(1, r + s + 2):
+        for v in order[:ends[m - 1]]:
+            f = toggle_birational(f, v)
+        yield {p: f.value(p) for p in order[ends[m]:ends[m - 1]]}
 
 
 def iterates(f: Labeling, n: int) -> Iterator[Labeling]:

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
-                            generic_labeling, iterate_birational, iterates, orbit,
+                            generic_labeling, iterate_birational, iterates, light_cone, orbit,
                             orbit_partition, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
-                            rowmotion_inverse, starts, toggle_birational)
+                            rowmotion_inverse, starts, toggle_birational, _toggle_pairs)
 from birow.errors import OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -223,6 +223,114 @@ class TestBirational:
             assert g.poset == poset and g.mode == f.mode
             for p in poset.members():
                 assert f.value(p) == g.value(p)
+
+
+def _ranks_of_iterates(f):
+    """For m = 1, ..., r+s+1, the labels of iterates(f, r+s+1)'s m-th
+    labeling on rank m-1, up to the first pole, and that pole's message
+    (None if there is none): the reference for light_cone."""
+    out = []
+    try:
+        for m, g in enumerate(iterates(f, f.poset.r + f.poset.s + 1)):
+            if m:
+                out.append({p: x for p, x in g.values.items() if sum(p) == m - 1})
+    except PoleEncountered as e:
+        return out, str(e)
+    return out, None
+
+
+def _cone(f):
+    """What light_cone yields, up to the first pole, and that pole's message."""
+    out = []
+    try:
+        out.extend(light_cone(f))
+    except PoleEncountered as e:
+        return out, str(e)
+    return out, None
+
+
+def _cone_start(kind, r, s):
+    """A start on the r x s grid of each kind that light_cone serves."""
+    poset = RectPoset(r, s)
+    f = random_labeling(poset, random.Random(10 * r + s))
+    middle = (r // 2, s // 2)
+    if kind == "positive":
+        return f
+    if kind == "zero":
+        return f.with_value(middle, Fraction(0))
+    if kind == "negative":
+        return f.with_value(middle, -f.value(middle))
+    if kind == "maxplus":
+        rng = random.Random(r - s)
+        return pl_labeling(poset, {(i, j): Fraction(4 * (i + j) + rng.randint(0, 3),
+                                                    4 * (r + s + 1))
+                                   for (i, j) in poset.members()})
+    # Factored: the random constants, with the generic variable at the
+    # bottom and top points.
+    values = {p: Factored.const(x) for p, x in f.values.items()}
+    for p in ((0, 0), (r, s)):
+        values[p] = Factored.var(xvar(*p))
+    return Labeling(poset, values, ONE, ONE)
+
+
+class TestLightCone:
+    @pytest.mark.parametrize("kind", ["positive", "zero", "negative", "maxplus", "factored"])
+    @pytest.mark.parametrize("r, s", [(0, 0), (1, 0), (0, 3), (2, 1), (3, 3), (5, 2)])
+    def test_each_step_yields_its_rank_of_the_iterates(self, kind, r, s):
+        f = _cone_start(kind, r, s)
+        want = _ranks_of_iterates(f)
+        # A zero label is a pole at its first toggle, in the first step;
+        # no other start meets a pole.
+        if kind == "zero":
+            assert want == ([], f"pole while toggling at {(r // 2, s // 2)}")
+        else:
+            assert want[1] is None and len(want[0]) == r + s + 1
+        got = _cone(f)
+        assert got == want
+        for labels in got[0]:
+            for p, x in labels.items():
+                assert type(x) is type(f.value(p))
+
+    def test_a_toggle_never_read_raises_no_pole(self):
+        # With bottom label 0 the labels at (0, 0) and then at its upper
+        # covers become 0, and toggling (0, 0) again is a pole: the parallel
+        # sum 0 ∥ 0.  Rowmotion meets it in its second step; the light cone
+        # never toggles (0, 0) again.
+        poset = RectPoset(2, 1)
+        f = random_labeling(poset, random.Random(3))
+        f = Labeling(poset, f.values, Fraction(0), Fraction(1))
+        want, pole = _ranks_of_iterates(f)
+        assert len(want) == 1 and pole == "parallel sum pole: a + b = 0"
+        got, none = _cone(f)
+        assert none is None and got[:1] == want and len(got) == 4
+
+    @pytest.mark.parametrize("r, s", [(2, 1), (0, 3)])
+    def test_a_symbolic_start_toggles_each_point_rank_plus_one_times(self, monkeypatch, r, s):
+        toggles = []
+
+        def counted(f, v):
+            toggles.append(v)
+            return toggle_birational(f, v)
+
+        monkeypatch.setattr("birow.dynamics.toggle_birational", counted)
+        poset = RectPoset(r, s)
+        steps = list(light_cone(generic_labeling(poset)))
+        assert len(steps) == r + s + 1
+        assert len(toggles) == sum(i + j + 1 for i, j in poset.members())
+
+    def test_a_positive_start_sweeps_each_point_rank_plus_one_times(self, monkeypatch):
+        swept = []
+
+        def counted(num, den, plan):
+            swept.extend(plan)
+            _toggle_pairs(num, den, plan)
+
+        monkeypatch.setattr("birow.dynamics._toggle_pairs", counted)
+        monkeypatch.setattr("birow.dynamics.toggle_birational",
+                            lambda f, v: pytest.fail("toggled"))
+        poset = RectPoset(3, 2)
+        assert len(list(light_cone(random_labeling(poset, random.Random(5))))) == 6
+        assert len(swept) == sum(i + j + 1 for i, j in poset.members())
 
 
 @st.composite

@@ -91,6 +91,23 @@ def _cycle(c, step):
     return move
 
 
+def _cone(move):
+    """light_cone for a fake rowmotion move: the labels of move^m f on rank
+    m-1, for m = 1, ..., r+s+1."""
+    def cone(f):
+        for m in range(1, f.poset.r + f.poset.s + 2):
+            f = move(f)
+            yield {p: f.value(p) for p in f.poset.members() if sum(p) == m - 1}
+    return cone
+
+
+def _fake_rowmotion(mp, move):
+    """Replace rowmotion by move, both where iterates runs it and in the
+    light cone that reciprocity reads."""
+    mp.setattr("birow.dynamics.rowmotion_birational", move)
+    mp.setattr("birow.verify.light_cone", _cone(move))
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -291,7 +308,7 @@ class TestOrbitSplit:
         # No cycle length divides P, so every check fails, and each product
         # at (0, 0) depends on where its window starts.
         assert (r + s + 2) % c
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(c, 1))
+        _fake_rowmotion(monkeypatch, _cycle(c, 1))
         monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(c, -1))
         run, sequential = _SPLIT_CHECKS[check]
         want = sequential(r, s)
@@ -308,7 +325,7 @@ class TestOrbitSplit:
 
     def test_witnesses_keep_the_start_order(self, monkeypatch):
         # With rowmotion the identity, every start fails at every point.
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", lambda f: f)
+        _fake_rowmotion(monkeypatch, lambda f: f)
         want = _sequential_reciprocity(2, 1, "rational", 4, 3).to_json()
         assert [w["input"] for w in want["witnesses"][::6]] == \
             [f.to_json() for f in starts(RectPoset(2, 1), "rational", 4, 3)]
@@ -323,11 +340,11 @@ class TestOrbitSplit:
         assert run().passed
 
     # On 3x3 the child takes 4 backward steps for a product check, and 7
-    # forward steps for each of reciprocity's starts 4 and 5.
+    # forward steps of the light cone for each of reciprocity's starts 4 and 5.
     @pytest.mark.parametrize("check, patched, steps", [
         ("antipodal", "birow.verify.rowmotion_inverse", 2),
         ("file-homomesy", "birow.verify.rowmotion_inverse", 2),
-        ("reciprocity", "birow.dynamics.rowmotion_birational", 9)])
+        ("reciprocity", "birow.verify.light_cone", 9)])
     def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd, check, patched,
                                                  steps):
         # The child raises partway, silently; the parent does its work itself.
@@ -341,9 +358,9 @@ class TestOrbitSplit:
                     raise RuntimeError("child failure")
             return step(f)
 
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(3, 1))
+        _fake_rowmotion(monkeypatch, _cycle(3, 1))
         monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(3, -1))
-        monkeypatch.setattr(patched, move)
+        monkeypatch.setattr(patched, _cone(move) if patched.endswith("light_cone") else move)
         run, sequential = _SPLIT_CHECKS[check]
         assert run(3, 3) == sequential(3, 3)
         assert capfd.readouterr() == ("", "")
@@ -359,7 +376,7 @@ class TestOrbitSplit:
                 return f
             raise PoleEncountered("pole in this process")
 
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", stuck_or_pole)
+        _fake_rowmotion(monkeypatch, stuck_or_pole)
         monkeypatch.setattr("birow.verify.rowmotion_inverse", stuck_or_pole)
         t0 = time.monotonic()
         with pytest.raises(PoleEncountered, match="this process"):
@@ -371,6 +388,8 @@ class TestOrbitSplit:
 class TestReciprocity:
     def test_symbolic(self):
         assert check_reciprocity(2, 1).passed
+        rep = check_reciprocity(2, 2, mode="symbolic")
+        assert rep.passed and rep.trials == 1
 
     def test_rational(self):
         rep = check_reciprocity(3, 2, mode="rational", trials=2, seed=1)
@@ -489,7 +508,7 @@ def test_failure_produces_witnesses():
 def test_failing_checks_build_their_witnesses(monkeypatch):
     # With rowmotion replaced by the identity, reciprocity and the antipodal
     # product fail at every point.
-    monkeypatch.setattr("birow.dynamics.rowmotion_birational", lambda f: f)
+    _fake_rowmotion(monkeypatch, lambda f: f)
     rep = check_reciprocity(1, 1, mode="rational", trials=1, seed=2)
     assert not rep.passed and len(rep.witnesses) == 4
     w = rep.witnesses[0]
