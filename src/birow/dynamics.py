@@ -14,20 +14,19 @@ normalises four Fractions (the lower sum, the reciprocal sum, the product
 and the quotient) where ab/(a + b) took six.  By convention a ∥ 0 = 0.
 
 ``toggle_birational`` is the one toggle for every value type and the
-reference for rowmotion.  When the bottom, the top and every label are
-positive Fractions, ``rowmotion_birational`` instead runs one sweep over
-(numerator, denominator) int pairs, ``_sweep``, with the same values: the
-lower sum L and the reciprocal sum S of the upper covers use Fraction's
-addition rule, and the new label L / (x S) cancels by gcds between its
-unmultiplied factors.  Rowmotion never subtracts, so a positive labeling
-stays positive along its orbit.  Every other labeling (Factored, MaxPlus,
-or a Fraction labeling with a zero or negative label) composes
-``toggle_birational``; the value protocol is the same for both.
-``rowmotion_inverse`` takes the same toggles, or the same sweep, from
-bottom to top: each toggle is an involution, so this is exactly rho^-1.
-``light_cone`` yields rank m-1 of rho^m f for m = 1, ..., r+s+1, taking at
-step m only the toggles of the ranks >= m-1, on which those labels depend,
-over the same sweep or the same composed toggles.
+reference for the integer sweep, ``_toggle_pairs``: on (numerator,
+denominator) int pairs it gives the same values, adding the lower sum L and
+the reciprocal sum S of the upper covers by Fraction's addition rule and
+cancelling the new label L / (x S) by gcds between its unmultiplied factors.
+Rowmotion never subtracts, so a positive labeling stays positive along its
+orbit.  One runner, ``_toggle_runs``, toggles slices of
+linear_extension_desc and decides once per labeling which of the two runs
+them: the sweep when the bottom, the top and every label are positive
+Fractions, composed ``toggle_birational`` otherwise (Factored, MaxPlus, or a
+Fraction labeling with a zero or negative label).  ``rowmotion_birational``
+runs the whole order, ``rowmotion_inverse`` the reversed order (each toggle
+is an involution, so this is exactly rho^-1), and ``light_cone`` one prefix
+per step, yielding rank m-1 of rho^m f for m = 1, ..., r+s+1.
 
 ``Labeling.to_json`` and ``from_json`` round-trip every labeling of one
 value type: mode "rational", "symbolic" or "pl" (MaxPlus values, written as
@@ -43,7 +42,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
 from .errors import OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
@@ -193,6 +192,9 @@ def lower_sum(f: Labeling, v: GridPoint) -> Value:
 
 
 def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
+    """f with the label x at v replaced by L * S / x, where L is the lower
+    sum at v and S the parallel sum of the labels of the elements covering
+    v, the adjoined top's included; a zero division is a pole."""
     ups, top = f.poset.covers(v)
     upper = [f.value(z) for z in ups] + ([f.top] if top else [])
     low_sum = lower_sum(f, v)
@@ -204,37 +206,25 @@ def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
     return f.with_value(v, new)
 
 
-def _sweeps(f: Labeling) -> bool:
-    """Whether the integer sweep serves f: its bottom, its top and every
-    label are positive Fractions."""
-    return all(type(x) is Fraction and x.numerator > 0
-               for x in (f.bottom, f.top, *f.values.values()))
-
-
 def rowmotion_birational(f: Labeling) -> Labeling:
-    """The toggles composed from top to bottom; when the bottom, the top and
-    every label are positive Fractions, the integer sweep, which gives the
-    same values."""
-    if _sweeps(f):
-        return _sweep(f, 1)
-    for v in f.poset.linear_extension_desc():
-        f = toggle_birational(f, v)
-    return f
+    """The toggles composed from top to bottom."""
+    return _toggled(f, slice(None))
 
 
 def rowmotion_inverse(f: Labeling) -> Labeling:
-    """The inverse of rowmotion: the toggles composed from bottom to top,
-    over positive Fraction labelings the integer sweep in that order.
+    """The inverse of rowmotion: the toggles composed from bottom to top.
 
     Each toggle is an involution: the new label at v is L S / x_v, where the
     lower sum L and the parallel sum S of the upper covers do not depend on
     x_v, so toggling v twice gives x_v back.  Rowmotion's toggles taken in
     reverse order therefore undo it exactly."""
-    if _sweeps(f):
-        return _sweep(f, -1)
-    for v in reversed(f.poset.linear_extension_desc()):
-        f = toggle_birational(f, v)
-    return f
+    return _toggled(f, slice(None, None, -1))
+
+
+def _toggled(f: Labeling, part: slice) -> Labeling:
+    """f after the toggles of one slice of linear_extension_desc."""
+    label = next(_toggle_runs(f, [part]))
+    return Labeling(f.poset, {p: label(p) for p in f.values}, f.bottom, f.top)
 
 
 class _Coprime:
@@ -290,18 +280,6 @@ def _cancel(x: int, y: int) -> Tuple[int, int]:
     return (x // g, y // g) if g > 1 else (x, y)
 
 
-def _pairs(f: Labeling, slot: Dict[GridPoint, int]) -> Tuple[List[int], List[int]]:
-    """The numerators and denominators of f's labels by slot, then those of
-    its bottom and its top."""
-    num = [0] * (len(slot) + 2)
-    den = num[:]
-    for p, x in f.values.items():
-        num[slot[p]], den[slot[p]] = x.numerator, x.denominator
-    num[-2], den[-2] = f.bottom.numerator, f.bottom.denominator
-    num[-1], den[-1] = f.top.numerator, f.top.denominator
-    return num, den
-
-
 def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> None:
     """The toggles of plan's entries in order, on positive labels held as
     coprime int pairs in num and den.
@@ -330,15 +308,30 @@ def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> No
         num[k], den[k] = a * d * Q, b * n * P
 
 
-def _sweep(f: Labeling, step: int) -> Labeling:
-    """Rowmotion (step 1) or its inverse (step -1) of a labeling whose
-    bottom, top and labels are all positive Fractions, toggled on int pairs
-    in linear_extension_desc order or in the reverse order."""
+def _toggle_runs(f: Labeling, parts: Iterable[slice]) -> Iterator[Callable[[GridPoint], Value]]:
+    """For each slice of linear_extension_desc in turn, toggle its points in
+    order and yield a lookup of the current labels, valid until the next
+    slice is toggled.
+
+    This is the one place that picks the toggle kernel.  When the bottom,
+    the top and every label are positive Fractions, each slice runs
+    _toggle_pairs over the labels held once as (numerator, denominator)
+    lists, and the lookup builds the Fraction of one label; otherwise each
+    slice composes toggle_birational."""
     slot, plan = _sweep_plan(f.poset)
-    num, den = _pairs(f, slot)
-    _toggle_pairs(num, den, plan[::step])
-    values = {p: Fraction(_Coprime(num[slot[p]], den[slot[p]])) for p in f.values}
-    return Labeling(f.poset, values, f.bottom, f.top)
+    xs = [f.values[p] for p in slot] + [f.bottom, f.top]
+    if all(type(x) is Fraction and x.numerator > 0 for x in xs):
+        num = [x.numerator for x in xs]
+        den = [x.denominator for x in xs]
+        for part in parts:
+            _toggle_pairs(num, den, plan[part])
+            yield lambda p: Fraction(_Coprime(num[slot[p]], den[slot[p]]))
+        return
+    order = f.poset.linear_extension_desc()
+    for part in parts:
+        for v in order[part]:
+            f = toggle_birational(f, v)
+        yield f.value
 
 
 def light_cone(f: Labeling) -> Iterator[Dict[GridPoint, Value]]:
@@ -356,26 +349,15 @@ def light_cone(f: Labeling) -> Iterator[Dict[GridPoint, Value]]:
     and every label yielded is exactly that of rho^m f.
 
     A toggle that is skipped is never evaluated, so a pole there is not
-    raised.  Positive Fraction labelings run the integer sweep over each
-    prefix and build Fractions only for the rank yielded; every other
-    labeling composes toggle_birational over it, as rowmotion_birational
-    does."""
+    raised.  The prefixes run through _toggle_runs, as rowmotion does, and
+    only the labels of the rank yielded are looked up."""
     r, s = f.poset.r, f.poset.s
     order = f.poset.linear_extension_desc()
     # ends[k]: the number of points of rank >= k, the length of the prefix.
     ends = [sum(i + j >= k for i, j in order) for k in range(r + s + 2)]
-    if _sweeps(f):
-        slot, plan = _sweep_plan(f.poset)
-        num, den = _pairs(f, slot)
-        for m in range(1, r + s + 2):
-            _toggle_pairs(num, den, plan[:ends[m - 1]])
-            yield {p: Fraction(_Coprime(num[slot[p]], den[slot[p]]))
-                   for p in order[ends[m]:ends[m - 1]]}
-        return
-    for m in range(1, r + s + 2):
-        for v in order[:ends[m - 1]]:
-            f = toggle_birational(f, v)
-        yield {p: f.value(p) for p in order[ends[m]:ends[m - 1]]}
+    runs = _toggle_runs(f, [slice(ends[m - 1]) for m in range(1, r + s + 2)])
+    for m, label in enumerate(runs, 1):
+        yield {p: label(p) for p in order[ends[m]:ends[m - 1]]}
 
 
 def iterates(f: Labeling, n: int) -> Iterator[Labeling]:

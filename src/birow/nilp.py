@@ -65,9 +65,6 @@ class NilpFamily:
     paths: Tuple[LatticePath, ...]
     mask: int  # the point_bits of the points the paths cover
 
-    def key(self) -> Tuple[Tuple[GridPoint, ...], ...]:
-        return tuple(p.vertices for p in self.paths)
-
     def to_json(self) -> list:
         return [{"from": list(p.vertices[0]), "steps": p.steps()} for p in self.paths]
 

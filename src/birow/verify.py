@@ -18,10 +18,8 @@ halves as reciprocals (``_period_products``).  Reciprocity runs its first
 ceil(T/2) starts here and the other starts in the child.
 
 Reciprocity reads iterate m only on rank m-1, and takes those labels from
-``dynamics.light_cone``: rowmotion toggles from the top rank down, so rho^m f
-on the ranks >= m-1 depends only on rho^(m-1) f on the ranks >= m-2, and
-step m toggles only those ranks.  The labels read are exactly those of the
-full iterates, at about half the toggles.
+``dynamics.light_cone``, whose docstring gives why they are exactly those of
+the full iterates at about half the toggles.
 """
 
 from __future__ import annotations
@@ -201,10 +199,8 @@ def check_reciprocity(r: int, s: int, mode: Optional[str] = None,
     antipodal point (r-i, s-j).
 
     Each start's iterates are read from ``light_cone``, which yields rank
-    m-1 of rho^m f for m = 1, ..., r+s+1 and toggles only the ranks >= m-1
-    at step m: the toggles run from the top rank down, so those ranks of
-    rho^m f depend on no lower rank of rho^(m-1) f than m-2.  The labels are
-    exactly those of the full iterates.  A toggle whose label is never read
+    m-1 of rho^m f for m = 1, ..., r+s+1 and toggles only what those labels
+    depend on (its docstring gives why).  A toggle whose label is never read
     is skipped, so a pole there is not raised; the CLI's starts, positive
     rationals or the generic labeling, have no such pole.
 

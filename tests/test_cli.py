@@ -79,6 +79,24 @@ class TestIterate:
                                  "--labels", str(tmp_path / name))
             assert code == 2 and "labels" in err and not out, name
 
+    def test_piecewise_linear_labels(self, capsys, tmp_path):
+        """A "pl" labeling runs the max-plus toggle max(lower) + min(upper) - x,
+        bottom 0 and top 1, and returns to its start after the period 4."""
+        start = {"0,0": "1/4", "0,1": "1/2", "1,0": "1/3", "1,1": "3/4"}
+        path = tmp_path / "labels.json"
+        out = json.dumps({"r": 1, "s": 1, "mode": "pl", "labels": start})
+        steps = []
+        for _ in range(4):
+            path.write_text(out)
+            code, out, _ = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "1",
+                               "--labels", str(path))
+            assert code == 0
+            steps.append(json.loads(out))
+        assert steps[0] == {"r": 1, "s": 1, "mode": "pl",
+                            "labels": {"0,0": "1/4", "0,1": "1/2", "1,0": "2/3",
+                                       "1,1": "3/4"}}
+        assert steps[-1]["labels"] == start
+
     def test_labels_with_zero_and_opposite_signs(self, capsys, tmp_path):
         """Exact output of toggling through a zero label or through upper
         covers that cancel, as recorded before the parallel sum went
