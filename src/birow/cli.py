@@ -17,8 +17,7 @@ from typing import Callable
 from .avar import a_to_x
 from .bounce import plucker_check
 from .closed_form import IterateQuery, rho_closed
-from .dynamics import (Labeling, OrderIdeal, all_order_ideals, iterate_birational, orbit,
-                       orbit_partition, starts)
+from .dynamics import Labeling, OrderIdeal, iterate_birational, orbit, orbits, starts
 from .errors import BirowError, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
 from .grid_poset import RectPoset
@@ -142,7 +141,7 @@ def _orbit_json(orb) -> dict:
     sizes = [o.size() for o in orb]
     return {
         "length": len(orb),
-        "ideals": [sorted(map(list, sorted(o.members))) for o in orb],
+        "ideals": [o.points() for o in orb],
         "sizes": sizes,
         "size_average": str(Fraction(sum(sizes), len(orb))),
     }
@@ -151,10 +150,10 @@ def _orbit_json(orb) -> dict:
 def _cmd_orbit(args) -> int:
     poset = RectPoset(args.r, args.s)
     if args.ideal is not None:
-        orbits = [orbit(_parse_ideal(args.ideal, poset))]
+        walked = [orbit(_parse_ideal(args.ideal, poset))]
     else:
-        orbits = orbit_partition(all_order_ideals(poset))
-    payload = {"r": args.r, "s": args.s, "orbits": [_orbit_json(o) for o in orbits]}
+        walked = orbits(poset)
+    payload = {"r": args.r, "s": args.s, "orbits": [_orbit_json(o) for o in walked]}
     _emit(payload, args.plain, lambda: "\n".join(
         f"orbit of length {o['length']}, size average {o['size_average']}"
         for o in payload["orbits"]))

@@ -42,7 +42,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .errors import OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
@@ -404,10 +404,9 @@ class OrderIdeal:
             heights[i] += 1
         return OrderIdeal(poset, tuple(heights))
 
-    @property
-    def members(self) -> FrozenSet[GridPoint]:
-        """The points of the ideal."""
-        return frozenset((i, j) for i, h in enumerate(self.heights) for j in range(h))
+    def points(self) -> List[List[int]]:
+        """The points of the ideal as [i, j] lists in (i, j) order."""
+        return [[i, j] for i, h in enumerate(self.heights) for j in range(h)]
 
     def size(self) -> int:
         return sum(self.heights)
@@ -434,40 +433,45 @@ def rowmotion_combinatorial(ideal: OrderIdeal) -> OrderIdeal:
 def orbit(ideal: OrderIdeal) -> List[OrderIdeal]:
     """The rowmotion cycle through ideal; closed at the first repetition."""
     out = [ideal]
-    cur = rowmotion_combinatorial(ideal)
-    while cur.heights != ideal.heights:
+    while (cur := rowmotion_combinatorial(out[-1])).heights != ideal.heights:
         out.append(cur)
-        cur = rowmotion_combinatorial(cur)
     return out
 
 
-def orbit_partition(ideals: List[OrderIdeal]) -> List[List[OrderIdeal]]:
-    """The rowmotion orbits through the given ideals, in order of each
-    orbit's first ideal in the list; each orbit starts at that ideal."""
-    orbits: List[List[OrderIdeal]] = []
-    seen = set()
-    for ideal in ideals:
-        if ideal.heights in seen:
-            continue
-        orb = orbit(ideal)
-        orbits.append(orb)
-        seen.update(o.heights for o in orb)
-    return orbits
-
-
-def all_order_ideals(poset: RectPoset) -> List[OrderIdeal]:
-    """Every order ideal, as weakly decreasing column heights in
-    lexicographic order."""
+def _lex_rank(poset: RectPoset) -> Callable[[Tuple[int, ...]], int]:
+    """The index of column heights h in all_order_ideals' order: the sum over
+    i of skip[i][h_i], the C(r-i+h_i, h_i-1) weakly decreasing tails from
+    column i that start below h_i (hockey stick), with skip[i][0] = 0."""
     r, s = poset.r, poset.s
-    out: List[OrderIdeal] = []
+    skip = [[math.comb(r - i + h, h - 1) if h else 0 for h in range(s + 2)]
+            for i in range(r + 1)]
+    return lambda heights: sum(map(list.__getitem__, skip, heights))
 
-    def extend(heights: Tuple[int, ...]):
-        if len(heights) == r + 1:
-            out.append(OrderIdeal(poset, heights))
+
+def orbits(poset: RectPoset) -> Iterator[List[OrderIdeal]]:
+    """Each rowmotion orbit once, in order of its least ideal in height
+    order, starting at that ideal.  Only the orbit being walked is held; the
+    ideals seen are marked by rank in a bytearray of C(r+s+2, r+1) bytes."""
+    rank = _lex_rank(poset)
+    seen = bytearray(math.comb(poset.r + poset.s + 2, poset.r + 1))
+    for ideal in all_order_ideals(poset):
+        if not seen[rank(ideal.heights)]:
+            orb = orbit(ideal)
+            for o in orb:
+                seen[rank(o.heights)] = 1
+            yield orb
+
+
+def all_order_ideals(poset: RectPoset) -> Iterator[OrderIdeal]:
+    """Every order ideal, generated one at a time, as weakly decreasing
+    column heights in lexicographic order."""
+    h = [poset.s + 1] + [0] * (poset.r + 1)  # h[0] caps the first column
+    while True:
+        yield OrderIdeal(poset, tuple(h[1:]))
+        i = poset.r + 1
+        while i and h[i] == h[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        cap = heights[-1] if heights else s + 1
-        for h in range(cap + 1):
-            extend(heights + (h,))
-
-    extend(())
-    return out
+        h[i] += 1
+        h[i + 1:] = [0] * (poset.r + 1 - i)

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from birow.dynamics import (Labeling, MaxPlus, OrderIdeal, all_order_ideals,
                             generic_labeling, iterate_birational, iterates, light_cone, orbit,
-                            orbit_partition, pl_labeling, random_labeling,
+                            orbits, pl_labeling, random_labeling,
                             rowmotion_birational, rowmotion_combinatorial,
-                            rowmotion_inverse, starts, toggle_birational, _toggle_pairs)
+                            rowmotion_inverse, starts, toggle_birational, _lex_rank,
+                            _toggle_pairs)
 from birow.errors import OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -480,17 +482,17 @@ class TestCombinatorial:
 
     def test_ideal_counts_are_binomials(self):
         # ideals of [0,r]x[0,s] are counted by C(r+s+2, r+1)
-        assert len(all_order_ideals(RectPoset(1, 1))) == 6
-        assert len(all_order_ideals(RectPoset(2, 2))) == 20
-        assert len(all_order_ideals(RectPoset(3, 2))) == 35
+        assert len(list(all_order_ideals(RectPoset(1, 1)))) == 6
+        assert len(list(all_order_ideals(RectPoset(2, 2)))) == 20
+        assert len(list(all_order_ideals(RectPoset(3, 2)))) == 35
 
     def test_rowmotion_empty_ideal(self):
         # rowmotion of the empty ideal adds the minimal element
         poset = RectPoset(2, 2)
         empty = OrderIdeal.from_points(poset, frozenset())
-        assert rowmotion_combinatorial(empty).members == frozenset({(0, 0)})
+        assert rowmotion_combinatorial(empty).points() == [[0, 0]]
         full = OrderIdeal.from_points(poset, frozenset(poset.members()))
-        assert rowmotion_combinatorial(full).members == frozenset()
+        assert rowmotion_combinatorial(full).points() == []
 
     def test_orbit_structure_small_squares(self):
         sizes = sorted(len(orbit(i)) for i in _orbit_reps(RectPoset(1, 1)))
@@ -503,9 +505,9 @@ class TestCombinatorial:
         seen = set()
         for rep in _orbit_reps(poset):
             for ideal in orbit(rep):
-                assert ideal.members not in seen
-                seen.add(ideal.members)
-        assert len(seen) == len(all_order_ideals(poset))
+                assert ideal.heights not in seen
+                seen.add(ideal.heights)
+        assert len(seen) == len(list(all_order_ideals(poset)))
 
     def test_heights_match_pl_oracle_on_every_ideal(self):
         for r in range(5):
@@ -514,14 +516,37 @@ class TestCombinatorial:
                 for ideal in all_order_ideals(poset):
                     assert rowmotion_combinatorial(ideal) == _rowmotion_via_pl(ideal), \
                         (r, s, ideal.heights)
-                for orb in orbit_partition(all_order_ideals(poset)):
+                for orb in orbits(poset):
                     assert (r + s + 2) % len(orb) == 0, (r, s, orb[0].heights)
+
+    def test_orbits_match_the_set_based_partition(self):
+        # Same orbits, in the same order, each from the same first ideal.
+        for r in range(5):
+            for s in range(5):
+                poset = RectPoset(r, s)
+                got = [[o.heights for o in orb] for orb in orbits(poset)]
+                want = [[o.heights for o in orb] for orb in _orbit_partition(poset)]
+                assert got == want, (r, s)
+
+    def test_ranks_count_the_ideals_in_order(self):
+        # The heights rise strictly in lexicographic order, and their ranks
+        # run through 0, 1, ..., C(r+s+2, r+1) - 1 in turn.
+        for r in range(6):
+            for s in range(6):
+                poset = RectPoset(r, s)
+                heights = [ideal.heights for ideal in all_order_ideals(poset)]
+                assert heights == sorted(set(heights)), (r, s)
+                rank = _lex_rank(poset)
+                assert list(map(rank, heights)) == list(range(math.comb(r + s + 2, r + 1))), \
+                    (r, s)
 
     def test_points_and_heights_round_trip(self):
         poset = RectPoset(3, 2)
         for ideal in all_order_ideals(poset):
-            assert OrderIdeal.from_points(poset, ideal.members) == ideal
-            assert ideal.size() == len(ideal.members)
+            points = ideal.points()
+            assert points == sorted(points)
+            assert OrderIdeal.from_points(poset, map(tuple, points)) == ideal
+            assert ideal.size() == len(points)
 
     def test_rejects_bad_points_with_messages(self):
         poset = RectPoset(2, 1)
@@ -540,8 +565,19 @@ class TestCombinatorial:
                 OrderIdeal(poset, heights)
 
 
+def _orbit_partition(poset):
+    """The rowmotion orbits through every ideal, found by a set of the
+    heights seen, in order of each orbit's first ideal in all_order_ideals."""
+    found, seen = [], set()
+    for ideal in all_order_ideals(poset):
+        if ideal.heights not in seen:
+            found.append(orbit(ideal))
+            seen.update(o.heights for o in found[-1])
+    return found
+
+
 def _orbit_reps(poset):
-    return [orb[0] for orb in orbit_partition(all_order_ideals(poset))]
+    return [orb[0] for orb in _orbit_partition(poset)]
 
 
 def _rowmotion_via_pl(ideal):
@@ -550,7 +586,7 @@ def _rowmotion_via_pl(ideal):
     The 0/1 labelings preserved by the piecewise-linear toggles are the
     order-preserving ones, i.e. indicators of order filters, so the ideal is
     carried through its complement."""
-    poset, members = ideal.poset, ideal.members
+    poset, members = ideal.poset, {tuple(p) for p in ideal.points()}
     f = pl_labeling(poset, {p: Fraction(0 if p in members else 1) for p in poset.members()})
     g = rowmotion_birational(f)
     return OrderIdeal.from_points(poset, frozenset(p for p, v in g.values.items()

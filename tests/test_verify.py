@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -458,11 +459,22 @@ class TestCombinatorialHomomesy:
     def test_rectangle(self):
         assert check_combinatorial_homomesy(3, 1).passed
 
+    def test_orbits_are_streamed(self):
+        # 3432 ideals on 6x6: a list of them as OrderIdeals peaks near 1.4 MB,
+        # where the orbit being walked and a byte per ideal take about 0.2 MB.
+        tracemalloc.start()
+        try:
+            assert check_combinatorial_homomesy(6, 6).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+
     def test_witness_replays_as_an_ideal(self, monkeypatch):
         # Singleton orbits make most orbit averages wrong; each witness's
         # points must name the same ideal again on the command line.
-        monkeypatch.setattr("birow.verify.orbit_partition",
-                            lambda ideals: [[i] for i in ideals])
+        monkeypatch.setattr("birow.verify.orbits",
+                            lambda poset: ([i] for i in all_order_ideals(poset)))
         rep = check_combinatorial_homomesy(3, 2)
         assert not rep.passed
         for w in rep.witnesses:
@@ -478,7 +490,8 @@ class TestCombinatorialHomomesy:
         for r, s in [(3, 1), (1, 3), (2, 2)]:
             poset = RectPoset(r, s)
             for ideal in all_order_ideals(poset):
-                want = [len(set(poset.file_by_offset(t).points) & ideal.members)
+                members = {tuple(p) for p in ideal.points()}
+                want = [len(set(poset.file_by_offset(t).points) & members)
                         for t in range(-r, s + 1)]
                 assert _file_counts(ideal) == want, ideal.heights
 
