@@ -15,9 +15,9 @@ and the quotient) where ab/(a + b) took six.  By convention a ∥ 0 = 0.
 
 ``toggle_birational`` is the one toggle for every value type and the
 reference for the integer sweep, ``_toggle_pairs``: on (numerator,
-denominator) int pairs it gives the same values, adding the lower sum L and
-the reciprocal sum S of the upper covers by Fraction's addition rule and
-cancelling the new label L / (x S) by gcds between its unmultiplied factors.
+denominator) int pairs it gives the same values, forming the lower sum L
+and the reciprocal sum S of the upper covers unreduced and cancelling the
+new label L / (x S) once, by gcds between its unmultiplied factors.
 Rowmotion never subtracts, so a positive labeling stays positive along its
 orbit.  One runner, ``_toggle_runs``, toggles slices of
 linear_extension_desc and decides once per labeling which of the two runs
@@ -260,51 +260,40 @@ def _sweep_plan(poset: RectPoset) -> Tuple[Dict[GridPoint, int], Tuple[tuple, ..
     return slot, tuple(plan)
 
 
-def _add(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
-    """na/da + nb/db in lowest terms, for coprime pairs with positive
-    denominators, by Fraction's addition rule."""
-    g = math.gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
-
-
-def _cancel(x: int, y: int) -> Tuple[int, int]:
-    """x and y divided by their gcd."""
-    g = math.gcd(x, y)
-    return (x // g, y // g) if g > 1 else (x, y)
+# The eight cross pairs (Q, b), (a, b), (Q, P), (a, n), (d, P), (d, b), (a, P),
+# (Q, n) as indices into _toggle_pairs' [a, n, P, d, b, Q], most shared first.
+_PAIRS = ((5, 4), (0, 4), (5, 2), (0, 1), (3, 2), (3, 4), (0, 2), (5, 1))
 
 
 def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> None:
     """The toggles of plan's entries in order, on positive labels held as
     coprime int pairs in num and den.
 
-    The toggle at a point labelled n/d, with lower sum a/b and reciprocal
-    sum P/Q of its upper covers, gives (a d Q) / (b n P).  The pairs a/b,
-    n/d and P/Q are each coprime, so cancelling the six other pairs of a
-    numerator and a denominator factor leaves lowest terms.  The pairs that
-    share most are cancelled first, so the later gcds run on smaller ints:
-    along random 15x15 orbits Q and b share about nine tenths of their
-    bits, and a and n, and d and P, about half."""
+    At a point labelled n/d, the lower covers w sum to a/b, a = sum n_w
+    prod d_other and b = prod d_w, and the reciprocals of the upper covers
+    z to P/Q, P = sum d_z prod n_other and Q = prod n_z, both unreduced;
+    the new label is a d Q / (b n P).  Its eight pairs of a numerator and
+    a denominator factor other than (d, n), coprime already, are each
+    divided by their gcd once.  Division only removes factors, so a pair
+    made coprime stays so, and the result is in lowest terms.  The pairs
+    that share most go first, so later gcds run on smaller ints: over 16
+    rowmotions of a random 15x15 start Q and b average ~2600 bits and
+    share ~2300, a and n, and d and P, ~1260, but a and b, or Q and P,
+    only ~100-150, too few to pay for reducing each sum as it is added."""
     for k, w, lower, z, upper in plan:
         a, b = num[w], den[w]
         for w in lower:
-            a, b = _add(a, b, num[w], den[w])
+            a, b = a * den[w] + num[w] * b, b * den[w]
         P, Q = den[z], num[z]
         for z in upper:
-            P, Q = _add(P, Q, den[z], num[z])
-        n, d = num[k], den[k]
-        Q, b = _cancel(Q, b)
-        a, n = _cancel(a, n)
-        d, P = _cancel(d, P)
-        d, b = _cancel(d, b)
-        a, P = _cancel(a, P)
-        Q, n = _cancel(Q, n)
+            P, Q = P * num[z] + den[z] * Q, Q * num[z]
+        t = [a, num[k], P, den[k], b, Q]
+        for i, j in _PAIRS:
+            g = math.gcd(t[i], t[j])
+            if g > 1:
+                t[i] //= g
+                t[j] //= g
+        a, n, P, d, b, Q = t
         num[k], den[k] = a * d * Q, b * n * P
 
 

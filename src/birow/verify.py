@@ -28,7 +28,7 @@ import contextlib
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .avar import x_to_A
@@ -106,10 +106,18 @@ def _rewound(f: Labeling, n: int) -> Iterator[Labeling]:
 
 
 def _rewound_labels(f: Labeling, n: int) -> dict:
-    """The labels of rho^-n f."""
+    """The labels of rho^-n f, as ``_labels`` gives them."""
     for f in _rewound(f, n):
         pass
-    return f.values
+    return _labels(f)
+
+
+def _labels(f: Labeling) -> dict:
+    """f's labels, a Fraction as its (numerator, denominator) pair, which
+    unpickles with no gcd (a Fraction takes one); symbolic ones as they are."""
+    if f.mode != "rational":
+        return f.values
+    return {p: (x.numerator, x.denominator) for p, x in f.values.items()}
 
 
 def _products(labelings: Iterable[Labeling], groups: List[Tuple[GridPoint, ...]]
@@ -181,7 +189,7 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
                     break
             end = next(ends)
             if first is None:
-                if g.values == end:
+                if _labels(g) == end:
                     first = period
                 else:
                     first = next((t for t, g in orbit if g.values == f.values), None)
@@ -325,15 +333,17 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
     return reps
 
 
-def _file_counts(ideal: OrderIdeal) -> List[int]:
-    """Entry t + r counts the ideal's points on file t: the points (i, i+t)
-    with i + t < heights[i]."""
-    r = ideal.poset.r
-    counts = [0] * (r + ideal.poset.s + 1)
-    for i, h in enumerate(ideal.heights):
-        for j in range(h):
-            counts[j - i + r] += 1
-    return counts
+def _file_counts(ideals: List[OrderIdeal]) -> List[int]:
+    """Entry t + r counts the points (i, i+t) on file t, i + t < heights[i],
+    over all the ideals, of one grid.  Column i of height h adds 1 to files
+    -i, ..., h-1-i: two updates of a difference array, summed once."""
+    r = ideals[0].poset.r
+    diff = [0] * (r + ideals[0].poset.s + 2)
+    for ideal in ideals:
+        for i, h in enumerate(ideal.heights):
+            diff[r - i] += 1
+            diff[r - i + h] -= 1
+    return list(accumulate(diff[:-1]))
 
 
 def check_combinatorial_homomesy(r: int, s: int) -> Report:
@@ -350,7 +360,7 @@ def check_combinatorial_homomesy(r: int, s: int) -> Report:
         if 2 * size != cells * len(orb):
             rep.fail({"input": orb[0].points(), "observed": str(Fraction(size, len(orb))),
                       "expected": str(Fraction(cells, 2))})
-        kept.append((orb[0], len(orb), [sum(col) for col in zip(*map(_file_counts, orb))]))
+        kept.append((orb[0], len(orb), _file_counts(orb)))
     rep.notes["orbit_count"] = len(kept)
     rep.notes["orbit_sizes"] = [n for _, n, _ in kept]
     count = sum(n for _, n, _ in kept)

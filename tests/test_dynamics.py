@@ -76,6 +76,23 @@ def positive_labelings(draw):
     return Labeling(poset, values, draw(positive_fractions), draw(positive_fractions))
 
 
+# Products of powers of 2, 3, 5 and 7: labels built from a few small primes
+# share factors, so every cancel of the integer sweep divides on some start.
+smooth_fractions = st.builds(
+    lambda e: math.prod(Fraction(p) ** k for p, k in zip((2, 3, 5, 7), e)),
+    st.tuples(*[st.integers(-4, 4)] * 4))
+
+
+@st.composite
+def smooth_labelings(draw):
+    """A positive labeling on a grid up to 5x5 with smooth_fractions labels,
+    its bottom and top labels other than 1."""
+    poset = RectPoset(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    values = {p: draw(smooth_fractions) for p in poset.members()}
+    ends = smooth_fractions.filter(lambda x: x != 1)
+    return Labeling(poset, values, draw(ends), draw(ends))
+
+
 class TestBirational:
     def test_two_by_two_symbolic_orbit(self):
         f = generic_labeling(RectPoset(1, 1))
@@ -145,6 +162,32 @@ class TestBirational:
                 assert type(x) is Fraction
                 assert (x.numerator, x.denominator, hash(x)) == \
                     (h[p].numerator, h[p].denominator, hash(h[p]))
+
+    @given(smooth_labelings())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_labels_are_the_toggles_in_lowest_terms(self, f):
+        def check(got, want):
+            for p, x in got.items():
+                assert x == want[p]
+                assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+
+        period = f.poset.r + f.poset.s + 2
+        ahead = [f]
+        for _ in range(period):
+            ahead.append(_toggled(ahead[-1]))
+        g = f
+        for want in ahead[1:]:
+            g = rowmotion_birational(g)
+            check(g.values, want.values)
+        g = want = f
+        for _ in range(period):
+            g, want = rowmotion_inverse(g), _toggled_up(want)
+            check(g.values, want.values)
+        steps = list(light_cone(f))
+        assert len(steps) == period - 1
+        for m, labels in enumerate(steps, 1):
+            assert sorted(labels) == [p for p in sorted(f.values) if sum(p) == m - 1]
+            check(labels, ahead[m].values)
 
     def test_only_positive_fraction_labelings_skip_the_toggle(self, monkeypatch):
         toggles = []

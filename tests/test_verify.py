@@ -489,11 +489,15 @@ class TestCombinatorialHomomesy:
     def test_file_counts_from_heights(self):
         for r, s in [(3, 1), (1, 3), (2, 2)]:
             poset = RectPoset(r, s)
-            for ideal in all_order_ideals(poset):
+            ideals = list(all_order_ideals(poset))
+            total = [0] * (r + s + 1)
+            for ideal in ideals:
                 members = {tuple(p) for p in ideal.points()}
                 want = [len(set(poset.file_by_offset(t).points) & members)
                         for t in range(-r, s + 1)]
-                assert _file_counts(ideal) == want, ideal.heights
+                assert _file_counts([ideal]) == want, ideal.heights
+                total = [x + y for x, y in zip(total, want)]
+            assert _file_counts(ideals) == total
 
 
 class TestFileLedger:
