@@ -14,9 +14,9 @@ ints ``(cover, east, north)`` on the grid's ``point_bits`` layout: the points
 its paths cover, and the lower vertex of each of its east and north edges.
 With W = s - jmin + 1 the east neighbour of bit b is b << W and the north
 neighbour b << 1.  A flip may hand a color an edge it already holds, so a
-color under a swap also keeps the mask of edges it holds twice.  An image is
-checked by walking these bits from each source, and no path object is built
-for it; each region's sources, sinks and twigs are turned into bits once.
+color under a swap also keeps the mask of edges it holds twice.  A bounce
+traversal yields the masks of the edges it took and an image is checked by
+two mask identities, with no walk; a region's endpoints become bits once.
 
 The boundary-hugging variant runs the same machinery on an enlarged grid
 whose extreme paths are pinned to the leftmost/rightmost routes; weights
@@ -41,8 +41,8 @@ from .report import Report
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
 ColoredEdge = Tuple[str, GridPoint, GridPoint]
 Masks = Tuple[int, int, int]  # one family's (cover, east, north) point_bits masks
-Step = Tuple[bool, int, int]  # (upward, direction: 0 east or 1 north, lower vertex bit)
 Taken = Tuple[Tuple[int, int], Tuple[int, int]]  # the (east, north) edges taken of up, of down
+_NONE: Taken = ((0, 0), (0, 0))  # a traversal that took no edge
 # A color under a swap is the masks [east, north, east twice, north twice],
 # and the colors are indexed blue 0, red 1.
 _BLUE, _RED = 0, 1
@@ -116,16 +116,15 @@ def _check_companions(br: Region, rr: Region):
 class _Plan:
     """A region's constants on its grid's point_bits layout, taken once per
     region: the column width w, the sources and the sinks as bits, the
-    number of edges of each of its families, the points one rank above the
-    sources (where the horizontal bounce path of a blue family of the region
-    ends) and the twig sources (every source but the first and the last)."""
+    points one rank above the sources (where the horizontal bounce path of a
+    blue family of the region ends) and the twig sources (every source but
+    the first and the last)."""
     region: Region
     w: int
     sources: Tuple[int, ...]
     sinks: Tuple[int, ...]
     source_mask: int
     sink_mask: int
-    edges: int
     above: int
     twigs: int
 
@@ -136,9 +135,8 @@ def _plan(region: Region) -> _Plan:
     bits = point_bits(g)
     sources = tuple(map(bits.__getitem__, region.sources))
     sinks = tuple(map(bits.__getitem__, region.sinks))
-    edges = sum(sum(t) - sum(u) for u, t in zip(region.sources, region.sinks))
     rank = region.m + region.n + region.k
-    return _Plan(region, g.s - g.jmin + 1, sources, sinks, sum(sources), sum(sinks), edges,
+    return _Plan(region, g.s - g.jmin + 1, sources, sinks, sum(sources), sum(sinks),
                  _mask(g, (p for p in g.members() if sum(p) == rank)), sum(sources[1:-1]))
 
 
@@ -151,78 +149,71 @@ def _image(br: Region, side: str) -> Tuple[_Plan, _Plan]:
             _plan(g.hexagon(br.m + ri, br.n + rj, br.k - 1)))
 
 
-def _traverse(v: int, w: int, up: List[int], down: List[int]
-              ) -> Tuple[int, List[Step], Taken]:
+def _traverse(v: int, w: int, up: List[int], down: List[int]) -> Tuple[int, Taken]:
     """Bounce traversal from the bit v on a grid of column width w: free
     (east, north) edges of ``up`` upward and of ``down`` downward, reversing
     whenever possible, east before north.  Clears the edges taken; returns
-    the end, the steps and the edges taken of up and of down."""
+    the end and the edges taken of up and of down, ``_NONE`` if none."""
     (up_e, up_n), (down_e, down_n) = up, down
-    steps: List[Step] = []
     going_up = True
     while True:
         if going_up and down_e & (v >> w):
             v >>= w
             down_e ^= v
-            steps.append((False, 0, v))
             going_up = False
         elif going_up and down_n & (v >> 1):
             v >>= 1
             down_n ^= v
-            steps.append((False, 1, v))
             going_up = False
         elif up_e & v:
             up_e ^= v
-            steps.append((True, 0, v))
             v <<= w
             going_up = True
         elif up_n & v:
             up_n ^= v
-            steps.append((True, 1, v))
             v <<= 1
             going_up = True
         elif down_e & (v >> w):
             v >>= w
             down_e ^= v
-            steps.append((False, 0, v))
         elif down_n & (v >> 1):
             v >>= 1
             down_n ^= v
-            steps.append((False, 1, v))
         else:
             break
     taken = ((up[0] ^ up_e, up[1] ^ up_n), (down[0] ^ down_e, down[1] ^ down_n))
     up[:], down[:] = (up_e, up_n), (down_e, down_n)
-    return v, steps, taken
+    return v, taken
 
 
-def _bounce(plan: _Plan, blue: Masks, red: Masks) -> Tuple[str, List[Step], List[Step], Taken]:
+def _bounce(plan: _Plan, blue: Masks, red: Masks) -> Tuple[str, Taken, Taken]:
     """Run the two bounce traversals, from the leftmost source first exactly
-    when the leftmost blue path starts east, and classify them: the side,
-    the vertical and the horizontal bounce path, and the edges the
-    horizontal one took."""
+    when the leftmost blue path starts east, and classify them: the side and
+    the edges the vertical and the horizontal bounce path took.  No edge of
+    either color ends at a blue source, so the vertical path's first edge is
+    the one it took up out of its source."""
     g = plan.region.poset
     starts = (plan.sources[0], plan.sources[-1])
     if not blue[1] & starts[0]:
         starts = starts[::-1]
     up, down = list(blue[1:]), list(red[1:])
-    vertical = horizontal = v_start = h_taken = None
+    vertical = horizontal = v_start = None
     for start in starts:
-        term, steps, taken = _traverse(start, plan.w, up, down)
-        if steps and term & plan.sink_mask:
+        term, taken = _traverse(start, plan.w, up, down)
+        if taken != _NONE and term & plan.sink_mask:
             if vertical is not None:
                 raise MalformedOverlay("two vertical bounce paths")
-            vertical, v_start = steps, start
-        elif not steps or term & plan.above:
+            vertical, v_start = taken, start
+        elif taken == _NONE or term & plan.above:
             if horizontal is not None:
                 raise MalformedOverlay("two horizontal bounce paths")
-            horizontal, h_taken = steps, taken
+            horizontal = taken
         else:
             raise MalformedOverlay(f"bounce path ends at internal vertex {_point(g, term)}")
     if vertical is None or horizontal is None:
         raise MalformedOverlay("missing vertical or horizontal bounce path")
-    upward, d, low = vertical[0]
-    if not upward or low != v_start:
+    d = next((d for d in (0, 1) if vertical[0][d] & v_start), None)
+    if d is None:
         raise MalformedOverlay("vertical bounce path does not start upward from its source")
     # The truncated vertical must supply the one new blue source of the
     # skewed base: leftmost start stepping east, or rightmost stepping north.
@@ -231,7 +222,7 @@ def _bounce(plan: _Plan, blue: Masks, red: Masks) -> Tuple[str, List[Step], List
                  if v_start == plan.sources[src] and (1 - d, d) == blue_step), None)
     if side is None:
         raise MalformedOverlay("vertical bounce path start and direction disagree")
-    return side, vertical, horizontal, h_taken
+    return side, vertical, horizontal
 
 
 def _move(g: RectPoset, colors: List[List[int]], d: int, bits: int,
@@ -270,9 +261,14 @@ def _flip(g: RectPoset, colors, taken: Taken, twigs: List[int], up: int, down: i
 
 def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Masks, Masks]:
     """The masks of the blue and red families, of the target regions, that
-    run along the colors' edges.  Walks that end at their sinks are monotone
-    routes inside the region, and no two meet: no vertex has two edges in or
-    out, and the sinks are distinct."""
+    run along the colors' edges.  With at most one edge out of and into each
+    vertex, the edges are vertex-disjoint monotone walks from the points
+    with an edge out and none in to those with one in and none out.  These
+    are the sources and the sinks (less any source that is its own sink, in
+    a one-rank region) exactly when the walks leave every source, cover every
+    edge and end at the sinks; disjoint lattice walks cannot cross, so
+    source l reaches sink l (Gessel-Viennot).  Walks run only to name a
+    failure."""
     out_masks = []
     for (east, north, east2, north2), plan in zip(colors, targets):
         g, w = plan.region.poset, plan.w
@@ -281,22 +277,21 @@ def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Mas
                                    f"carries a color twice after the swap")
         if east & north:
             raise MalformedOverlay(f"two edges leave {_point(g, east & north)}")
-        if (east << w) & (north << 1):
-            raise MalformedOverlay(f"two edges enter {_point(g, (east << w) & (north << 1))}")
-        out = east | north
-        for src, snk in zip(plan.sources, plan.sinks):
-            v = src
-            while v & out:
-                v = v << w if v & east else v << 1
-            if v != snk:
-                raise MalformedOverlay(f"path from {_point(g, src)} ends at {_point(g, v)}, "
-                                       f"expected {_point(g, snk)}")
-        # Walks from distinct sources to distinct sinks share no edge, so
-        # they took the region's number of edges.
-        if out.bit_count() != plan.edges:
+        out, east_in, north_in = east | north, east << w, north << 1
+        if east_in & north_in:
+            raise MalformedOverlay(f"two edges enter {_point(g, east_in & north_in)}")
+        into, sources, sinks = east_in | north_in, plan.source_mask, plan.sink_mask
+        if out & ~into != sources & ~sinks or into & ~out != sinks & ~sources:
+            for src, snk in zip(plan.sources, plan.sinks):
+                v = src
+                while v & out:
+                    v = v << w if v & east else v << 1
+                if v != snk:
+                    raise MalformedOverlay(f"path from {_point(g, src)} ends at {_point(g, v)}, "
+                                           f"expected {_point(g, snk)}")
             raise MalformedOverlay("leftover edges after path reconstruction")
         # Every covered point but a sink is the lower vertex of an edge.
-        out_masks.append((out | plan.sink_mask, east, north))
+        out_masks.append((out | sinks, east, north))
     return out_masks[0], out_masks[1]
 
 
@@ -305,11 +300,13 @@ def swap(region: Region, blue: Masks, red: Masks) -> Tuple[str, Masks, Masks]:
     ``red``, a family of its (+1,+1) companion: the side its bases are skewed
     to, and its blue and red masks."""
     plan = _plan(region)
-    side, vertical, _, taken = _bounce(plan, blue, red)
+    side, _, taken = _bounce(plan, blue, red)
     g = region.poset
     colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
     _flip(g, colors, taken, [blue[1] & plan.twigs, blue[2] & plan.twigs], _BLUE, _RED)
-    _, d, low = vertical[0]
+    # The truncated edge is the vertical path's first: the side's blue step.
+    src, (_, d), _ = _SIDES[side]
+    low = plan.sources[src]
     if not colors[_BLUE][d] & low:
         raise MalformedOverlay("truncation target edge is not blue")
     _move(g, colors, d, low, _BLUE, None)
@@ -350,12 +347,12 @@ def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, M
     plan, v_start, h_start, twigs, d, p0, targets = _preimage(side, region)
     g, w = region.poset, plan.w
     blue_free, red_free = list(blue[1:]), list(red[1:])
-    vterm, vsteps, _ = _traverse(v_start, w, blue_free, red_free)
-    if not vsteps or not vterm & plan.sink_mask:
+    vterm, vtaken = _traverse(v_start, w, blue_free, red_free)
+    if vtaken == _NONE or not vterm & plan.sink_mask:
         raise MalformedOverlay("vertical bounce path does not reach the top")
-    taken: Taken = ((0, 0), (0, 0))
+    taken = _NONE
     if h_start is not None:
-        hterm, _, taken = _traverse(h_start, w, red_free, blue_free)
+        hterm, taken = _traverse(h_start, w, red_free, blue_free)
         if not hterm & plan.source_mask:
             raise MalformedOverlay(f"mirror bounce path ends at {_point(g, hterm)}")
     colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]

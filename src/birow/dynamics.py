@@ -373,7 +373,7 @@ class OrderIdeal:
     def __post_init__(self):
         h, r, s = self.heights, self.poset.r, self.poset.s
         if (len(h) != r + 1 or h[0] > s + 1 or h[-1] < 0
-                or any(a < b for a, b in zip(h, h[1:]))):
+                or list(h) != sorted(h, reverse=True)):
             raise OutOfRangeValue(f"column heights {h} are not weakly decreasing "
                                   f"in [0, {s + 1}] over {r + 1} columns")
 

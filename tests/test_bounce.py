@@ -3,13 +3,13 @@ families, and the three-term phi identity."""
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Tuple
+from typing import FrozenSet, Tuple
 
 import pytest
 
 from birow import bounce
-from birow.bounce import (_SIDES, ColoredEdge, Edge, Masks, _bounce, _check_companions, _edge,
-                          _edge_colors, _image, _masks, _plan, _rebuild,
+from birow.bounce import (_SIDES, ColoredEdge, Edge, Masks, Taken, _bounce, _check_companions,
+                          _edge, _edge_colors, _image, _masks, _plan, _point, _rebuild,
                           hugging_families, plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
@@ -50,21 +50,22 @@ class BounceDecomposition:
     side: str  # "left" or "right"
 
 
-def decompose(blue: NilpFamily, red: NilpFamily) -> BounceDecomposition:
-    """The overlay's bitmask bounce paths as colored edges, its twigs and
-    its side, for comparison with the Counter reference below.  The edges
-    the horizontal path took, which its flip moves, are checked against its
-    steps."""
-    side, vertical, horizontal, taken = _bounce(_plan(blue.region), *overlay_masks(blue, red))
-    by_step = [[0, 0], [0, 0]]
-    for upward, d, low in horizontal:
-        by_step[not upward][d] |= low
-    assert [list(t) for t in taken] == by_step
+def edge_set(g: RectPoset, taken: Taken) -> FrozenSet[ColoredEdge]:
+    """The colored edges of a bounce path's masks: the blue edges it took
+    upward and the red ones it took downward."""
+    return frozenset((color, *_edge(g, d, 1 << b)) for color, masks in zip(("blue", "red"), taken)
+                     for d, mask in enumerate(masks)
+                     for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def decompose(blue: NilpFamily, red: NilpFamily
+              ) -> Tuple[str, FrozenSet[ColoredEdge], FrozenSet[ColoredEdge]]:
+    """The overlay's side and the colored edges of its bitmask vertical and
+    horizontal bounce paths, for comparison with the Counter reference
+    below."""
+    side, vertical, horizontal = _bounce(_plan(blue.region), *overlay_masks(blue, red))
     g = blue.region.poset
-    paths = [tuple(("blue" if upward else "red", *_edge(g, d, low)) for upward, d, low in steps)
-             for steps in (vertical, horizontal)]
-    twigs = tuple((p.vertices[0], p.vertices[1]) for p in blue.paths[1:-1])
-    return BounceDecomposition(*paths, twigs, side)
+    return side, edge_set(g, vertical), edge_set(g, horizontal)
 
 
 # The grids of the exhaustive checks.
@@ -99,17 +100,15 @@ def test_overlay_and_decompose_shapes():
     p = RectPoset(3, 2)
     blue = enum_nilp(p.hexagon(1, 0, 2))
     red = enum_nilp(p.hexagon(2, 1, 1))
-    d = decompose(blue[0], red[0])
-    assert d.side in ("left", "right")
-    color, frm, to = d.vertical[0]
-    assert color == "blue" and frm in blue[0].region.sources
-    assert d.vertical[-1][2] in blue[0].region.sinks
-    # bounce paths and twigs only use edge instances present in the overlay
+    side, vertical, horizontal = decompose(blue[0], red[0])
+    region = blue[0].region
+    assert side in ("left", "right")
+    assert any(color == "blue" and frm in region.sources for color, frm, _ in vertical)
+    assert any(to in region.sinks for _, _, to in vertical)
+    # bounce paths only use edge instances present in the overlay, and the
+    # two paths take each at most once
     overlay_edges = set(_edge_colors(blue[0], red[0]))
-    for e in d.vertical + d.horizontal:
-        assert e in overlay_edges
-    for (u, w) in d.twigs:
-        assert ("blue", u, w) in overlay_edges
+    assert vertical | horizontal <= overlay_edges and not vertical & horizontal
 
 
 def test_swap_round_trip_single_case():
@@ -384,7 +383,8 @@ def test_bitmask_bijection_matches_the_counter_reference():
         for (i, j, k) in _valid_queries(p):
             for blue, red in _overlays(p, i, j, k):
                 seen += 1
-                assert decompose(blue, red) == _decompose(blue, red)
+                ref = _decompose(blue, red)
+                assert decompose(blue, red) == (ref.side, set(ref.vertical), set(ref.horizontal))
                 side, blue2, red2 = swap(blue.region, *overlay_masks(blue, red))
                 ref_side, ref_blue2, ref_red2 = _reference_swap(blue, red)
                 assert (side, blue2, red2) == \
@@ -519,3 +519,71 @@ def test_rebuild_rejects_each_malformed_image():
     def add_leftover(c):
         c[free[1]] |= bits[free[0]]
     rejects(add_leftover, "leftover edges after path reconstruction")
+
+
+def _walk_rebuild(colors, targets):
+    """The image check by walks, the reference for _rebuild's mask
+    identities: the same three checks, then a walk along the edge bits from
+    each source to its sink, and a count of the edges against the region's."""
+    out_masks = []
+    for (east, north, east2, north2), plan in zip(colors, targets):
+        g, w, region = plan.region.poset, plan.w, plan.region
+        if east2 | north2:
+            raise MalformedOverlay(f"edge {_edge(g, 0 if east2 else 1, east2 or north2)} "
+                                   f"carries a color twice after the swap")
+        if east & north:
+            raise MalformedOverlay(f"two edges leave {_point(g, east & north)}")
+        if (east << w) & (north << 1):
+            raise MalformedOverlay(f"two edges enter {_point(g, (east << w) & (north << 1))}")
+        out = east | north
+        for src, snk in zip(plan.sources, plan.sinks):
+            v = src
+            while v & out:
+                v = v << w if v & east else v << 1
+            if v != snk:
+                raise MalformedOverlay(f"path from {_point(g, src)} ends at {_point(g, v)}, "
+                                       f"expected {_point(g, snk)}")
+        # Walks from distinct sources to distinct sinks share no edge, so
+        # they took the region's number of edges.
+        if out.bit_count() != sum(sum(t) - sum(u) for u, t in zip(region.sources, region.sinks)):
+            raise MalformedOverlay("leftover edges after path reconstruction")
+        out_masks.append((out | plan.sink_mask, east, north))
+    return out_masks[0], out_masks[1]
+
+
+def _outcome(rebuild, colors, targets):
+    try:
+        return rebuild(colors, targets)
+    except MalformedOverlay as e:
+        return str(e)
+
+
+def test_rebuild_identities_agree_with_the_walk():
+    # On every hexagon region of the grids up to 4x4, and of one grid with
+    # negative lower bounds, two copies of each family, unchanged or with
+    # one east or north edge of the grid added to or dropped from one copy:
+    # _rebuild and the walk both accept with the same masks, or both raise
+    # the same message.
+    grids = [RectPoset(r, s) for r in range(5) for s in range(5)] + [RectPoset(3, 2, -2, -1)]
+    one_rank = rejected = 0
+    for g in grids:
+        bits = point_bits(g)
+        edges = [(d, bits[p]) for p in g.members() for d in (0, 1)
+                 if g.contains((p[0] + 1 - d, p[1] + d))]
+        for region in _regions(g):
+            fams = enum_nilp(region)
+            if not fams:
+                continue
+            one_rank += region.sources == region.sinks
+            targets = (_plan(region), _plan(region))
+            for fam in fams:
+                copy = [*_masks(fam)[1:], 0, 0]
+                assert _rebuild([copy, copy], targets) == (_masks(fam),) * 2
+                for c in (0, 1):
+                    for d, b in edges:
+                        colors = [list(copy), list(copy)]
+                        colors[c][d] ^= b
+                        want = _outcome(_walk_rebuild, colors, targets)
+                        assert _outcome(_rebuild, colors, targets) == want, (region, colors)
+                        rejected += isinstance(want, str)
+    assert one_rank > 0 and rejected > 10 ** 5
