@@ -21,17 +21,17 @@ new label L / (x S) once, by gcds between its unmultiplied factors.
 Rowmotion never subtracts, so a positive labeling stays positive along its
 orbit.  One runner, ``_toggle_runs``, toggles slices of
 linear_extension_desc and decides once per labeling which of the two runs
-them: the sweep when the bottom, the top and every label are positive
-Fractions, composed ``toggle_birational`` otherwise (Factored, MaxPlus, or a
+them: the sweep on a "rational" labeling with a positive bottom, top and
+labels, composed ``toggle_birational`` otherwise (Factored, MaxPlus, or a
 Fraction labeling with a zero or negative label).  ``rowmotion_birational``
 runs the whole order, ``rowmotion_inverse`` the reversed order (each toggle
 is an involution, so this is exactly rho^-1), and ``light_cone`` one prefix
 per step, yielding rank m-1 of rho^m f for m = 1, ..., r+s+1.
 
-``Labeling.to_json`` and ``from_json`` round-trip every labeling of one
-value type: mode "rational", "symbolic" or "pl" (MaxPlus values, written as
-their rationals), with the bottom and top labels written only where they
-differ from the mode's defaults.
+Each value type is one row of ``_KINDS``: its JSON mode, "rational",
+"symbolic" or "pl" (MaxPlus, written as its rational), its label parser,
+and its default bottom and top labels, which ``Labeling.to_json`` writes
+only where a labeling differs and ``from_json`` reads back.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class MaxPlus:
     ** e is multiplication by e, so the reciprocal ** -1 is negation and
     parallel's (1/a + 1/b) ** -1 is min(a, b).
 
-    It equals only max-plus values, so MaxPlus(0), the max-plus one, is
-    taken neither for parallel's zero operand nor for a pole."""
+    It has no zero, so every value is true under bool, and MaxPlus(0), the
+    max-plus one, is taken neither for parallel's zero operand nor a pole."""
     v: Fraction
 
     def __add__(self, other: "MaxPlus") -> "MaxPlus":
@@ -71,16 +71,19 @@ class MaxPlus:
     def __pow__(self, e: int) -> "MaxPlus":
         return MaxPlus(self.v * e)
 
+    def __str__(self) -> str:
+        return str(self.v)
+
 
 Value = Union[Factored, Fraction, MaxPlus]
 
 
-# Each JSON mode's label parser and writer, and the texts of its default
-# bottom and top labels, which to_json leaves out.
-_MODES = {
-    "rational": (parse_rational, str, "1", "1"),
-    "symbolic": (parse_factored, str, "1", "1"),
-    "pl": (lambda text: MaxPlus(parse_rational(text)), lambda x: str(x.v), "0", "1"),
+# One row per value type: its JSON mode and label parser, and the texts of
+# its default bottom and top labels, which to_json leaves out.
+_KINDS = {
+    Fraction: ("rational", parse_rational, "1", "1"),
+    Factored: ("symbolic", parse_factored, "1", "1"),
+    MaxPlus: ("pl", lambda text: MaxPlus(parse_rational(text)), "0", "1"),
 }
 
 
@@ -95,9 +98,7 @@ class Labeling:
 
     @property
     def mode(self) -> str:
-        v = next(iter(self.values.values()), None)
-        return ("symbolic" if isinstance(v, Factored)
-                else "pl" if isinstance(v, MaxPlus) else "rational")
+        return _KINDS[type(self.bottom)][0]
 
     def value(self, p: GridPoint) -> Value:
         return self.values[p]
@@ -108,30 +109,34 @@ class Labeling:
         return Labeling(self.poset, vals, self.bottom, self.top)
 
     def to_json(self) -> dict:
-        """The grid, the mode, each label as text, and the bottom and top
+        """The grid, the mode, each label by str(), and the bottom and top
         labels where they differ from the mode's defaults (1 and 1, or 0
         and 1 for "pl", whose labels are the MaxPlus values' rationals)."""
-        parse, text, bottom, top = _MODES[self.mode]
+        mode, parse, bottom, top = _KINDS[type(self.bottom)]
         data = {
             "r": self.poset.r,
             "s": self.poset.s,
-            "mode": self.mode,
-            "labels": {point_key(p): text(v) for p, v in sorted(self.values.items())},
+            "mode": mode,
+            "labels": {point_key(p): str(v) for p, v in sorted(self.values.items())},
         }
         for key, x, default in (("bottom", self.bottom, bottom), ("top", self.top, top)):
             if x != parse(default):
-                data[key] = text(x)
+                data[key] = str(x)
         return data
 
     @staticmethod
     def from_json(data: dict) -> "Labeling":
-        """The labeling to_json wrote; a mode other than "symbolic" or "pl"
-        reads as "rational"."""
+        """The labeling to_json wrote.  A missing mode reads as "rational";
+        a mode other than "rational", "symbolic" or "pl" is a ParseError."""
         r, s = data["r"], data["s"]
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in (r, s)):
             raise ParseError(f"grid size r={r!r}, s={s!r}: both must be integers")
         poset = RectPoset(r, s)
-        parse, _, bottom, top = _MODES.get(data.get("mode"), _MODES["rational"])
+        mode = data.get("mode", "rational")
+        rows = {row[0]: row for row in _KINDS.values()}
+        if mode not in rows:
+            raise ParseError(f"mode {mode!r}: must be one of {', '.join(map(repr, rows))}")
+        _, parse, bottom, top = rows[mode]
         values = {parse_point_key(k): parse(v) for k, v in data["labels"].items()}
         # Two spellings of one point ("0,0", "00,0") parse to one key.
         if len(values) != len(data["labels"]) or not poset.members_are(values):
@@ -302,14 +307,15 @@ def _toggle_runs(f: Labeling, parts: Iterable[slice]) -> Iterator[Callable[[Grid
     order and yield a lookup of the current labels, valid until the next
     slice is toggled.
 
-    This is the one place that picks the toggle kernel.  When the bottom,
-    the top and every label are positive Fractions, each slice runs
-    _toggle_pairs over the labels held once as (numerator, denominator)
-    lists, and the lookup builds the Fraction of one label; otherwise each
-    slice composes toggle_birational."""
+    This is the one place that picks the toggle kernel.  When the labeling
+    is rational and the bottom, the top and every label are positive, each
+    slice runs _toggle_pairs over the labels held once as (numerator,
+    denominator) lists, and the lookup builds the Fraction of one label;
+    otherwise each slice composes toggle_birational."""
     slot, plan = _sweep_plan(f.poset)
     xs = [f.values[p] for p in slot] + [f.bottom, f.top]
-    if all(type(x) is Fraction and x.numerator > 0 for x in xs):
+    # x.numerator > 0 skips Fraction's rich comparison with 0.
+    if f.mode == "rational" and all(x.numerator > 0 for x in xs):
         num = [x.numerator for x in xs]
         den = [x.denominator for x in xs]
         for part in parts:

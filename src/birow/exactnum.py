@@ -8,14 +8,14 @@ precision integer coefficients and variables indexed by a namespace
 polynomials with integer exponents.
 
 A value is anything with the operators the birational toggle uses:
-``a + b``, ``a * b``, ``a / b``, ``a ** e`` with an ``int`` exponent,
-``a == b`` (``parallel`` tests ``a == 0``) and ``str(a)``.  Birational
-rowmotion never subtracts, so the protocol has no ``-``, unary or binary,
-and neither ``Factored`` nor ``Polynomial`` defines one.  A zero divisor, in
-``/`` or in a non-positive power of zero, raises ``ZeroDivisionError``.
-``Fraction``, ``Factored`` and ``dynamics.MaxPlus`` are values, so the
-toggle runs unchanged on each.  (``dynamics`` says which labelings take
-its integer sweep instead; the protocol is unchanged.)
+``a + b``, ``a * b``, ``a / b``, ``a ** e`` with an ``int`` exponent, ``==``
+with a value of its own type, ``bool(a)``, false exactly at zero, and
+``str(a)``.  Birational rowmotion never subtracts, so the protocol has no
+``-``, unary or binary, and neither ``Factored`` nor ``Polynomial`` defines
+one.  A zero divisor, in ``/`` or in a non-positive power of zero, raises
+``ZeroDivisionError``.  ``Fraction``, ``Factored`` and ``dynamics.MaxPlus``
+are values, so the toggle runs unchanged on each (``dynamics`` says which
+labelings take its integer sweep instead).
 
 No multivariate gcd is ever computed: ``Factored`` division cancels equal
 factors syntactically, and equality expands the quotient of the two values
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import gc
 import math
-import numbers
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -348,7 +347,7 @@ class Factored:
     toggle dynamics from accumulating redundant factors; no polynomial gcd
     is ever computed.  Addition extracts the common factors, expands only
     the leftover parts, and stores their sum as a single new factor.
-    ``==`` is mathematical equality, so a value has no hash.
+    ``==`` is mathematical equality with a ``Factored``, so it has no hash.
     """
 
     coeff: Fraction
@@ -382,8 +381,8 @@ class Factored:
         d[pd] = d.get(pd, 0) - 1
         return Factored.make(cn / cd, d)
 
-    def is_zero(self) -> bool:
-        return self.coeff == 0
+    def __bool__(self) -> bool:
+        return self.coeff != 0
 
     def __mul__(self, other: "Factored") -> "Factored":
         d = dict(self.factors)
@@ -395,16 +394,16 @@ class Factored:
         return self * other ** -1
 
     def __pow__(self, exp: int) -> "Factored":
-        if self.is_zero():
+        if not self:
             if exp <= 0:
                 raise ZeroDivisionError("zero to a nonpositive power")
             return self
         return Factored.make(self.coeff ** exp, {p: e * exp for p, e in self.factors})
 
     def __add__(self, other: "Factored") -> "Factored":
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
         fa, fb = dict(self.factors), dict(other.factors)
         keys = set(fa) | set(fb)
@@ -421,12 +420,10 @@ class Factored:
         return Factored.make(g / lcm, common)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, numbers.Rational):
-            other = Factored.const(other)
         if not isinstance(other, Factored):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        if not self or not other:
+            return not self and not other
         # Cancel shared factors first, then expand only the leftover ratio.
         num, den = (self / other).expand()
         return num == den
@@ -459,12 +456,12 @@ def parallel(a, b):
     1/a + 1/b as from a + b, so the result has the coefficient and factors
     of ab/(a + b).
 
-    Zero absorbs, a ∥ 0 = 0 ∥ a = 0, as ab/(a + b) gives.  The sum is a pole
-    when a + b = 0, both operands zero included; for nonzero operands that
-    is exactly when 1/a + 1/b = 0."""
-    zero = a == 0 or b == 0
+    Zero, false under ``bool``, absorbs: a ∥ 0 = 0 ∥ a = 0, as ab/(a + b)
+    gives.  The sum is a pole when a + b = 0, both operands zero included;
+    for nonzero operands that is exactly when 1/a + 1/b = 0."""
+    zero = not a or not b
     s = a + b if zero else a ** -1 + b ** -1
-    if s == 0:
+    if not s:
         raise PoleEncountered("parallel sum pole: a + b = 0")
     return a * b if zero else s ** -1
 

@@ -169,27 +169,44 @@ def test_exhaustive_bijection_on_small_grids():
             assert rep.passed, (r, s, i, j, k, rep.witnesses[:1])
 
 
-def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
-    # A swap that sends every overlay to one fixed image fails the weight
-    # stage wherever an overlay's weight differs from the image's.
+def _one_image(monkeypatch):
+    """The overlays of plucker_check(RectPoset(3, 2), 2, 1, 1) in order, the
+    side and masks of the first one's image, and the check's report under a
+    swap that sends every overlay to that one image."""
     p = RectPoset(3, 2)
     overlays = [(b, r) for b in enum_nilp(p.hexagon(1, 0, 1))
                 for r in enum_nilp(p.hexagon(2, 1, 0))]
-    region = overlays[0][0].region
-    side, *image = swap(region, *overlay_masks(*overlays[0]))
+    side, *image = swap(overlays[0][0].region, *overlay_masks(*overlays[0]))
     monkeypatch.setattr(bounce, "swap", lambda *overlay: (side, *image))
-    rep = plucker_check(p, 2, 1, 1)
+    return overlays, side, image, plucker_check(p, 2, 1, 1)
+
+
+def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
+    # A swap that sends every overlay to one fixed image fails the weight
+    # stage wherever an overlay's weight differs from the image's.
+    overlays, side, image, rep = _one_image(monkeypatch)
 
     def weight(blue, red):
         return str(uncovered_sum([blue], blue.region.members)
                    * uncovered_sum([red], red.region.members))
 
+    region = overlays[0][0].region
     image_fams = [family(e.region, m) for e, m in zip(_image(region, side), image)]
     want = [(_edge_colors(*o), weight(*image_fams), weight(*o)) for o in overlays
             if weight(*o) != weight(*image_fams)]
     got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
            if w["stage"] == "weight"]
     assert want and got == want
+
+
+def test_a_swap_that_is_not_injective_fails_the_round_trip(monkeypatch):
+    # A swap that sends every overlay to one image is not injective.  unswap
+    # gives the first overlay back from it, so every other overlay fails the
+    # round trip, in order, with no image kept.
+    overlays, _, _, rep = _one_image(monkeypatch)
+    assert not rep.passed and rep.trials == len(overlays) > 1
+    assert [w["overlay"] for w in rep.witnesses if w["stage"] == "round-trip"] == \
+        [_edge_colors(*o) for o in overlays[1:]]
 
 
 # The reference bijection: colored edges as (lower, upper) vertex tuples in

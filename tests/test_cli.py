@@ -79,6 +79,30 @@ class TestIterate:
                                  "--labels", str(tmp_path / name))
             assert code == 2 and "labels" in err and not out, name
 
+    def test_rejects_an_unknown_labels_mode(self, capsys, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"r": 1, "s": 1, "mode": "PL",
+                                    "labels": {"0,0": "1/4", "0,1": "1/2", "1,0": "1/3",
+                                               "1,1": "3/4"}}))
+        code, out, err = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "1",
+                             "--labels", str(path))
+        assert (code, out) == (2, "")
+        assert "mode 'PL': must be one of 'rational', 'symbolic', 'pl'" in err
+
+    def test_labels_without_a_mode_read_as_rational(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "iterate", "--r", "2", "--s", "1", "--k", "0",
+                        "--mode", "rational", "--seed", "2")
+        labels = json.loads(out)
+        outs = []
+        for data in (labels, {k: v for k, v in labels.items() if k != "mode"}):
+            path = tmp_path / "labels.json"
+            path.write_text(json.dumps(data))
+            code, out, _ = run(capsys, "iterate", "--r", "2", "--s", "1", "--k", "3",
+                               "--labels", str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] and json.loads(outs[0])["mode"] == "rational"
+
     def test_piecewise_linear_labels(self, capsys, tmp_path):
         """A "pl" labeling runs the max-plus toggle max(lower) + min(upper) - x,
         bottom 0 and top 1, and returns to its start after the period 4."""

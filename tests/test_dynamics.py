@@ -421,8 +421,8 @@ class TestJson:
                      *((f.values[p], g.values[p]) for p in f.poset.members())]:
             assert type(x) is type(y) and x == y
         assert g.to_json() == data
-        defaults = {"pl": (MaxPlus(Fraction(0)), MaxPlus(Fraction(1)))}.get(
-            f.mode, (Fraction(1), Fraction(1)))
+        defaults = {"pl": (MaxPlus(Fraction(0)), MaxPlus(Fraction(1))),
+                    "symbolic": (ONE, ONE)}.get(f.mode, (Fraction(1), Fraction(1)))
         for key, x, default in zip(("bottom", "top"), (f.bottom, f.top), defaults):
             assert (key in data) == (x != default)
 
