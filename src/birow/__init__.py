@@ -3,8 +3,7 @@ toggle dynamics, the lattice-path closed form for iterates, and machine
 verification of periodicity, reciprocity, and file homomesy."""
 
 from .closed_form import ClosedForm, IterateQuery, rho_closed
-from .dynamics import (Labeling, OrderIdeal, generic_labeling,
-                       iterate_birational, rowmotion_birational)
+from .dynamics import Labeling, generic_labeling, iterate_birational, rowmotion_birational
 from .exactnum import Factored, Polynomial, Var, avar, xvar
 from .grid_poset import RectPoset, Region
 from .nilp import phi
@@ -13,7 +12,7 @@ from .report import Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedForm", "IterateQuery", "rho_closed", "Labeling", "OrderIdeal",
+    "ClosedForm", "IterateQuery", "rho_closed", "Labeling",
     "generic_labeling", "iterate_birational", "rowmotion_birational",
     "Factored", "Polynomial", "Var", "avar", "xvar",
     "RectPoset", "Region", "phi", "Report", "__version__",

@@ -3,7 +3,7 @@ polynomials, combinatorial orbits, and the verification suite.
 
 Output is JSON by default; --plain renders human-readable text.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 arithmetic
-fault.
+fault or a budget exceeded (``dynamics.IDEAL_BUDGET``).
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ from typing import Callable
 from .avar import a_to_x
 from .bounce import plucker_check
 from .closed_form import IterateQuery, rho_closed
-from .dynamics import Labeling, OrderIdeal, iterate_birational, orbit, orbits, starts
-from .errors import BirowError, ParseError, PoleEncountered
+from .dynamics import (Heights, Labeling, ideal_from_points, ideal_points, iterate_birational,
+                       orbit, orbits, starts)
+from .errors import BirowError, BudgetExceeded, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
-from .grid_poset import RectPoset
+from .grid_poset import RectPoset, parse_point_key
 from .nilp import enum_nilp, phi
 from .verify import (check_antipodal_product, check_combinatorial_homomesy,
                      check_file_homomesy, check_file_ledger, check_main_formula,
                      check_periodicity, check_reciprocity)
 
-USAGE_ERROR, ARITHMETIC_FAULT = 2, 3
+USAGE_ERROR, ARITHMETIC_FAULT, BUDGET_EXCEEDED = 2, 3, 3
 
 
 def _emit(payload: dict, plain: bool, plain_text: Callable[[], str]):
@@ -125,23 +126,22 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _parse_ideal(text: str, poset: RectPoset) -> OrderIdeal:
+def _parse_ideal(text: str, poset: RectPoset) -> Heights:
     pts = set()
     if text.strip():
         for part in text.split(";"):
             try:
-                i, j = part.split(",")
-                pts.add((int(i), int(j)))
+                pts.add(parse_point_key(part))
             except ValueError:
                 raise BirowError(f"--ideal point {part!r} is not of the form i,j")
-    return OrderIdeal.from_points(poset, pts)
+    return ideal_from_points(poset, pts)
 
 
 def _orbit_json(orb) -> dict:
-    sizes = [o.size() for o in orb]
+    sizes = [sum(h) for h in orb]
     return {
         "length": len(orb),
-        "ideals": [o.points() for o in orb],
+        "ideals": [ideal_points(h) for h in orb],
         "sizes": sizes,
         "size_average": str(Fraction(sum(sizes), len(orb))),
     }
@@ -150,7 +150,7 @@ def _orbit_json(orb) -> dict:
 def _cmd_orbit(args) -> int:
     poset = RectPoset(args.r, args.s)
     if args.ideal is not None:
-        walked = [orbit(_parse_ideal(args.ideal, poset))]
+        walked = [orbit(poset, _parse_ideal(args.ideal, poset))]
     else:
         walked = orbits(poset)
     payload = {"r": args.r, "s": args.s, "orbits": [_orbit_json(o) for o in walked]}
@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except (PoleEncountered, ZeroDivisionError) as e:
         print(f"arithmetic fault: {e}", file=sys.stderr)
         return ARITHMETIC_FAULT
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return BUDGET_EXCEEDED
     except BirowError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,5 +1,6 @@
 """Toggles and rowmotion: one birational toggle over three value types, and
-combinatorial rowmotion on order ideals held as column heights.
+combinatorial rowmotion on order ideals held as plain tuples of column
+heights, checked only where ``ideal_from_points`` reads a user's points.
 
 A labeling assigns a value to every grid point and carries the labels of
 the adjoined bottom and top (Grinberg-Roby).  With Fraction or Factored
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
-from .errors import OutOfRangeValue, ParseError, PoleEncountered
+from .errors import BudgetExceeded, OutOfRangeValue, ParseError, PoleEncountered
 from .exactnum import Factored, parallel, parse_factored, parse_rational, xvar
 from .grid_poset import GridPoint, RectPoset, parse_point_key, point_key
 
@@ -369,45 +370,32 @@ def iterate_birational(f: Labeling, k: int) -> Labeling:
     return f
 
 
-@dataclass(frozen=True)
-class OrderIdeal:
-    """An order ideal held as its column heights: a weakly decreasing tuple,
-    where column i holds the points (i, j) with j < heights[i]."""
-    poset: RectPoset
-    heights: Tuple[int, ...]
-
-    def __post_init__(self):
-        h, r, s = self.heights, self.poset.r, self.poset.s
-        if (len(h) != r + 1 or h[0] > s + 1 or h[-1] < 0
-                or list(h) != sorted(h, reverse=True)):
-            raise OutOfRangeValue(f"column heights {h} are not weakly decreasing "
-                                  f"in [0, {s + 1}] over {r + 1} columns")
-
-    @staticmethod
-    def from_points(poset: RectPoset, points) -> "OrderIdeal":
-        """The ideal with the given points; they must lie in the grid and
-        be downward closed."""
-        members = frozenset(points)
-        for (i, j) in members:
-            if not poset.contains((i, j)):
-                raise OutOfRangeValue(f"({i},{j}) outside the grid")
-            for w in ((i - 1, j), (i, j - 1)):
-                if poset.contains(w) and w not in members:
-                    raise OutOfRangeValue(f"not downward closed at {w}")
-        heights = [0] * (poset.r + 1)
-        for (i, _) in members:
-            heights[i] += 1
-        return OrderIdeal(poset, tuple(heights))
-
-    def points(self) -> List[List[int]]:
-        """The points of the ideal as [i, j] lists in (i, j) order."""
-        return [[i, j] for i, h in enumerate(self.heights) for j in range(h)]
-
-    def size(self) -> int:
-        return sum(self.heights)
+Heights = Tuple[int, ...]  # weakly decreasing in [0, s+1], one per column
+IDEAL_BUDGET = 2 ** 24  # the most ideals ``orbits`` marks; 12x12 has 10 400 600
 
 
-def rowmotion_combinatorial(ideal: OrderIdeal) -> OrderIdeal:
+def ideal_from_points(poset: RectPoset, points) -> Heights:
+    """The column heights of the ideal with the given points; they must lie
+    in the grid and be downward closed."""
+    members = frozenset(points)
+    for (i, j) in members:
+        if not poset.contains((i, j)):
+            raise OutOfRangeValue(f"({i},{j}) outside the grid")
+        for w in ((i - 1, j), (i, j - 1)):
+            if poset.contains(w) and w not in members:
+                raise OutOfRangeValue(f"not downward closed at {w}")
+    heights = [0] * (poset.r + 1)
+    for (i, _) in members:
+        heights[i] += 1
+    return tuple(heights)
+
+
+def ideal_points(heights: Heights) -> List[List[int]]:
+    """The points (i, j), j < heights[i], as [i, j] lists in (i, j) order."""
+    return [[i, j] for i, h in enumerate(heights) for j in range(h)]
+
+
+def rowmotion_combinatorial(poset: RectPoset, heights: Heights) -> Heights:
     """The ideal generated by the minimal elements of the complement, in one
     right-to-left pass over the column heights.
 
@@ -415,25 +403,25 @@ def rowmotion_combinatorial(ideal: OrderIdeal) -> OrderIdeal:
     and either i == 0 or h_{i-1} > h_i.  Column i of the new ideal reaches the
     highest such point in a column a >= i; since the heights decrease, that
     is the nearest one."""
-    h, s = ideal.heights, ideal.poset.s
+    h, s = heights, poset.s
     new = [0] * len(h)
     top = 0
     for i in range(len(h) - 1, -1, -1):
         if h[i] <= s and (i == 0 or h[i - 1] > h[i]):
             top = h[i] + 1
         new[i] = top
-    return OrderIdeal(ideal.poset, tuple(new))
+    return tuple(new)
 
 
-def orbit(ideal: OrderIdeal) -> List[OrderIdeal]:
-    """The rowmotion cycle through ideal; closed at the first repetition."""
-    out = [ideal]
-    while (cur := rowmotion_combinatorial(out[-1])).heights != ideal.heights:
+def orbit(poset: RectPoset, heights: Heights) -> List[Heights]:
+    """The rowmotion cycle through an ideal; closed at the first repetition."""
+    out = [heights]
+    while (cur := rowmotion_combinatorial(poset, out[-1])) != heights:
         out.append(cur)
     return out
 
 
-def _lex_rank(poset: RectPoset) -> Callable[[Tuple[int, ...]], int]:
+def _lex_rank(poset: RectPoset) -> Callable[[Heights], int]:
     """The index of column heights h in all_order_ideals' order: the sum over
     i of skip[i][h_i], the C(r-i+h_i, h_i-1) weakly decreasing tails from
     column i that start below h_i (hockey stick), with skip[i][0] = 0."""
@@ -443,26 +431,39 @@ def _lex_rank(poset: RectPoset) -> Callable[[Tuple[int, ...]], int]:
     return lambda heights: sum(map(list.__getitem__, skip, heights))
 
 
-def orbits(poset: RectPoset) -> Iterator[List[OrderIdeal]]:
+def _ideal_count(poset: RectPoset) -> int:
+    """C(r+s+2, k), k = min(r, s) + 1, the number of order ideals, from a
+    product of rising C(n, 1), ..., C(n, k) that stops once past the budget."""
+    n, count = poset.r + poset.s + 2, 1
+    for k in range(1, min(poset.r, poset.s) + 2):
+        count = count * (n + 1 - k) // k
+        if count > IDEAL_BUDGET:
+            raise BudgetExceeded(f"the {poset.r}x{poset.s} grid has more order ideals than "
+                                 f"IDEAL_BUDGET = {IDEAL_BUDGET}, the most the orbit walk marks")
+    return count
+
+
+def orbits(poset: RectPoset) -> Iterator[List[Heights]]:
     """Each rowmotion orbit once, in order of its least ideal in height
     order, starting at that ideal.  Only the orbit being walked is held; the
-    ideals seen are marked by rank in a bytearray of C(r+s+2, r+1) bytes."""
+    ideals seen are marked by rank in a bytearray, one byte per ideal,
+    allocated once _ideal_count has held the grid to IDEAL_BUDGET."""
+    seen = bytearray(_ideal_count(poset))
     rank = _lex_rank(poset)
-    seen = bytearray(math.comb(poset.r + poset.s + 2, poset.r + 1))
-    for ideal in all_order_ideals(poset):
-        if not seen[rank(ideal.heights)]:
-            orb = orbit(ideal)
+    for heights in all_order_ideals(poset):
+        if not seen[rank(heights)]:
+            orb = orbit(poset, heights)
             for o in orb:
-                seen[rank(o.heights)] = 1
+                seen[rank(o)] = 1
             yield orb
 
 
-def all_order_ideals(poset: RectPoset) -> Iterator[OrderIdeal]:
+def all_order_ideals(poset: RectPoset) -> Iterator[Heights]:
     """Every order ideal, generated one at a time, as weakly decreasing
     column heights in lexicographic order."""
     h = [poset.s + 1] + [0] * (poset.r + 1)  # h[0] caps the first column
     while True:
-        yield OrderIdeal(poset, tuple(h[1:]))
+        yield tuple(h[1:])
         i = poset.r + 1
         while i and h[i] == h[i - 1]:
             i -= 1

@@ -39,3 +39,7 @@ class PreconditionViolated(BirowError):
 
 class ParseError(BirowError):
     pass
+
+
+class BudgetExceeded(BirowError):
+    pass

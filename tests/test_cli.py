@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +214,25 @@ class TestOrbit:
             code, _, err = run(capsys, "orbit", "--r", "1", "--s", "1",
                                "--ideal", ideal)
             assert code == 2 and err, ideal
+
+    @pytest.mark.parametrize("n", ["30", "1000000"])
+    @pytest.mark.parametrize("command", [["orbit"], ["verify", "combinatorial"]])
+    def test_too_many_ideals_exit_3_at_once(self, capsys, command, n):
+        # Walking every orbit of an n x n grid would mark C(2n+2, n+1) ideals;
+        # the budget refuses it before any is counted in full or marked.
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *command, "--r", n, "--s", n)
+        assert time.monotonic() - t0 < 1
+        assert code == 3 and out == "", err
+        assert err == (f"budget exceeded: the {n}x{n} grid has more order ideals than "
+                       "IDEAL_BUDGET = 16777216, the most the orbit walk marks\n")
+
+    def test_one_orbit_of_a_large_grid_is_walked(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--r", "30", "--s", "30", "--ideal", "")
+        data = json.loads(out)
+        assert code == 0
+        assert data["orbits"][0]["length"] == 62
+        assert data["orbits"][0]["size_average"] == str(Fraction(31 * 31, 2))
 
 
 class TestVerify:
