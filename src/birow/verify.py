@@ -9,13 +9,16 @@ Four checks share their work with one forked child process (``_in_child``)
 where ``os.fork`` exists, so they run faster only with a second CPU free;
 each report is that of one sequential loop in this process.  Periodicity
 and the orbit products run the two halves of an orbit at once: with
-P = r+s+2 and h = ceil(P/2), this process takes the forward iterates from
-``dynamics.iterates`` and the child the backward ones from
-``rowmotion_inverse``.  The antipodal product and rational file homomesy
-multiply over the window rho^-(P-h) f, ..., rho^(h-1) f, one full period
-from the start rho^-(P-h) f, and test each product by comparing its two
-halves as reciprocals (``_period_products``).  Reciprocity runs its first
-ceil(T/2) starts here and the other starts in the child.
+P = r+s+2 and h = ceil(P/2), this process takes the forward iterates and
+the child the backward ones.  The antipodal product and rational file
+homomesy multiply over the window rho^-(P-h) f, ..., rho^(h-1) f, one full
+period from the start rho^-(P-h) f (``_period_products``).  Reciprocity
+runs its first ceil(T/2) starts here and the other starts in the child.
+
+Rational periodicity and the orbit products read the integer sweep's
+pairs from ``dynamics.pair_iterates`` and build no Labeling per step; they
+compare by cross-multiplying, and the products fold each half in a
+cross-cancelled pair tree (``_tree_product``).
 
 Reciprocity reads iterate m only on rank m-1, and takes those labels from
 ``dynamics.light_cone``, whose docstring gives why they are exactly those of
@@ -25,16 +28,17 @@ the full iterates at about half the toggles.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .avar import x_to_A
 from .closed_form import IterateQuery, m_value, mu_phi, rho_closed_at, rho_closed_phi
-from .dynamics import (Heights, Labeling, ideal_points, iterates, light_cone, orbits,
-                       rowmotion_inverse, starts)
+from .dynamics import (Heights, Labeling, Pairs, ideal_points, iterates, light_cone, orbits,
+                       pair_iterates, starts)
 from .errors import PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset
@@ -98,65 +102,54 @@ def _in_child(fn: Callable, items: list) -> Iterator[Iterator]:
             os.waitpid(pid, 0)
 
 
-def _rewound(f: Labeling, n: int) -> Iterator[Labeling]:
-    """Yield rho^-1 f, ..., rho^-n f."""
-    for _ in range(n):
-        f = rowmotion_inverse(f)
-        yield f
+def _same(x: Pairs, y: Pairs) -> bool:
+    """Whether two labelings held as (numerators, denominators) have equal
+    labels, n/d == n'/d' exactly when n d' == n' d."""
+    (xn, xd), (yn, yd) = x, y
+    return all(n * e == m * d for n, d, m, e in zip(xn, xd, yn, yd))
 
 
-def _rewound_labels(f: Labeling, n: int) -> dict:
-    """The labels of rho^-n f, as ``_labels`` gives them."""
-    for f in _rewound(f, n):
-        pass
-    return _labels(f)
+def _tree_product(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """The product of the fractions n/d, d > 0, of pairs, as a pair, in a
+    balanced tree whose every node cancels across: n1/d1 * n2/d2 =
+    (n1/g n2/h) / (d1/h d2/g), g = gcd(n1, d2), h = gcd(n2, d1)."""
+    while len(pairs) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):
+            g, h = math.gcd(n1, d2), math.gcd(n2, d1)
+            merged.append((n1 // g * (n2 // h), d1 // h * (d2 // g)))
+        pairs = merged + pairs[2 * len(merged):]
+    return pairs[0] if pairs else (1, 1)
 
 
-def _labels(f: Labeling) -> dict:
-    """f's labels, a Fraction as its (numerator, denominator) pair, which
-    unpickles with no gcd (a Fraction takes one); symbolic ones as they are."""
-    if f.mode != "rational":
-        return f.values
-    return {p: (x.numerator, x.denominator) for p, x in f.values.items()}
+def _period_products(f: Labeling, groups: List[Tuple[GridPoint, ...]]) -> List[Optional[str]]:
+    """For each group of points, None when the product of its labels over
+    the P = r+s+2 iterates rho^-(P-h) f, ..., rho^(h-1) f, with h =
+    ceil(P/2), is 1, and else that product as text; a point named twice
+    counts twice.  These iterates are one full period of a rational f.
 
-
-def _products(labelings: Iterable[Labeling], groups: List[Tuple[GridPoint, ...]]
-              ) -> List[Fraction]:
-    """For each group of points, the product of its labels over labelings."""
-    prods = [Fraction(1)] * len(groups)
-    for g in labelings:
-        for n, points in enumerate(groups):
-            for p in points:
-                prods[n] *= g.value(p)
-    return prods
-
-
-def _period_products(f: Labeling, fold: Callable[[Iterable[Labeling]], List[Fraction]]
-                     ) -> List[Optional[str]]:
-    """For each product that fold forms over a run of iterates, None when
-    it is 1 over the P = r+s+2 iterates rho^-(P-h) f, ..., rho^(h-1) f, with
-    h = ceil(P/2), and else its value over them as text.  These iterates
-    are one full period, taken from the start rho^-(P-h) f.  fold must be
-    multiplicative, over two runs giving the products of its values over
-    each, and its values positive, as products of positive labels are.
-
-    This process folds the h forward iterates rho^0 f, ..., rho^(h-1) f,
-    while one forked child (``_in_child``) folds the P-h backward ones and
-    sends back its products as (numerator, denominator) pairs.  A product
-    is 1 when its two halves x and y are reciprocal: both positive and in
-    lowest terms, x's numerator and denominator are y's denominator and
-    numerator.  So no two halves are multiplied, and no gcd is taken,
-    except to print a product that is not 1."""
+    This process takes the h forward iterates rho^0 f, ..., rho^(h-1) f as
+    pairs from ``pair_iterates``, and one forked child (``_in_child``) the
+    P-h backward ones; each half multiplies each group's labels in one
+    cross-cancelled pair tree (``_tree_product``).  A product is 1 when its
+    halves n/d and n'/d' cross-multiply to n n' == d d', so a Fraction is
+    formed only to print a product that is not 1."""
     period = f.poset.r + f.poset.s + 2
     half = (period + 1) // 2
+    slot = {p: k for k, p in enumerate(f.poset.members())}
+    slots = [[slot[p] for p in points] for points in groups]
+
+    def fold(its: Iterable[Pairs]) -> List[Tuple[int, int]]:
+        its = list(its)
+        return [_tree_product([(num[k], den[k]) for num, den in its for k in ks]) for ks in slots]
 
     def behind(f: Labeling) -> List[Tuple[int, int]]:
-        return [(y.numerator, y.denominator) for y in fold(_rewound(f, period - half))]
+        return fold(islice(pair_iterates(f, period - half, -1), 1, None))
 
     with _in_child(behind, [f]) as back:
-        ahead = fold(iterates(f, half - 1))
-        return [None if (x.numerator, x.denominator) == (d, n) else str(x * Fraction(n, d))
-                for x, (n, d) in zip(ahead, next(back))]
+        ahead = fold(pair_iterates(f, half - 1))
+        return [None if n * m == d * e else str(Fraction(n * m, d * e))
+                for (n, d), (m, e) in zip(ahead, next(back))]
 
 
 def check_periodicity(r: int, s: int, mode: Optional[str] = None,
@@ -170,7 +163,8 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
     no step up to h returned, rho^h f == rho^-(P-h) f means rho^P f == f:
     the minimal period divides P and exceeds h >= P/2, so it is P.  If the
     two ends differ, the forward orbit runs on to step P, as a single
-    sequential loop would, so the periods and witnesses are the same."""
+    sequential loop would, so the periods and witnesses are the same.
+    Rational labels are compared as pairs (``_same``)."""
     mode = mode or auto_mode(r, s)
     period = r + s + 2
     half = (period + 1) // 2
@@ -178,21 +172,23 @@ def check_periodicity(r: int, s: int, mode: Optional[str] = None,
     rep.notes["expected_period"] = period
     minimal: List[Optional[int]] = []
     fs = starts(RectPoset(r, s), mode, trials, seed)
-    with _in_child(lambda f: _rewound_labels(f, period - half), fs) as ends:
+    run, same = ((pair_iterates, _same) if mode == "rational"
+                 else (iterates, lambda g, h: g.values == h.values))
+    with _in_child(lambda f: deque(run(f, period - half, -1), maxlen=1).pop(), fs) as ends:
         for f in fs:
-            orbit = enumerate(iterates(f, period))
-            next(orbit)
+            orbit = enumerate(run(f, period))
+            _, start = next(orbit)
             first = None
             for t, g in islice(orbit, half):
-                if g.values == f.values:
+                if same(g, start):
                     first = t
                     break
             end = next(ends)
             if first is None:
-                if _labels(g) == end:
+                if same(g, end):
                     first = period
                 else:
-                    first = next((t for t, g in orbit if g.values == f.values), None)
+                    first = next((t for t, g in orbit if same(g, start)), None)
             minimal.append(first)
             rep.trials += 1
             if first is None or period % first:
@@ -245,19 +241,13 @@ def check_antipodal_product(r: int, s: int, seed: int = 0) -> Report:
     equals 1 (periodicity and reciprocity combined).
 
     The period is the window rho^-(P-h) f, ..., rho^(h-1) f of
-    ``_period_products``.  Each half of the window multiplies the labels of
-    each point, then the products of each antipodal pair."""
+    ``_period_products``, and each antipodal pair of points is one group."""
     poset = RectPoset(r, s)
     rep = Report(name=f"antipodal-product r={r} s={s}", seed=seed, trials=1)
     f, = starts(poset, "rational", 1, seed)
     points = poset.members()
     pairs = sorted({min(p, (r - p[0], s - p[1])) for p in points})
-
-    def fold(labelings: Iterable[Labeling]) -> List[Fraction]:
-        prods = dict(zip(points, _products(labelings, [(p,) for p in points])))
-        return [prods[p] * prods[(r - p[0], s - p[1])] for p in pairs]
-
-    pair = dict(zip(pairs, _period_products(f, fold)))
+    pair = dict(zip(pairs, _period_products(f, [(p, (r - p[0], s - p[1])) for p in pairs])))
     for (i, j) in points:
         wrong = pair[min((i, j), (r - i, s - j))]
         if wrong:
@@ -310,8 +300,7 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
             for info in infos]
     if mode == "rational":
         f, = starts(poset, mode, 1, seed)
-        groups = [info.points for info in infos]
-        wrongs = _period_products(f, lambda labelings: _products(labelings, groups))
+        wrongs = _period_products(f, [info.points for info in infos])
         for rep, wrong in zip(reps, wrongs):
             if wrong:
                 rep.fail({"input": f.to_json(), "observed": wrong, "expected": "1"})
@@ -349,29 +338,41 @@ def _file_counts(poset: RectPoset, ideals: List[Heights]) -> List[int]:
 def check_combinatorial_homomesy(r: int, s: int) -> Report:
     """Every rowmotion orbit of order ideals has cardinality average
     (r+1)(s+1)/2, and file-count averages are orbit-independent.  Of each
-    orbit of height tuples from ``orbits`` only its first ideal, length and
-    file totals are kept; averages are compared by cross-multiplying ints."""
+    orbit of height tuples from ``orbits`` only its length and file totals
+    are read, and averages are compared by cross-multiplying ints.
+
+    The file totals are summed as the orbits stream, and each orbit's
+    averages are compared with those of the orbits before it.  Only when
+    one differs are the orbits walked again, to name, file by file, each
+    orbit whose average is not the overall one."""
     rep = Report(name=f"combinatorial-homomesy r={r} s={s}")
     poset = RectPoset(r, s)
     cells = (r + 1) * (s + 1)
-    kept = []
+    sizes: List[int] = []
+    overall = [0] * (r + s + 1)
+    count, differs = 0, False
     for orb in orbits(poset):
         rep.trials += 1
         size = sum(map(sum, orb))
         if 2 * size != cells * len(orb):
             rep.fail({"input": ideal_points(orb[0]), "observed": str(Fraction(size, len(orb))),
                       "expected": str(Fraction(cells, 2))})
-        kept.append((orb[0], len(orb), _file_counts(poset, orb)))
-    rep.notes["orbit_count"] = len(kept)
-    rep.notes["orbit_sizes"] = [n for _, n, _ in kept]
-    count = sum(n for _, n, _ in kept)
-    overall = [sum(col) for col in zip(*(tot for _, _, tot in kept))]
-    for t in range(-r, s + 1):
-        for first, n, tot in kept:
-            if tot[t + r] * count != overall[t + r] * n:
-                rep.fail({"input": {"file": t, "orbit": ideal_points(first)},
-                          "observed": str(Fraction(tot[t + r], n)),
-                          "expected": str(Fraction(overall[t + r], count))})
+        tot = _file_counts(poset, orb)
+        differs = differs or any(x * count != y * len(orb) for x, y in zip(tot, overall))
+        overall = [x + y for x, y in zip(overall, tot)]
+        count += len(orb)
+        sizes.append(len(orb))
+    rep.notes["orbit_count"] = len(sizes)
+    rep.notes["orbit_sizes"] = sizes
+    by_file: List[List[dict]] = [[] for _ in overall]
+    for orb in orbits(poset) if differs else ():
+        for t, (x, y, found) in enumerate(zip(_file_counts(poset, orb), overall, by_file)):
+            if x * count != y * len(orb):
+                found.append({"input": {"file": t - r, "orbit": ideal_points(orb[0])},
+                              "observed": str(Fraction(x, len(orb))),
+                              "expected": str(Fraction(y, count))})
+    for w in chain.from_iterable(by_file):
+        rep.fail(w)
     return rep
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from birow.dynamics import (IDEAL_BUDGET, Labeling, MaxPlus, all_order_ideals,
                             generic_labeling, ideal_from_points, ideal_points,
                             iterate_birational, iterates, light_cone, orbit, orbits,
-                            pl_labeling, random_labeling, rowmotion_birational,
+                            pair_iterates, pl_labeling, random_labeling, rowmotion_birational,
                             rowmotion_combinatorial, rowmotion_inverse, starts,
                             toggle_birational, _ideal_count, _lex_rank, _toggle_pairs)
 from birow.errors import BudgetExceeded, OutOfRangeValue, PoleEncountered
@@ -188,6 +188,47 @@ class TestBirational:
         for m, labels in enumerate(steps, 1):
             assert sorted(labels) == [p for p in sorted(f.values) if sum(p) == m - 1]
             check(labels, ahead[m].values)
+
+    @given(st.one_of(positive_labelings(), smooth_labelings()), st.sampled_from([1, -1]),
+           st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_pairs_are_the_toggles_by_cross_multiplying(self, f, step, periods):
+        n = periods * (f.poset.r + f.poset.s + 2)
+        toggle = _toggled if step > 0 else _toggled_up
+        got = list(pair_iterates(f, n, step))
+        assert len(got) == n + 1
+        g = f
+        for t, (num, den) in enumerate(got):
+            if t:
+                g = toggle(g)
+            want = [g.value(p) for p in f.poset.members()]
+            assert len(num) == len(den) == len(want)
+            for x, d, y in zip(num, den, want):
+                assert d > 0 and x * y.denominator == y.numerator * d
+
+    def test_sweep_pairs_may_share_a_factor(self):
+        # The sweep leaves (a, P) uncancelled: here rho f's label at (0, 1)
+        # is 1486209490220 / 584280156383, both multiples of 7, and a read
+        # label is in lowest terms again.
+        f = random_labeling(RectPoset(1, 1), random.Random(1))
+        num, den = list(pair_iterates(f, 1))[1]
+        assert math.gcd(num[1], den[1]) == 7
+        x = rowmotion_birational(f).value((0, 1))
+        assert (x.numerator, x.denominator) == (num[1] // 7, den[1] // 7)
+
+    def test_pairs_off_the_sweep_are_the_composed_toggles(self):
+        # A negative label keeps the labeling off the sweep; its pairs are
+        # those of the composed toggles' Fractions, forward and backward.
+        poset = RectPoset(1, 1)
+        f = Labeling(poset, {(0, 0): Fraction(-2), (0, 1): Fraction(3), (1, 0): Fraction(5, 7),
+                             (1, 1): Fraction(1, 2)}, Fraction(1), Fraction(1))
+        for step, toggle in [(1, _toggled), (-1, _toggled_up)]:
+            g = f
+            for t, pairs in enumerate(pair_iterates(f, 4, step)):
+                if t:
+                    g = toggle(g)
+                xs = [g.value(p) for p in poset.members()]
+                assert pairs == ([x.numerator for x in xs], [x.denominator for x in xs])
 
     def test_only_positive_fraction_labelings_skip_the_toggle(self, monkeypatch):
         toggles = []

@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import birow
 from birow.avar import x_to_A
@@ -26,7 +28,7 @@ from birow.errors import PoleEncountered, PreconditionViolated
 from birow.exactnum import avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
-from birow.verify import (_file_counts, auto_mode, check_antipodal_product,
+from birow.verify import (_file_counts, _tree_product, auto_mode, check_antipodal_product,
                           check_combinatorial_homomesy, check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
@@ -103,11 +105,32 @@ def _cone(move):
     return cone
 
 
-def _fake_rowmotion(mp, move):
-    """Replace rowmotion by move, both where iterates runs it and in the
-    light cone that reciprocity reads."""
+def _pair_run(move, inverse):
+    """pair_iterates for a fake rowmotion move (step 1) and its inverse
+    (step -1): the labels of f and of n steps from it, as numerators and
+    denominators in members() order."""
+    def run(f, n, step=1):
+        def pairs(f):
+            xs = [f.value(p) for p in f.poset.members()]
+            return [x.numerator for x in xs], [x.denominator for x in xs]
+
+        yield pairs(f)
+        for _ in range(n):
+            f = (move if step > 0 else inverse)(f)
+            yield pairs(f)
+    return run
+
+
+def _fake_rowmotion(mp, move, inverse=None):
+    """Replace rowmotion by move and its inverse by inverse (by move when
+    none is given): where iterates and the references run them, in the
+    light cone that reciprocity reads, and in the pairs that periodicity
+    and the period products read."""
+    inverse = inverse or move
     mp.setattr("birow.dynamics.rowmotion_birational", move)
+    mp.setattr("birow.dynamics.rowmotion_inverse", inverse)
     mp.setattr("birow.verify.light_cone", _cone(move))
+    mp.setattr("birow.verify.pair_iterates", _pair_run(move, inverse))
 
 
 def _no_child_left():
@@ -149,8 +172,7 @@ class TestPeriodicitySplit:
                                          (1, 1, 5), (1, 1, 8), (2, 1, 1), (2, 1, 3),
                                          (2, 1, 4), (2, 1, 5), (2, 1, 7), (3, 3, 6)])
     def test_fake_cycles_match_the_sequential_loop(self, monkeypatch, r, s, c):
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(c, 1))
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(c, -1))
+        _fake_rowmotion(monkeypatch, _cycle(c, 1), _cycle(c, -1))
         want = _sequential_periodicity(r, s, "rational", 3, 4).to_json()
         period = r + s + 2
         assert want["notes"]["observed_minimal_periods"] == \
@@ -182,8 +204,7 @@ class TestPeriodicitySplit:
                     raise RuntimeError("child failure")
             return _cycle(4, -1)(f)
 
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", _cycle(4, 1))
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", inverse)
+        _fake_rowmotion(monkeypatch, _cycle(4, 1), inverse)
         rep = check_periodicity(1, 1, mode="rational", trials=3, seed=4)
         assert rep.to_json() == _sequential_periodicity(1, 1, "rational", 3, 4).to_json()
         assert rep.passed and capfd.readouterr() == ("", "")
@@ -198,8 +219,7 @@ class TestPeriodicitySplit:
         def pole(f):
             raise PoleEncountered("pole in the forward half")
 
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", pole)
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", stuck)
+        _fake_rowmotion(monkeypatch, pole, stuck)
         t0 = time.monotonic()
         with pytest.raises(PoleEncountered, match="forward half"):
             check_periodicity(3, 3, mode="rational", trials=2, seed=1)
@@ -229,7 +249,7 @@ def _window(f):
     P = r+s+2 and h = ceil(P/2), as one forward loop."""
     period = f.poset.r + f.poset.s + 2
     for _ in range(period - (period + 1) // 2):
-        f = birow.verify.rowmotion_inverse(f)
+        f = birow.dynamics.rowmotion_inverse(f)
     return iterates(f, period - 1)
 
 
@@ -310,8 +330,7 @@ class TestOrbitSplit:
         # No cycle length divides P, so every check fails, and each product
         # at (0, 0) depends on where its window starts.
         assert (r + s + 2) % c
-        _fake_rowmotion(monkeypatch, _cycle(c, 1))
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(c, -1))
+        _fake_rowmotion(monkeypatch, _cycle(c, 1), _cycle(c, -1))
         run, sequential = _SPLIT_CHECKS[check]
         want = sequential(r, s)
         assert '"passed": true' not in json.dumps(want)
@@ -344,14 +363,14 @@ class TestOrbitSplit:
     # On 3x3 the child takes 4 backward steps for a product check, and 7
     # forward steps of the light cone for each of reciprocity's starts 4 and 5.
     @pytest.mark.parametrize("check, patched, steps", [
-        ("antipodal", "birow.verify.rowmotion_inverse", 2),
-        ("file-homomesy", "birow.verify.rowmotion_inverse", 2),
+        ("antipodal", "birow.verify.pair_iterates", 2),
+        ("file-homomesy", "birow.verify.pair_iterates", 2),
         ("reciprocity", "birow.verify.light_cone", 9)])
     def test_a_child_that_stops_is_replaced_here(self, monkeypatch, capfd, check, patched,
                                                  steps):
         # The child raises partway, silently; the parent does its work itself.
         parent, calls = os.getpid(), []
-        step = _cycle(3, -1 if "inverse" in patched else 1)
+        step = _cycle(3, -1 if patched.endswith("pair_iterates") else 1)
 
         def move(f):
             if os.getpid() != parent:
@@ -360,9 +379,9 @@ class TestOrbitSplit:
                     raise RuntimeError("child failure")
             return step(f)
 
-        _fake_rowmotion(monkeypatch, _cycle(3, 1))
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", _cycle(3, -1))
-        monkeypatch.setattr(patched, _cone(move) if patched.endswith("light_cone") else move)
+        _fake_rowmotion(monkeypatch, _cycle(3, 1), _cycle(3, -1))
+        monkeypatch.setattr(patched, _cone(move) if patched.endswith("light_cone")
+                            else _pair_run(_cycle(3, 1), move))
         run, sequential = _SPLIT_CHECKS[check]
         assert run(3, 3) == sequential(3, 3)
         assert capfd.readouterr() == ("", "")
@@ -379,12 +398,27 @@ class TestOrbitSplit:
             raise PoleEncountered("pole in this process")
 
         _fake_rowmotion(monkeypatch, stuck_or_pole)
-        monkeypatch.setattr("birow.verify.rowmotion_inverse", stuck_or_pole)
         t0 = time.monotonic()
         with pytest.raises(PoleEncountered, match="this process"):
             _SPLIT_CHECKS[check][0](3, 3)
         _no_child_left()
         assert time.monotonic() - t0 < 10
+
+
+# Products of powers of 2, 3, 5 and 7, so that the two ints of a pair, and
+# of neighbouring pairs, share factors; a numerator may be 0.
+_smooth_ints = st.builds(lambda e: math.prod(p ** k for p, k in zip((2, 3, 5, 7), e)),
+                         st.tuples(*[st.integers(0, 5)] * 4))
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), _smooth_ints), _smooth_ints), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_pair_tree_product_is_the_product_of_the_fractions(pairs):
+    n, d = _tree_product(pairs)
+    assert d > 0
+    assert Fraction(n, d) == math.prod((Fraction(*p) for p in pairs), start=Fraction(1))
+    if all(math.gcd(*p) == 1 for p in pairs):
+        assert math.gcd(n, d) == 1
 
 
 class TestReciprocity:
@@ -488,6 +522,29 @@ class TestCombinatorialHomomesy:
                              "--ideal", ";".join(f"{i},{j}" for i, j in pts)])
             assert code == 0, pts
             assert json.loads(out.getvalue())["orbits"][0]["ideals"][0] == pts
+
+    def test_witnesses_name_each_file_then_each_orbit_in_order(self, monkeypatch):
+        # Two classes of orbits on 1x1, alternating: (2, 0), the points
+        # (0, 0) and (0, 1), with totals 0, 1, 1 on files -1, 0, 1, and
+        # (1, 1), the points (0, 0) and (1, 0), with totals 1, 1, 0.  Over the
+        # 7 ideals the totals are 4, 7, 3: every orbit's average differs on
+        # files -1 and 1, and none on file 0 or in cardinality.  Only a
+        # differing orbit makes the check walk the orbits again.
+        fake = [[(2, 0)], [(1, 1)], [(2, 0)] * 2, [(1, 1)] * 3]
+        walks = []
+        monkeypatch.setattr("birow.verify.orbits", lambda poset: walks.append(1) or iter(fake))
+        rep = check_combinatorial_homomesy(1, 1)
+        x, y = [[0, 0], [0, 1]], [[0, 0], [1, 0]]
+        want = [(-1, x, "0", "4/7"), (-1, y, "1", "4/7"), (-1, x, "0", "4/7"),
+                (-1, y, "1", "4/7"), (1, x, "1", "3/7"), (1, y, "0", "3/7"),
+                (1, x, "1", "3/7"), (1, y, "0", "3/7")]
+        assert rep.witnesses == [{"input": {"file": t, "orbit": orbit}, "observed": got,
+                                  "expected": avg} for t, orbit, got, avg in want]
+        assert rep.notes["orbit_sizes"] == [1, 1, 2, 3] and len(walks) == 2
+        walks.clear()
+        monkeypatch.setattr("birow.verify.orbits",
+                            lambda poset: walks.append(1) or birow.dynamics.orbits(poset))
+        assert check_combinatorial_homomesy(3, 3).passed and len(walks) == 1
 
     def test_file_counts_from_heights(self):
         for r, s in [(3, 1), (1, 3), (2, 2)]:
