@@ -26,11 +26,13 @@ orbit.  One runner, ``_toggle_runs``, toggles slices of
 linear_extension_desc and decides once per labeling which of the two runs
 them: the sweep on a "rational" labeling with a positive bottom, top and
 labels, composed ``toggle_birational`` otherwise (Factored, MaxPlus, or a
-Fraction labeling with a zero or negative label).  ``rowmotion_birational``
-runs the whole order, ``rowmotion_inverse`` the reversed order (each toggle
-is an involution, so this is exactly rho^-1), ``pair_iterates`` either one
-n times as bare int pairs, and ``light_cone`` one prefix per step, yielding
-rank m-1 of rho^m f for m = 1, ..., r+s+1.
+Fraction labeling with a zero or negative label).  Each orbit reader
+takes one pass: ``iterates`` and ``pair_iterates`` run the whole order, or
+the reversed order for rho^-1, n times, and build a Labeling, or bare int
+pairs, only for a step that is asked for; ``iterate_birational`` runs it k
+times and builds one Labeling, from the last lookup; and ``light_cone``
+runs one prefix per step, yielding rank m-1 of rho^m f for m = 1, ...,
+r+s+1.
 
 Each value type is one row of ``_KINDS``: its JSON mode, "rational",
 "symbolic" or "pl" (MaxPlus, written as its rational), its label parser,
@@ -216,23 +218,7 @@ def toggle_birational(f: Labeling, v: GridPoint) -> Labeling:
 
 def rowmotion_birational(f: Labeling) -> Labeling:
     """The toggles composed from top to bottom."""
-    return _toggled(f, slice(None))
-
-
-def rowmotion_inverse(f: Labeling) -> Labeling:
-    """The inverse of rowmotion: the toggles composed from bottom to top.
-
-    Each toggle is an involution: the new label at v is L S / x_v, where the
-    lower sum L and the parallel sum S of the upper covers do not depend on
-    x_v, so toggling v twice gives x_v back.  Rowmotion's toggles taken in
-    reverse order therefore undo it exactly."""
-    return _toggled(f, slice(None, None, -1))
-
-
-def _toggled(f: Labeling, part: slice) -> Labeling:
-    """f after the toggles of one slice of linear_extension_desc."""
-    label, _ = next(_toggle_runs(f, [part]))
-    return Labeling(f.poset, {p: label(p) for p in f.values}, f.bottom, f.top)
+    return iterate_birational(f, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,18 +355,24 @@ def light_cone(f: Labeling) -> Iterator[Dict[GridPoint, Value]]:
 
 
 def iterates(f: Labeling, n: int, step: int = 1) -> Iterator[Labeling]:
-    """Yield f, rho^step f, ..., rho^(n step) f, for step 1 or -1: n
-    rowmotions or inverses, each run on demand."""
-    yield f
-    for _ in range(n):
-        f = (rowmotion_birational if step > 0 else rowmotion_inverse)(f)
-        yield f
+    """Yield f, rho^step f, ..., rho^(n step) f, for step 1 or -1, from one
+    _toggle_runs pass that toggles each step only when it is asked for.
+
+    Step -1 composes the toggles from bottom to top, which is exactly
+    rho^-1: each toggle is an involution, since the new label at v is
+    L S / x_v and neither the lower sum L nor the parallel sum S of the
+    upper covers depends on x_v, so rowmotion's toggles taken in reverse
+    order undo it."""
+    for label, _ in _toggle_runs(f, [slice(0)] + [slice(None, None, step)] * n):
+        yield Labeling(f.poset, {p: label(p) for p in f.values}, f.bottom, f.top)
 
 
 def iterate_birational(f: Labeling, k: int) -> Labeling:
-    for f in iterates(f, k):
+    """rho^k f, k >= 0, from one _toggle_runs pass of k rowmotions, with
+    only the last labeling built."""
+    for label, _ in _toggle_runs(f, [slice(0)] + [slice(None)] * k):
         pass
-    return f
+    return Labeling(f.poset, {p: label(p) for p in f.values}, f.bottom, f.top)
 
 
 Heights = Tuple[int, ...]  # weakly decreasing in [0, s+1], one per column

@@ -59,8 +59,12 @@ class RectPoset:
         return self.imin <= p[0] <= self.r and self.jmin <= p[1] <= self.s
 
     def members_are(self, points) -> bool:
-        """Whether the distinct points are exactly the members."""
-        return set(points) == set(self.members())
+        """Whether the distinct points are exactly the members: as many as
+        there are members, each inside the rectangle.  No member list is
+        built, so a huge rectangle costs only the points given."""
+        points = set(points)
+        return (len(points) == (self.r - self.imin + 1) * (self.s - self.jmin + 1)
+                and all(map(self.contains, points)))
 
     def _check(self, p: GridPoint):
         if not self.contains(p):

@@ -19,10 +19,6 @@ class Report:
         self.passed = False
         self.witnesses.append(witness)
 
-    def check(self, ok: bool, witness: dict):
-        if not ok:
-            self.fail(witness)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

@@ -15,10 +15,11 @@ homomesy multiply over the window rho^-(P-h) f, ..., rho^(h-1) f, one full
 period from the start rho^-(P-h) f (``_period_products``).  Reciprocity
 runs its first ceil(T/2) starts here and the other starts in the child.
 
-Rational periodicity and the orbit products read the integer sweep's
-pairs from ``dynamics.pair_iterates`` and build no Labeling per step; they
-compare by cross-multiplying, and the products fold each half in a
-cross-cancelled pair tree (``_tree_product``).
+Rational periodicity, the orbit products and the main formula read the
+integer sweep's pairs from ``dynamics.pair_iterates`` and build no
+Labeling per step; they compare by cross-multiplying, and the products
+fold each half in a cross-cancelled pair tree (``_tree_product``).  Only
+symbolic periodicity reads Labelings, from ``dynamics.iterates``.
 
 Reciprocity reads iterate m only on rank m-1, and takes those labels from
 ``dynamics.light_cone``, whose docstring gives why they are exactly those of
@@ -260,22 +261,24 @@ def check_main_formula(r: int, s: int, points: int = 3, seed: int = 0) -> Report
     """The closed form agrees with iterated dynamics at every (i, j) and
     every k in [0, r+s+1], at random positive rational points.  The closed
     form is evaluated at the point's A-chart values by rho_closed_at, with
-    no polynomial built."""
+    no polynomial built; the iterates are the sweep's pairs from
+    ``pair_iterates``, compared with it by cross-multiplying."""
     poset = RectPoset(r, s)
     rep = Report(name=f"main-formula r={r} s={s}", seed=seed)
-    queries = [IterateQuery(poset, i, j, k)
-               for (i, j) in poset.members() for k in range(r + s + 2)]
+    queries = [(x, IterateQuery(poset, i, j, k))
+               for x, (i, j) in enumerate(poset.members()) for k in range(r + s + 2)]
     for f in starts(poset, "rational", points, seed):
         rep.trials += 1
         closed = rho_closed_at(poset, x_to_A(f))
-        its = list(iterates(f, r + s + 2))
-        for q in queries:
+        its = list(pair_iterates(f, r + s + 2))
+        for x, q in queries:
             got = closed(q)
-            want = its[q.k + 1].value((q.i, q.j))
-            if got != want:
+            nums, dens = its[q.k + 1]
+            n, d = nums[x], dens[x]
+            if got.numerator * d != n * got.denominator:
                 frame = "A" if m_value(q) <= q.k else "x"
                 rep.fail({"input": f.to_json(), "query": [q.i, q.j, q.k], "frame": frame,
-                          "observed": str(got), "expected": str(want)})
+                          "observed": str(got), "expected": str(Fraction(n, d))})
     return rep
 
 

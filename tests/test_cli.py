@@ -81,6 +81,19 @@ class TestIterate:
                                  "--labels", str(tmp_path / name))
             assert code == 2 and "labels" in err and not out, name
 
+    def test_a_labels_file_naming_a_huge_grid_is_rejected_at_once(self, capsys, tmp_path):
+        # One label on a 100000 x 100000 grid: the count of points alone
+        # rejects it, with no list of the 10^10 members built.
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"r": 100000, "s": 100000, "mode": "rational",
+                                    "labels": {"0,0": "1"}}))
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "iterate", "--r", "100000", "--s", "100000", "--k", "1",
+                             "--mode", "rational", "--labels", str(path))
+        assert time.monotonic() - t0 < 1
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert "labels must name each point of the 100000x100000 grid exactly once" in err
+
     def test_rejects_an_unknown_labels_mode(self, capsys, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"r": 1, "s": 1, "mode": "PL",

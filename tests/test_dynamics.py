@@ -14,8 +14,8 @@ from birow.dynamics import (IDEAL_BUDGET, Labeling, MaxPlus, all_order_ideals,
                             generic_labeling, ideal_from_points, ideal_points,
                             iterate_birational, iterates, light_cone, orbit, orbits,
                             pair_iterates, pl_labeling, random_labeling, rowmotion_birational,
-                            rowmotion_combinatorial, rowmotion_inverse, starts,
-                            toggle_birational, _ideal_count, _lex_rank, _toggle_pairs)
+                            rowmotion_combinatorial, starts, toggle_birational, _ideal_count,
+                            _lex_rank, _toggle_pairs, _toggle_runs)
 from birow.errors import BudgetExceeded, OutOfRangeValue, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -51,6 +51,11 @@ def _toggled_up(f):
     for v in reversed(f.poset.linear_extension_desc()):
         f = toggle_birational(f, v)
     return f
+
+
+def _back(f):
+    """The inverse of rowmotion, as the one step of iterates(f, 1, -1)."""
+    return list(iterates(f, 1, -1))[1]
 
 
 def _steps(step, f, n):
@@ -135,21 +140,55 @@ class TestBirational:
         assert iterate_birational(f, 2).values == \
             rowmotion_birational(rowmotion_birational(f)).values
 
-    def test_iterates_applies_rowmotion_once_per_step(self, monkeypatch):
-        calls = []
+    def test_each_orbit_reader_takes_one_toggle_run(self, monkeypatch):
+        runs, swept = [], []
 
-        def counted(f):
-            calls.append(f)
-            return rowmotion_birational(f)
+        def counted_runs(f, parts):
+            runs.append(f)
+            return _toggle_runs(f, parts)
 
-        monkeypatch.setattr("birow.dynamics.rowmotion_birational", counted)
-        f = random_labeling(RectPoset(2, 1), random.Random(3))
-        its = iterates(f, 5)
-        assert next(its) is f and calls == []
-        rest = list(its)
-        assert len(calls) == 5 and len(rest) == 5
-        assert [g.values for g in rest] == \
-            [rowmotion_birational(g).values for g in [f] + rest[:-1]]
+        def counted_pairs(num, den, plan):
+            swept.append(len(plan))
+            _toggle_pairs(num, den, plan)
+
+        monkeypatch.setattr("birow.dynamics._toggle_runs", counted_runs)
+        monkeypatch.setattr("birow.dynamics._toggle_pairs", counted_pairs)
+        poset = RectPoset(2, 1)
+        f = random_labeling(poset, random.Random(3))
+        whole = len(poset.members())
+        for step, toggle in ((1, _toggled), (-1, _toggled_up)):
+            runs.clear()
+            swept.clear()
+            its = iterates(f, 5, step)
+            got = [next(its)]
+            assert got[0].values == f.values and len(runs) == 1 and swept == [0]
+            for t in range(1, 6):
+                got.append(next(its))
+                # each next toggles the step it yields, and no further
+                assert len(runs) == 1 and swept == [0] + [whole] * t
+            assert list(its) == [] and len(runs) == 1
+            assert [g.values for g in got[1:]] == [toggle(g).values for g in got[:-1]]
+        for run in (lambda: iterate_birational(f, 5), lambda: list(pair_iterates(f, 5)),
+                    lambda: list(pair_iterates(f, 5, -1))):
+            runs.clear()
+            swept.clear()
+            run()
+            assert len(runs) == 1 and swept == [0] + [whole] * 5
+
+    @given(st.one_of(positive_labelings(), smooth_labelings()), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_run_of_k_rowmotions_is_the_composed_toggles_in_lowest_terms(self, f, data):
+        # In one run a common factor may ride along for k steps; the last
+        # lookup still reduces every label.
+        k = data.draw(st.integers(0, 2 * (f.poset.r + f.poset.s + 2)))
+        want = f
+        for _ in range(k):
+            want = _toggled(want)
+        got = iterate_birational(f, k)
+        assert (got.poset, got.bottom, got.top) == (f.poset, f.bottom, f.top)
+        for p, x in got.values.items():
+            assert type(x) is Fraction and x == want.value(p)
+            assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
 
     @given(positive_labelings(), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -179,9 +218,9 @@ class TestBirational:
         for want in ahead[1:]:
             g = rowmotion_birational(g)
             check(g.values, want.values)
-        g = want = f
-        for _ in range(period):
-            g, want = rowmotion_inverse(g), _toggled_up(want)
+        want = f
+        for g in list(iterates(f, period, -1))[1:]:
+            want = _toggled_up(want)
             check(g.values, want.values)
         steps = list(light_cone(f))
         assert len(steps) == period - 1
@@ -241,7 +280,7 @@ class TestBirational:
         poset = RectPoset(2, 1)
         f = random_labeling(poset, random.Random(3))
         down = poset.linear_extension_desc()
-        for step, order in ((rowmotion_birational, down), (rowmotion_inverse, down[::-1])):
+        for step, order in ((rowmotion_birational, down), (_back, down[::-1])):
             toggles.clear()
             step(f)
             assert toggles == []
@@ -268,7 +307,7 @@ class TestBirational:
     @given(positive_labelings())
     @settings(max_examples=60, deadline=None)
     def test_inverse_sweep_undoes_rowmotion(self, f):
-        back = rowmotion_inverse(f)
+        back = _back(f)
         want = _toggled_up(f)
         assert (back.poset, back.bottom, back.top) == (f.poset, f.bottom, f.top)
         assert back.values == want.values
@@ -276,7 +315,7 @@ class TestBirational:
             assert type(x) is Fraction
             assert (x.numerator, x.denominator) == \
                 (want.values[p].numerator, want.values[p].denominator)
-        assert rowmotion_inverse(rowmotion_birational(f)).values == f.values
+        assert _back(rowmotion_birational(f)).values == f.values
         assert rowmotion_birational(back).values == f.values
 
     def test_inverse_undoes_rowmotion_off_the_sweep(self):
@@ -286,9 +325,9 @@ class TestBirational:
                                  for (i, j) in poset.members()})
         negative = random_labeling(poset, random.Random(3)).with_value((1, 0), Fraction(-2))
         for f in (generic_labeling(RectPoset(1, 1)), pl, negative):
-            back = rowmotion_inverse(f)
+            back = _back(f)
             assert back.values == _toggled_up(f).values
-            assert rowmotion_inverse(rowmotion_birational(f)).values == f.values
+            assert _back(rowmotion_birational(f)).values == f.values
             assert rowmotion_birational(back).values == f.values
             # the inverse really moves f: rowmotion's period here is above 1
             assert back.values != f.values
