@@ -9,14 +9,14 @@ bottom endpoints, and truncating the vertical path by its bottommost edge
 produces a pair of families with bases skewed left or right; the procedure
 is reversible.
 
-``swap`` and ``unswap`` take and return each family as its masks, the three
-ints ``(cover, east, north)`` on the grid's ``point_bits`` layout: the points
-its paths cover, and the lower vertex of each of its east and north edges.
-With W = s - jmin + 1 the east neighbour of bit b is b << W and the north
-neighbour b << 1.  A flip may hand a color an edge it already holds, so a
-color under a swap also keeps the mask of edges it holds twice.  A bounce
-traversal yields the masks of the edges it took and an image is checked by
-two mask identities, with no walk; a region's endpoints become bits once.
+A family is its masks from enumeration onwards (see ``nilp``): the three
+ints ``(cover, east, north)`` on the grid's ``point_bits`` layout, which
+``hugging_families`` returns and ``swap`` and ``unswap`` take and return.
+A flip may hand a color an edge it already holds, so a color under a swap
+also keeps the mask of edges it holds twice.  A bounce traversal yields the
+masks of the edges it took and an image is checked by two mask identities,
+with no walk; a region's endpoints become bits once.  Paths are walked
+only to name the edges of an overlay in a witness.
 
 The boundary-hugging variant runs the same machinery on an enlarged grid
 whose extreme paths are pinned to the leftmost/rightmost routes; weights
@@ -34,13 +34,11 @@ from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import (LatticePath, NilpFamily, _disjoint_families, enum_paths, point_bits,
-                   uncovered_sum)
+from .nilp import Masks, _disjoint_families, _points, enum_paths, paths, point_bits, uncovered_sum
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
 ColoredEdge = Tuple[str, GridPoint, GridPoint]
-Masks = Tuple[int, int, int]  # one family's (cover, east, north) point_bits masks
 Taken = Tuple[Tuple[int, int], Tuple[int, int]]  # the (east, north) edges taken of up, of down
 _NONE: Taken = ((0, 0), (0, 0))  # a traversal that took no edge
 # A color under a swap is the masks [east, north, east twice, north twice],
@@ -53,12 +51,6 @@ _COLOR_NAMES = ("blue", "red")
 # starts, the blue base step (also the vertical path's first step) and the
 # red base step, which carry the overlay's base to the skewed pair's bases.
 _SIDES = {"left": (0, (1, 0), (0, 1)), "right": (-1, (0, 1), (1, 0))}
-
-
-@functools.lru_cache(maxsize=None)
-def _points(g: RectPoset) -> List[GridPoint]:
-    """The grid's points in bit order."""
-    return list(point_bits(g))
 
 
 def _point(g: RectPoset, bits: int) -> GridPoint:
@@ -76,35 +68,10 @@ def _mask(g: RectPoset, points) -> int:
     return sum(map(point_bits(g).__getitem__, points))
 
 
-def _masks(fam: NilpFamily) -> Masks:
-    """Validate the family against its region and return its masks."""
-    region = fam.region
-    if len(fam.paths) != region.k:
-        raise MalformedOverlay(f"expected {region.k} paths, got {len(fam.paths)}")
-    bits = point_bits(region.poset)
-    mask, edges = 0, [0, 0]
-    for l, p in enumerate(fam.paths):
-        if p.vertices[0] != region.sources[l] or p.vertices[-1] != region.sinks[l]:
-            raise MalformedOverlay(f"path {l} endpoints {p.vertices[0]}..{p.vertices[-1]} "
-                                   f"do not match {region.sources[l]}..{region.sinks[l]}")
-        for v in p.vertices:
-            if v not in region.members:
-                raise MalformedOverlay(f"vertex {v} outside region")
-            if mask & bits[v]:
-                raise MalformedOverlay(f"vertex {v} shared between paths")
-            mask |= bits[v]
-        for a, b in p.edges():
-            d = b[1] - a[1]
-            if d not in (0, 1) or b != (a[0] + 1 - d, a[1] + d):
-                raise MalformedOverlay(f"step from {a} to {b} is not a unit step")
-            edges[d] |= bits[a]
-    return mask, edges[0], edges[1]
-
-
-def _edge_colors(blue: NilpFamily, red: NilpFamily) -> List[ColoredEdge]:
+def _edge_colors(br: Region, blue: Masks, rr: Region, red: Masks) -> List[ColoredEdge]:
     """The overlay's edges with their colors, as a witness names them."""
-    return [(color, a, b) for color, fam in (("blue", blue), ("red", red))
-            for p in fam.paths for a, b in p.edges()]
+    return [(color, a, b) for color, region, masks in (("blue", br, blue), ("red", rr, red))
+            for verts in paths(region, masks) for a, b in zip(verts, verts[1:])]
 
 
 def _check_companions(br: Region, rr: Region):
@@ -361,41 +328,37 @@ def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, M
     return _rebuild(colors, targets)
 
 
-def _forced_path(region: Region, l: int, leftmost: bool) -> LatticePath:
+def _forced_path(region: Region, l: int, leftmost: bool) -> Masks:
+    """The masks of path l of the region pinned to its leftmost route (east,
+    then north) or its rightmost (north, then east)."""
     src, snk = region.sources[l], region.sinks[l]
-    verts = [src]
-    if leftmost:
-        while verts[-1][0] < snk[0]:
-            verts.append((verts[-1][0] + 1, verts[-1][1]))
-        while verts[-1][1] < snk[1]:
-            verts.append((verts[-1][0], verts[-1][1] + 1))
-    else:
-        while verts[-1][1] < snk[1]:
-            verts.append((verts[-1][0], verts[-1][1] + 1))
-        while verts[-1][0] < snk[0]:
-            verts.append((verts[-1][0] + 1, verts[-1][1]))
-    for v in verts:
+    bits = point_bits(region.poset)
+
+    def bit(v: GridPoint) -> int:
         if v not in region.members:
             raise MalformedOverlay(f"forced route leaves the region at {v}")
-    return LatticePath(tuple(verts))
+        return bits[v]
+
+    v, cover, edges = src, bit(src), [0, 0]
+    for d in (0, 1) if leftmost else (1, 0):
+        while v[d] < snk[d]:
+            edges[d] |= bit(v)
+            v = (v[0] + 1 - d, v[1] + d)
+            cover |= bit(v)
+    return cover, edges[0], edges[1]
 
 
 def hugging_families(grid: RectPoset, m: int, n: int, k: int, c: int, d: int
-                     ) -> List[NilpFamily]:
-    """All (c,d)-boundary-hugging families: the first c paths pinned to the
-    leftmost routes, the last d to the rightmost; empty when c + d > k or
-    k < 0."""
+                     ) -> List[Masks]:
+    """The masks of all (c,d)-boundary-hugging families: the first c paths
+    pinned to the leftmost routes, the last d to the rightmost; empty when
+    c + d > k or k < 0."""
     if k < 0 or c + d > k:
         return []
     region = grid.hexagon(m, n, k)
-    forced: Dict[int, LatticePath] = {}
-    for l in range(c):
-        forced[l] = _forced_path(region, l, leftmost=True)
-    for l in range(k - d, k):
-        forced[l] = _forced_path(region, l, leftmost=False)
-    return _disjoint_families(region, [
-        [forced[l]] if l in forced else enum_paths(region, region.sources[l], region.sinks[l])
-        for l in range(k)])
+    return _disjoint_families([
+        [_forced_path(region, l, l < c)] if l < c or l >= k - d
+        else enum_paths(region, region.sources[l], region.sinks[l]) for l in range(k)])
 
 
 def _inside(region: Region, ambient: RectPoset) -> List[GridPoint]:
@@ -433,12 +396,14 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
         rep.fail({"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
 
     # A factor's families sit on its unshifted base (i-k+eps_i, j-k+eps_j)
-    # with a + b pinned paths, so the grid reaches down to (i-k, j-k).
+    # with a + b pinned paths, so the grid reaches down to (i-k, j-k).  The
+    # region of a factor with no family is never read.
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
-    families = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
-                for (m, n, order, a, b) in corners]
-    for fams, (ei, ej, delta), expect in zip(families, _CORNERS, phis):
-        total = uncovered_sum(fams, _inside(fams[0].region, poset) if fams else [])
+    bases = [(m - a - b, n - a - b, order + a + b, a, b) for (m, n, order, a, b) in corners]
+    families = [hugging_families(grid, *base) for base in bases]
+    regions = [grid.hexagon(*base[:3]) if fams else None for base, fams in zip(bases, families)]
+    for fams, region, (ei, ej, delta), expect in zip(families, regions, _CORNERS, phis):
+        total = uncovered_sum(grid, fams, _inside(region, poset) if fams else [])
         if total != expect:
             rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
                       "observed": str(total), "expected": str(expect)})
@@ -452,43 +417,46 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     def inside(region: Region) -> int:
         return _mask(region.poset, _inside(region, poset))
 
-    # The regions and each family are validated, masked and weighed once.
-    # The images a side may take are its blue families times its red ones.
-    # Each side's image regions are looked up, and their members inside the
-    # rectangle masked, at the first image on that side.  No image is kept:
-    # unswap(swap(x)) == x on every overlay shows swap injective.
+    # Each family is weighed once.  The images a side may take are its blue
+    # families times its red ones.  Each side's image regions are looked
+    # up, and their members inside the rectangle masked, at the first image
+    # on that side.  No image is kept: unswap(swap(x)) == x on every overlay
+    # shows swap injective.
+    br, rr = regions[:2]
     if B and R:
-        _check_companions(B[0].region, R[0].region)
-    blues, reds = ([(f, _masks(f), inside(f.region) & ~f.mask) for f in fams] for fams in (B, R))
-    targets = {side: tuple({_masks(f) for f in fams} for fams in pair)
-               for side, pair in (("left", (L1, L2)), ("right", (R1, R2)))}
+        _check_companions(br, rr)
+    blues, reds = ([(f, inside(region) & ~f[0]) for f in fams]
+                   for fams, region in ((B, br), (R, rr)))
+    targets = {"left": (set(L1), set(L2)), "right": (set(R1), set(R2))}
     sides: Dict[str, Tuple[Region, int, int]] = {}
-    for b, b_masks, u_b in blues:
-        for rfam, r_masks, u_r in reds:
+    for b, u_b in blues:
+        for r, u_r in reds:
             try:
-                side, blue2, red2 = swap(b.region, b_masks, r_masks)
+                side, blue2, red2 = swap(br, b, r)
             except MalformedOverlay as e:
-                rep.fail({"stage": "swap", "overlay": _edge_colors(b, rfam), "error": str(e)})
+                rep.fail({"stage": "swap", "overlay": _edge_colors(br, b, rr, r),
+                          "error": str(e)})
                 continue
             rep.trials += 1
             target_blues, target_reds = targets[side]
             if blue2 not in target_blues or red2 not in target_reds:
                 rep.fail({"stage": "membership", "side": side,
-                          "overlay": _edge_colors(b, rfam)})
+                          "overlay": _edge_colors(br, b, rr, r)})
             if side not in sides:
-                blue_plan, red_plan = _image(b.region, side)
+                blue_plan, red_plan = _image(br, side)
                 sides[side] = (blue_plan.region, inside(blue_plan.region),
                                inside(red_plan.region))
             region2, in_b, in_r = sides[side]
             v_b, v_r = in_b & ~blue2[0], in_r & ~red2[0]
             w_in, w_out = (u_b & u_r, u_b ^ u_r), (v_b & v_r, v_b ^ v_r)
             if w_in != w_out:
-                rep.fail({"stage": "weight", "overlay": _edge_colors(b, rfam),
+                rep.fail({"stage": "weight", "overlay": _edge_colors(br, b, rr, r),
                           "observed": _render_weight(grid, *w_out),
                           "expected": _render_weight(grid, *w_in)})
             try:
-                if unswap(side, region2, blue2, red2) != (b_masks, r_masks):
-                    rep.fail({"stage": "round-trip", "overlay": _edge_colors(b, rfam)})
+                if unswap(side, region2, blue2, red2) != (b, r):
+                    rep.fail({"stage": "round-trip", "overlay": _edge_colors(br, b, rr, r)})
             except MalformedOverlay as e:
-                rep.fail({"stage": "unswap", "overlay": _edge_colors(b, rfam), "error": str(e)})
+                rep.fail({"stage": "unswap", "overlay": _edge_colors(br, b, rr, r),
+                          "error": str(e)})
     return rep

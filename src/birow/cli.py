@@ -22,7 +22,7 @@ from .dynamics import (Heights, Labeling, ideal_from_points, ideal_points, itera
 from .errors import BirowError, BudgetExceeded, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
 from .grid_poset import RectPoset, parse_point_key
-from .nilp import enum_nilp, phi
+from .nilp import enum_nilp, family_json, phi
 from .verify import (check_antipodal_product, check_combinatorial_homomesy,
                      check_file_homomesy, check_file_ledger, check_main_formula,
                      check_periodicity, check_reciprocity)
@@ -121,7 +121,7 @@ def _cmd_phi(args) -> int:
     payload = {"r": args.r, "s": args.s, "m": args.m, "n": args.n, "k": args.k,
                "phi": text}
     if args.list_families:
-        payload["families"] = [fam.to_json() for fam in enum_nilp(region)]
+        payload["families"] = [family_json(region, fam) for fam in enum_nilp(region)]
     _emit(payload, args.plain, lambda: text)
     return 0
 

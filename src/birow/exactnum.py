@@ -512,6 +512,11 @@ def parse_factored(text: str) -> Factored:
 
 
 def parse_rational(text: str) -> Fraction:
+    """A rational as str(Fraction) writes it, such as "7/3" or "-2".  An
+    exponent ("1e999999999") is refused, since Fraction would expand it in
+    full, and str(Fraction) never writes one."""
+    if "e" in text or "E" in text:
+        raise ParseError(f"{text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:

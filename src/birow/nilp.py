@@ -3,18 +3,22 @@
 phi of a region sums, over all vertex-disjoint path families from the
 region's sources to its sinks, the product of A-variables over the region
 members not covered by any path.  Order 0 regions contribute the full
-product over the filter.  A family carries the bitmask of the points its
-paths cover, one bit per grid point (``point_bits``), so disjointness and
-the uncovered members are int operations.  phi_at evaluates phi at a point
-through the Lindstrom-Gessel-Viennot determinant instead, sharing no code
-with the enumeration.
+product over the filter.  From enumeration onwards a path, and a family, is
+its masks: the three ints ``(cover, east, north)`` on the grid's
+``point_bits`` layout, one bit per grid point, of the points it covers and
+of the lower vertex of each of its east and north edges.  With
+W = s - jmin + 1 the east neighbour of bit b is b << W and the north
+neighbour b << 1.  Disjointness and the uncovered members are int
+operations, and ``paths`` walks a family back to its vertices only for
+output.  phi_at evaluates phi at a point through the
+Lindstrom-Gessel-Viennot determinant instead, sharing no code with the
+enumeration.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
@@ -23,25 +27,19 @@ from .errors import PoleEncountered, UnboundVariable
 from .exactnum import Monomial, Polynomial, avar
 from .grid_poset import GridPoint, RectPoset, Region
 
-
-@dataclass(frozen=True)
-class LatticePath:
-    vertices: Tuple[GridPoint, ...]
-
-    def steps(self) -> str:
-        out = []
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            out.append("R" if (b[0] - a[0], b[1] - a[1]) == (1, 0) else "U")
-        return "".join(out)
-
-    def edges(self) -> List[Tuple[GridPoint, GridPoint]]:
-        return list(zip(self.vertices, self.vertices[1:]))
+Masks = Tuple[int, int, int]  # a path's or a family's (cover, east, north) point_bits masks
 
 
 @functools.lru_cache(maxsize=None)
 def point_bits(poset: RectPoset) -> Dict[GridPoint, int]:
     """One bit per point of the poset, in (i, j) order."""
     return {p: 1 << b for b, p in enumerate(poset.members())}
+
+
+@functools.lru_cache(maxsize=None)
+def _points(poset: RectPoset) -> List[GridPoint]:
+    """The poset's points in bit order."""
+    return poset.members()
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,79 +57,91 @@ def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
     return tables
 
 
-@dataclass(frozen=True)
-class NilpFamily:
-    region: Region
-    paths: Tuple[LatticePath, ...]
-    mask: int  # the point_bits of the points the paths cover
-
-    def to_json(self) -> list:
-        return [{"from": list(p.vertices[0]), "steps": p.steps()} for p in self.paths]
-
-
-def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[LatticePath]:
-    """All monotone paths from frm to to inside the region, ordered
-    lexicographically by step string (R before U)."""
+def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Masks]:
+    """The masks of all monotone paths from frm to to inside the region,
+    ordered lexicographically by step string (east before north)."""
     if frm not in region.members or to not in region.members:
         return []
-    out: List[LatticePath] = []
+    g = region.poset
+    bits, w = point_bits(g), g.s - g.jmin + 1
+    east_ok = sum(bits[p] for p in region.members if p[0] <= to[0] and p[1] <= to[1])
+    # A north step never lands on the bottom row: that bit is the next
+    # column's, reached from the top of this one.
+    north_ok = east_ok & ~sum(bits[(i, g.jmin)] for i in range(g.imin, g.r + 1))
+    end = bits[to]
+    out: List[Masks] = []
 
-    def walk(v: GridPoint, acc: List[GridPoint]):
-        if v == to:
-            out.append(LatticePath(tuple(acc)))
+    def walk(v: int, cover: int, east: int, north: int):
+        if v == end:
+            out.append((cover, east, north))
             return
-        for step in ((1, 0), (0, 1)):
-            w = (v[0] + step[0], v[1] + step[1])
-            if w[0] <= to[0] and w[1] <= to[1] and w in region.members:
-                acc.append(w)
-                walk(w, acc)
-                acc.pop()
+        if v << w & east_ok:
+            walk(v << w, cover | v << w, east | v, north)
+        if v << 1 & north_ok:
+            walk(v << 1, cover | v << 1, east, north | v)
 
-    walk(frm, [frm])
+    walk(bits[frm], bits[frm], 0, 0)
     return out
 
 
-def _disjoint_families(region: Region, options: List[List[LatticePath]]
-                       ) -> List[NilpFamily]:
-    """All vertex-disjoint families whose path l is one of options[l],
-    ordered as the options are."""
+def _disjoint_families(options: List[List[Masks]]) -> List[Masks]:
+    """The masks of all vertex-disjoint families whose path l is one of
+    options[l], ordered as the options are."""
     k = len(options)
-    bits = point_bits(region.poset)
-    choices = [[(path, sum(map(bits.__getitem__, path.vertices))) for path in opts]
-               for opts in options]
-    out: List[NilpFamily] = []
+    out: List[Masks] = []
 
-    def extend(l: int, chosen: List[LatticePath], occupied: int):
+    def extend(l: int, cover: int, east: int, north: int):
         if l == k:
-            out.append(NilpFamily(region, tuple(chosen), occupied))
+            out.append((cover, east, north))
             return
-        for path, mask in choices[l]:
-            if mask & occupied:
-                continue
-            chosen.append(path)
-            extend(l + 1, chosen, occupied | mask)
-            chosen.pop()
+        for c, e, n in options[l]:
+            if not c & cover:
+                extend(l + 1, cover | c, east | e, north | n)
 
-    extend(0, [], 0)
+    extend(0, 0, 0, 0)
     return out
 
 
-def enum_nilp(region: Region) -> List[NilpFamily]:
-    """All vertex-disjoint families, path l from source l to sink l;
-    ordered lexicographically by concatenated step strings."""
-    return _disjoint_families(region, [enum_paths(region, region.sources[l], region.sinks[l])
-                                       for l in range(region.k)])
+def enum_nilp(region: Region) -> List[Masks]:
+    """The masks of all vertex-disjoint families, path l from source l to
+    sink l; ordered lexicographically by concatenated step strings."""
+    return _disjoint_families([enum_paths(region, region.sources[l], region.sinks[l])
+                               for l in range(region.k)])
+
+
+def paths(region: Region, masks: Masks) -> List[List[GridPoint]]:
+    """The vertices of each path of the region's family with these masks,
+    walked from its source along the edge bits."""
+    g = region.poset
+    bits, points, w = point_bits(g), _points(g), g.s - g.jmin + 1
+    _, east, north = masks
+    out = []
+    for src in region.sources:
+        v, verts = bits[src], [src]
+        while v & (east | north):
+            v = v << w if v & east else v << 1
+            verts.append(points[v.bit_length() - 1])
+        out.append(verts)
+    return out
+
+
+def family_json(region: Region, masks: Masks) -> list:
+    """Each path of the family as its source and its step string (R east,
+    U north)."""
+    return [{"from": list(verts[0]),
+             "steps": "".join("R" if b[0] > a[0] else "U" for a, b in zip(verts, verts[1:]))}
+            for verts in paths(region, masks)]
 
 
 # Each byte value with its bits in reverse order.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def uncovered_sum(families: Sequence[NilpFamily], members) -> Polynomial:
-    """Sum over the families of the product of A-variables over the members
-    that each family leaves uncovered.  The uncovered masks are counted in
-    one Counter, and each distinct mask is decoded once through the chunk
-    tables.
+def uncovered_sum(poset: RectPoset, families: Sequence[Masks], members) -> Polynomial:
+    """Sum over the families, on the poset's ``point_bits``, of the product
+    of A-variables over the members that each family leaves uncovered.  The
+    uncovered masks are counted in one Counter, and each distinct mask is
+    decoded once through the chunk tables.
 
     The terms are sorted on the masks themselves.  Every exponent is 1, so
     descending graded lexicographic order is descending popcount, then, at
@@ -140,10 +150,8 @@ def uncovered_sum(families: Sequence[NilpFamily], members) -> Polynomial:
     bit of the two masks with their bits reversed."""
     if not families:
         return Polynomial(())
-    poset = families[0].region.poset
-    bits = point_bits(poset)
-    full = sum(map(bits.__getitem__, members))
-    counts = Counter(full & ~fam.mask for fam in families)
+    full = sum(map(point_bits(poset).__getitem__, members))
+    counts = Counter(full & ~cover for cover, _, _ in families)
     tables = _chunk_pairs(poset)
     width = len(tables)
 
@@ -160,7 +168,7 @@ def uncovered_sum(families: Sequence[NilpFamily], members) -> Polynomial:
 
 
 def phi(region: Region) -> Polynomial:
-    return uncovered_sum(enum_nilp(region), region.members)
+    return uncovered_sum(region.poset, enum_nilp(region), region.members)
 
 
 def det(mat: List[List[Fraction]]) -> Fraction:

@@ -8,38 +8,36 @@ from typing import FrozenSet, Tuple
 import pytest
 
 from birow import bounce
-from birow.bounce import (_SIDES, ColoredEdge, Edge, Masks, Taken, _bounce, _check_companions,
-                          _edge, _edge_colors, _image, _masks, _plan, _point, _rebuild,
-                          hugging_families, plucker_check, swap, unswap)
+from birow.bounce import (_SIDES, ColoredEdge, Edge, Taken, _bounce, _check_companions, _edge,
+                          _edge_colors, _image, _plan, _point, _rebuild, hugging_families,
+                          plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset, Region
-from birow.nilp import LatticePath, NilpFamily, enum_nilp, phi, point_bits, uncovered_sum
+from birow.nilp import Masks, enum_nilp, phi, point_bits, uncovered_sum
+from test_nilp import Path, reference_nilp, regions, to_masks, walk
 
 
-def overlay_masks(blue: NilpFamily, red: NilpFamily) -> Tuple[Masks, Masks]:
-    """The masks of the overlay of blue and red, validated as plucker_check
-    validates them."""
-    _check_companions(blue.region, red.region)
-    return _masks(blue), _masks(red)
+@dataclass(frozen=True)
+class Family:
+    """A family as the reference bijection below holds it: its region and
+    the vertices of each of its paths."""
+    region: Region
+    paths: Tuple[Path, ...]
 
 
-def family(region: Region, masks: Masks) -> NilpFamily:
+def overlay_masks(br: Region, blue: Masks, rr: Region, red: Masks) -> Tuple[Masks, Masks]:
+    """The masks of the overlay of blue, a family of br, and red, a family
+    of rr, validated as plucker_check validates them."""
+    _check_companions(br, rr)
+    return blue, red
+
+
+def family(region: Region, masks: Masks) -> Family:
     """The family of the region with the given (cover, east, north) masks,
     its paths walked from the sources along the edge bits."""
-    bits = point_bits(region.poset)
-    point = {b: p for p, b in bits.items()}
-    cover, east, north = masks
-    w = region.poset.s - region.poset.jmin + 1
-    paths = []
-    for src in region.sources:
-        v, verts = bits[src], [src]
-        while v & (east | north):
-            v = v << w if v & east else v << 1
-            verts.append(point[v])
-        paths.append(LatticePath(tuple(verts)))
-    return NilpFamily(region, tuple(paths), cover)
+    return Family(region, walk(region, masks))
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,13 @@ def edge_set(g: RectPoset, taken: Taken) -> FrozenSet[ColoredEdge]:
                      for b in range(mask.bit_length()) if mask >> b & 1)
 
 
-def decompose(blue: NilpFamily, red: NilpFamily
+def decompose(br: Region, blue: Masks, rr: Region, red: Masks
               ) -> Tuple[str, FrozenSet[ColoredEdge], FrozenSet[ColoredEdge]]:
     """The overlay's side and the colored edges of its bitmask vertical and
     horizontal bounce paths, for comparison with the Counter reference
     below."""
-    side, vertical, horizontal = _bounce(_plan(blue.region), *overlay_masks(blue, red))
-    g = blue.region.poset
+    side, vertical, horizontal = _bounce(_plan(br), *overlay_masks(br, blue, rr, red))
+    g = br.poset
     return side, edge_set(g, vertical), edge_set(g, horizontal)
 
 
@@ -98,48 +96,42 @@ def test_known_counts_on_three_by_two():
 
 def test_overlay_and_decompose_shapes():
     p = RectPoset(3, 2)
-    blue = enum_nilp(p.hexagon(1, 0, 2))
-    red = enum_nilp(p.hexagon(2, 1, 1))
-    side, vertical, horizontal = decompose(blue[0], red[0])
-    region = blue[0].region
+    br, rr = p.hexagon(1, 0, 2), p.hexagon(2, 1, 1)
+    blue, red = enum_nilp(br), enum_nilp(rr)
+    side, vertical, horizontal = decompose(br, blue[0], rr, red[0])
     assert side in ("left", "right")
-    assert any(color == "blue" and frm in region.sources for color, frm, _ in vertical)
-    assert any(to in region.sinks for _, _, to in vertical)
+    assert any(color == "blue" and frm in br.sources for color, frm, _ in vertical)
+    assert any(to in br.sinks for _, _, to in vertical)
     # bounce paths only use edge instances present in the overlay, and the
     # two paths take each at most once
-    overlay_edges = set(_edge_colors(blue[0], red[0]))
+    overlay_edges = set(_edge_colors(br, blue[0], rr, red[0]))
     assert vertical | horizontal <= overlay_edges and not vertical & horizontal
 
 
 def test_swap_round_trip_single_case():
     p = RectPoset(3, 2)
-    blue = enum_nilp(p.hexagon(1, 0, 2))
-    red = enum_nilp(p.hexagon(2, 1, 1))
-    masks = overlay_masks(blue[0], red[0])
-    side, blue2, red2 = swap(blue[0].region, *masks)
-    blue_plan, red_plan = _image(blue[0].region, side)
+    br, rr = p.hexagon(1, 0, 2), p.hexagon(2, 1, 1)
+    blue, red = enum_nilp(br), enum_nilp(rr)
+    masks = overlay_masks(br, blue[0], rr, red[0])
+    side, blue2, red2 = swap(br, *masks)
+    blue_plan, red_plan = _image(br, side)
     assert (blue_plan.region.m, blue_plan.region.n) != (1, 0)
     # The image masks are those of families of the skewed regions.
     image = family(blue_plan.region, blue2), family(red_plan.region, red2)
-    assert image[0] in enum_nilp(blue_plan.region) and image[1] in enum_nilp(red_plan.region)
-    assert (_masks(image[0]), _masks(image[1])) == (blue2, red2)
+    assert blue2 in enum_nilp(blue_plan.region) and red2 in enum_nilp(red_plan.region)
+    assert (_reference_masks(image[0]), _reference_masks(image[1])) == (blue2, red2)
     back = unswap(side, blue_plan.region, blue2, red2)
     assert back == masks
-    assert (family(blue[0].region, back[0]), family(red[0].region, back[1])) == (blue[0], red[0])
+    assert (family(br, back[0]).paths, family(rr, back[1]).paths) == \
+        (reference_nilp(br)[0], reference_nilp(rr)[0])
 
 
 def test_rejects_mismatched_overlay():
     p = RectPoset(3, 2)
-    blue = enum_nilp(p.hexagon(1, 0, 2))
-    red = enum_nilp(p.hexagon(1, 0, 2))
+    region = p.hexagon(1, 0, 2)
+    blue = enum_nilp(region)
     with pytest.raises(MalformedOverlay):
-        overlay_masks(blue[0], red[0])
-    # A path that skips a corner is a diagonal step, which no edge mask holds.
-    path = blue[0].paths[0]
-    jump = LatticePath(path.vertices[:1] + path.vertices[2:])
-    bad = NilpFamily(blue[0].region, (jump,) + blue[0].paths[1:], blue[0].mask)
-    with pytest.raises(MalformedOverlay, match="not a unit step"):
-        overlay_masks(bad, enum_nilp(p.hexagon(2, 1, 1))[0])
+        overlay_masks(region, blue[0], region, blue[0])
 
 
 def test_hugging_families_conventions():
@@ -170,30 +162,31 @@ def test_exhaustive_bijection_on_small_grids():
 
 
 def _one_image(monkeypatch):
-    """The overlays of plucker_check(RectPoset(3, 2), 2, 1, 1) in order, the
-    side and masks of the first one's image, and the check's report under a
-    swap that sends every overlay to that one image."""
+    """The blue and red regions and the overlays of
+    plucker_check(RectPoset(3, 2), 2, 1, 1) in order, the side and masks of
+    the first one's image, and the check's report under a swap that sends
+    every overlay to that one image."""
     p = RectPoset(3, 2)
-    overlays = [(b, r) for b in enum_nilp(p.hexagon(1, 0, 1))
-                for r in enum_nilp(p.hexagon(2, 1, 0))]
-    side, *image = swap(overlays[0][0].region, *overlay_masks(*overlays[0]))
+    br, rr = p.hexagon(1, 0, 1), p.hexagon(2, 1, 0)
+    overlays = [(b, r) for b in enum_nilp(br) for r in enum_nilp(rr)]
+    side, *image = swap(br, *overlay_masks(br, overlays[0][0], rr, overlays[0][1]))
     monkeypatch.setattr(bounce, "swap", lambda *overlay: (side, *image))
-    return overlays, side, image, plucker_check(p, 2, 1, 1)
+    return (br, rr), overlays, side, image, plucker_check(p, 2, 1, 1)
 
 
 def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     # A swap that sends every overlay to one fixed image fails the weight
     # stage wherever an overlay's weight differs from the image's.
-    overlays, side, image, rep = _one_image(monkeypatch)
+    (br, rr), overlays, side, image, rep = _one_image(monkeypatch)
 
-    def weight(blue, red):
-        return str(uncovered_sum([blue], blue.region.members)
-                   * uncovered_sum([red], red.region.members))
+    def weight(regions, overlay):
+        blue, red = (uncovered_sum(br.poset, [masks], region.members)
+                     for region, masks in zip(regions, overlay))
+        return str(blue * red)
 
-    region = overlays[0][0].region
-    image_fams = [family(e.region, m) for e, m in zip(_image(region, side), image)]
-    want = [(_edge_colors(*o), weight(*image_fams), weight(*o)) for o in overlays
-            if weight(*o) != weight(*image_fams)]
+    image_regions = [plan.region for plan in _image(br, side)]
+    want = [(_edge_colors(br, b, rr, r), weight(image_regions, image), weight((br, rr), (b, r)))
+            for b, r in overlays if weight((br, rr), (b, r)) != weight(image_regions, image)]
     got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
            if w["stage"] == "weight"]
     assert want and got == want
@@ -203,38 +196,41 @@ def test_a_swap_that_is_not_injective_fails_the_round_trip(monkeypatch):
     # A swap that sends every overlay to one image is not injective.  unswap
     # gives the first overlay back from it, so every other overlay fails the
     # round trip, in order, with no image kept.
-    overlays, _, _, rep = _one_image(monkeypatch)
+    (br, rr), overlays, _, _, rep = _one_image(monkeypatch)
     assert not rep.passed and rep.trials == len(overlays) > 1
     assert [w["overlay"] for w in rep.witnesses if w["stage"] == "round-trip"] == \
-        [_edge_colors(*o) for o in overlays[1:]]
+        [_edge_colors(br, b, rr, r) for b, r in overlays[1:]]
 
 
 # The reference bijection: colored edges as (lower, upper) vertex tuples in
 # dicts and Counters, with per-instance bookkeeping.  It shares no edge code
 # with bounce.py, whose bitmask swap must agree with it on every overlay.  It
-# works on (blue, red) pairs of families.
+# works on (blue, red) pairs of families given by their vertices.
 
 def _validate_family(region, paths):
     if len(paths) != region.k:
         raise MalformedOverlay(f"expected {region.k} paths, got {len(paths)}")
-    bits = point_bits(region.poset)
-    mask = 0
+    seen = set()
     for l, p in enumerate(paths):
-        if p.vertices[0] != region.sources[l] or p.vertices[-1] != region.sinks[l]:
+        if p[0] != region.sources[l] or p[-1] != region.sinks[l]:
             raise MalformedOverlay(f"path {l} endpoints do not match")
-        for v in p.vertices:
+        for v in p:
             if v not in region.members:
                 raise MalformedOverlay(f"vertex {v} outside region")
-            if mask & bits[v]:
+            if v in seen:
                 raise MalformedOverlay(f"vertex {v} shared between paths")
-            mask |= bits[v]
-    return NilpFamily(region, paths, mask)
+            seen.add(v)
+    return Family(region, paths)
+
+
+def _edges(path):
+    return zip(path, path[1:])
 
 
 def _edge_maps(paths):
     up, down = {}, {}
     for p in paths:
-        for a, b in p.edges():
+        for a, b in _edges(p):
             up[a] = b
             down[b] = a
     return up, down
@@ -265,7 +261,7 @@ def _traverse(start, up_map, down_map, up_color, down_color, used):
 def _decompose(blue, red):
     br = blue.region
     starts = (br.sources[0], br.sources[-1])
-    if not blue.paths[0].steps().startswith("R"):
+    if blue.paths[0][1][0] == blue.paths[0][0][0]:  # the leftmost path starts north
         starts = starts[::-1]
     blue_up, _ = _edge_maps(blue.paths)
     _, red_down = _edge_maps(red.paths)
@@ -283,7 +279,7 @@ def _decompose(blue, red):
     step = (w0[0] - u0[0], w0[1] - u0[1])
     side, = [name for name, (src, blue_step, _) in _SIDES.items()
              if v_start == br.sources[src] and step == blue_step]
-    twigs = tuple((p.vertices[0], p.vertices[1]) for p in blue.paths[1:-1])
+    twigs = tuple((p[0], p[1]) for p in blue.paths[1:-1])
     return BounceDecomposition(tuple(vertical), tuple(horizontal), twigs, side)
 
 
@@ -305,14 +301,14 @@ def _family_from_edges(edges, region):
             consumed += 1
         if verts[-1] != region.sinks[l]:
             raise MalformedOverlay(f"path from {src} ends at {verts[-1]}")
-        paths.append(LatticePath(tuple(verts)))
+        paths.append(tuple(verts))
     if consumed != len(edges):
         raise MalformedOverlay("leftover edges after path reconstruction")
     return _validate_family(region, tuple(paths))
 
 
 def _edge_counts(fam):
-    return Counter((a, b) for p in fam.paths for a, b in p.edges())
+    return Counter(e for p in fam.paths for e in _edges(p))
 
 
 def _flip(counts, edge, frm_color):
@@ -359,8 +355,7 @@ def _reference_unswap(side, blue2, red2):
     h_start = rr2.sources[~src] if k >= 2 else None
     blue_up, blue_down = _edge_maps(blue2.paths)
     red_up, red_down = _edge_maps(red2.paths)
-    twigs = [(p.vertices[0], p.vertices[1])
-             for p, s in zip(red2.paths, rr2.sources) if s != h_start]
+    twigs = [(p[0], p[1]) for p, s in zip(red2.paths, rr2.sources) if s != h_start]
     used = {("red", u, w) for u, w in twigs}
     vterm, _ = _traverse(v_start, blue_up, red_down, "blue", "red", used)
     assert vterm in br2.sinks
@@ -381,16 +376,20 @@ def _reference_unswap(side, blue2, red2):
 
 
 def _overlays(poset, i, j, k):
-    """The overlays B x R on which plucker_check runs the bijection."""
+    """The blue and red regions and the overlays B x R on which
+    plucker_check runs the bijection (empty when either has no family)."""
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
-    B, R = [hugging_families(grid, m - a - b, n - a - b, order + a + b, a, b)
-            for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
-    return [(b, r) for b in B for r in R]
+    bases = [(m - a - b, n - a - b, order + a + b, a, b)
+             for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
+    (B, R), (br, rr) = zip(*[(hugging_families(grid, *base),
+                             grid.hexagon(*base[:3]) if base[2] >= 0 else None)
+                            for base in bases])
+    return br, rr, [(b, r) for b in B for r in R]
 
 
 def _reference_masks(fam):
-    """A reference family's masks: its own cover and its edge masks."""
-    return (fam.mask, *_masks(fam)[1:])
+    """A reference family's masks: its cover and its edge masks."""
+    return to_masks(fam.region, fam.paths)
 
 
 def test_bitmask_bijection_matches_the_counter_reference():
@@ -398,11 +397,14 @@ def test_bitmask_bijection_matches_the_counter_reference():
     for (r, s) in SMALL_GRIDS + [(4, 3)]:
         p = RectPoset(r, s)
         for (i, j, k) in _valid_queries(p):
-            for blue, red in _overlays(p, i, j, k):
+            br, rr, overlays = _overlays(p, i, j, k)
+            for b, r in overlays:
                 seen += 1
+                blue, red = family(br, b), family(rr, r)
                 ref = _decompose(blue, red)
-                assert decompose(blue, red) == (ref.side, set(ref.vertical), set(ref.horizontal))
-                side, blue2, red2 = swap(blue.region, *overlay_masks(blue, red))
+                assert decompose(br, b, rr, r) == \
+                    (ref.side, set(ref.vertical), set(ref.horizontal))
+                side, blue2, red2 = swap(br, *overlay_masks(br, b, rr, r))
                 ref_side, ref_blue2, ref_red2 = _reference_swap(blue, red)
                 assert (side, blue2, red2) == \
                     (ref_side, _reference_masks(ref_blue2), _reference_masks(ref_red2))
@@ -423,13 +425,14 @@ def test_a_wrong_red_preimage_fails_the_round_trip(monkeypatch):
     # unswap gives back the right blue family with another red one: every
     # overlay fails the round trip, and nothing else.
     p, (i, j, k) = RectPoset(3, 2), (2, 1, 2)
-    reds = [_masks(r) for _, r in _overlays(p, i, j, k)]
+    br, rr, overlays = _overlays(p, i, j, k)
+    reds = [r for _, r in overlays]
     _spied(monkeypatch, "unswap",
            lambda args, back: (back[0], next(m for m in reds if m != back[1])))
     rep = plucker_check(p, i, j, k)
     assert rep.trials == 36 and len(set(reds)) > 1
     assert [(w["stage"], w["overlay"]) for w in rep.witnesses] == \
-        [("round-trip", _edge_colors(b, r)) for b, r in _overlays(p, i, j, k)]
+        [("round-trip", _edge_colors(br, b, rr, r)) for b, r in overlays]
 
 
 def test_an_image_on_the_other_side_fails_membership(monkeypatch):
@@ -437,13 +440,13 @@ def test_an_image_on_the_other_side_fails_membership(monkeypatch):
     # families of that side, so every overlay fails membership there.
     p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
     other = {"left": "right", "right": "left"}
+    br, rr, overlays = _overlays(p, i, j, k)
     _spied(monkeypatch, "swap", lambda args, image: (other[image[0]], *image[1:]))
     rep = plucker_check(p, i, j, k)
-    sides = [swap(b.region, *overlay_masks(b, r))[0] for b, r in _overlays(p, i, j, k)]
+    sides = [swap(br, *overlay_masks(br, b, rr, r))[0] for b, r in overlays]
     assert rep.trials == 6 and set(sides) == {"left", "right"}
     assert [(w["side"], w["overlay"]) for w in rep.witnesses if w["stage"] == "membership"] == \
-        [(other[side], _edge_colors(b, r))
-         for side, (b, r) in zip(sides, _overlays(p, i, j, k))]
+        [(other[side], _edge_colors(br, b, rr, r)) for side, (b, r) in zip(sides, overlays)]
 
 
 @pytest.mark.parametrize("part", [1, 2])
@@ -452,34 +455,29 @@ def test_an_image_part_of_no_target_fails_membership(monkeypatch, part):
     # overlay's own family for the other part (1 blue, 2 red), a family of
     # no image region: each overlay fails membership.
     p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
+    br, rr, overlays = _overlays(p, i, j, k)
     _spied(monkeypatch, "swap",
            lambda args, image: tuple(args[n] if n == part else x for n, x in enumerate(image)))
     rep = plucker_check(p, i, j, k)
     assert [w["overlay"] for w in rep.witnesses if w["stage"] == "membership"] == \
-        [_edge_colors(b, r) for b, r in _overlays(p, i, j, k)]
-
-
-def _regions(poset):
-    for m in range(poset.imin, poset.r + 1):
-        for n in range(poset.jmin, poset.s + 1):
-            for k in range(min(poset.r - m, poset.s - n) + 2):
-                yield poset.hexagon(m, n, k)
+        [_edge_colors(br, b, rr, r) for b, r in overlays]
 
 
 def test_masks_name_each_family_and_walk_back_to_its_paths():
     # On every hexagon region of the grids up to 5x5, and of one grid with
     # negative lower bounds, each family's (cover, east, north) masks are
-    # distinct, and walking the edge bits from the sources gives back its
-    # paths and its cover.
+    # distinct, and walking the edge bits from the sources gives back the
+    # reference's paths and the family's cover.
     grids = [RectPoset(r, s) for r in range(1, 6) for s in range(1, 6)] + [RectPoset(3, 2, -2, -1)]
     families = 0
     for g in grids:
-        for region in _regions(g):
-            fams = enum_nilp(region)
-            masks = [_masks(f) for f in fams]
-            assert len(set(masks)) == len(fams)
-            assert [family(region, m) for m in masks] == fams
-            families += len(fams)
+        for region in regions(g):
+            masks = enum_nilp(region)
+            assert len(set(masks)) == len(masks)
+            walked = [family(region, m) for m in masks]
+            assert [f.paths for f in walked] == reference_nilp(region)
+            assert list(map(_reference_masks, walked)) == masks
+            families += len(masks)
     assert families > 10 ** 4
 
 
@@ -493,15 +491,16 @@ def test_rebuild_rejects_each_malformed_image():
     # breaks one rule that _rebuild checks.
     region = RectPoset(3, 3).hexagon(0, 0, 2)
     fam = enum_nilp(region)[4]
-    colors, targets = _colors(region, [_masks(fam)] * 2)
-    assert _rebuild(colors, targets) == (_masks(fam),) * 2
+    colors, targets = _colors(region, [fam] * 2)
+    assert _rebuild(colors, targets) == (fam,) * 2
     g = region.poset
     bits = point_bits(g)
-    u2, v2 = fam.paths[0].edges()[-1]  # the last edge of path 0
+    path0 = family(region, fam).paths[0]
+    u2, v2 = path0[-2:]  # the last edge of path 0
     d2 = v2[1] - u2[1]
 
     def rejects(change, message):
-        colors, targets = _colors(region, [_masks(fam)] * 2)
+        colors, targets = _colors(region, [fam] * 2)
         change(colors[0])
         with pytest.raises(MalformedOverlay, match=message):
             _rebuild(colors, targets)
@@ -516,13 +515,13 @@ def test_rebuild_rejects_each_malformed_image():
 
     def drop_last(c):
         c[d2] ^= bits[u2]
-    rejects(drop_last, rf"path from \({fam.paths[0].vertices[0][0]}, "
-                       rf"{fam.paths[0].vertices[0][1]}\) ends at \({u2[0]}, {u2[1]}\), "
+    rejects(drop_last, rf"path from \({path0[0][0]}, "
+                       rf"{path0[0][1]}\) ends at \({u2[0]}, {u2[1]}\), "
                        rf"expected \({v2[0]}, {v2[1]}\)")
 
     # A free edge into the sink of path 0 from its other side.
     into = (v2[0] - d2, v2[1] - (1 - d2))
-    assert into not in fam.paths[0].vertices
+    assert into not in path0
 
     def add_entering(c):
         c[1 - d2] |= bits[into]
@@ -531,7 +530,7 @@ def test_rebuild_rejects_each_malformed_image():
     # An edge between two points no path covers, touching no path.
     free = next((p, e) for p in g.members() for e in (0, 1)
                 if (q := (p[0] + 1 - e, p[1] + e)) in region.members
-                and not (bits[p] | bits[q]) & fam.mask)
+                and not (bits[p] | bits[q]) & fam[0])
 
     def add_leftover(c):
         c[free[1]] |= bits[free[0]]
@@ -587,15 +586,15 @@ def test_rebuild_identities_agree_with_the_walk():
         bits = point_bits(g)
         edges = [(d, bits[p]) for p in g.members() for d in (0, 1)
                  if g.contains((p[0] + 1 - d, p[1] + d))]
-        for region in _regions(g):
+        for region in regions(g):
             fams = enum_nilp(region)
             if not fams:
                 continue
             one_rank += region.sources == region.sinks
             targets = (_plan(region), _plan(region))
             for fam in fams:
-                copy = [*_masks(fam)[1:], 0, 0]
-                assert _rebuild([copy, copy], targets) == (_masks(fam),) * 2
+                copy = [*fam[1:], 0, 0]
+                assert _rebuild([copy, copy], targets) == (fam,) * 2
                 for c in (0, 1):
                     for d, b in edges:
                         colors = [list(copy), list(copy)]

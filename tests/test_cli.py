@@ -73,12 +73,17 @@ class TestIterate:
                "zeroden.json": json.dumps(zero_den),
                # "00,1" and "0,1" name one point
                "dupkey.json": json.dumps(dict(labels, labels=dict(labels["labels"],
-                                                                  **{"00,1": "3"})))}
+                                                                  **{"00,1": "3"}))),
+               # Fraction would expand the exponent in full
+               "exponent.json": json.dumps(dict(labels, labels=dict(labels["labels"],
+                                                                    **{"0,1": "1e999999999"})))}
         for name, text in bad.items():
             (tmp_path / name).write_text(text)
         for name in [*bad, "absent.json"]:
+            t0 = time.monotonic()
             code, out, err = run(capsys, "iterate", "--r", "1", "--s", "1", "--k", "1",
                                  "--labels", str(tmp_path / name))
+            assert time.monotonic() - t0 < 1, name
             assert code == 2 and "labels" in err and not out, name
 
     def test_a_labels_file_naming_a_huge_grid_is_rejected_at_once(self, capsys, tmp_path):
@@ -384,6 +389,8 @@ PINNED = {
         "28c3d08901bde37314f34066632a1f4dc7302f9efb6df4a53b557ac9d4e13f39",
     "phi --r 6 --s 6 --m 0 --n 0 --k 3":
         "2aba7d6bd01870e26beab4588ee29b91fd78ece5afe027667f6917d90a70d65c",
+    "phi --r 5 --s 4 --m 1 --n 0 --k 3 --list-families":
+        "102509ea2d20eb89ce94b30fae1d786ed8253b268734a84faad565e61793c5d3",
 }
 
 

@@ -16,7 +16,7 @@ from birow.dynamics import (IDEAL_BUDGET, Labeling, MaxPlus, all_order_ideals,
                             pair_iterates, pl_labeling, random_labeling, rowmotion_birational,
                             rowmotion_combinatorial, starts, toggle_birational, _ideal_count,
                             _lex_rank, _toggle_pairs, _toggle_runs)
-from birow.errors import BudgetExceeded, OutOfRangeValue, PoleEncountered
+from birow.errors import BudgetExceeded, OutOfRangeValue, ParseError, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
 
@@ -515,6 +515,15 @@ class TestJson:
             assert set(f.to_json()) == {"r", "s", "mode", "labels"}
         data = Labeling(poset, f.values, Factored.var(xvar(0, 0)), ONE).to_json()
         assert data["bottom"] == "x[0,0]" and "top" not in data
+
+    @pytest.mark.parametrize("mode", ["rational", "pl"])
+    @pytest.mark.parametrize("key", ["labels", "bottom", "top"])
+    def test_an_exponent_is_refused_at_once(self, mode, key):
+        # Fraction would expand 10^999999999 in full before any check.
+        data = {"r": 0, "s": 0, "mode": mode, "labels": {"0,0": "1/2"}}
+        data[key] = {"0,0": "1e999999999"} if key == "labels" else "1e999999999"
+        with pytest.raises(ParseError, match="exponent notation"):
+            Labeling.from_json(data)
 
 
 class TestPiecewiseLinear:

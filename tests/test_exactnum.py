@@ -545,8 +545,10 @@ class TestParsing:
 
     def test_rational(self):
         assert parse_rational("7/3") == Fraction(7, 3)
-        with pytest.raises(ParseError):
-            parse_rational("x")
+        assert parse_rational(" -2 ") == Fraction(-2)
+        for text in ("x", "1e999999999", "2E5", "1/1e9"):
+            with pytest.raises(ParseError):
+                parse_rational(text)
         with pytest.raises(ParseError):
             parse_factored("1 +")
 

@@ -4,6 +4,7 @@ point through the Lindstrom-Gessel-Viennot determinant."""
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,129 @@ from hypothesis import strategies as st
 
 from birow import bounce
 from birow.avar import a_to_x
+from birow.bounce import _CORNERS, hugging_families
+from birow.closed_form import corner
 from birow.errors import PoleEncountered
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
-from birow.grid_poset import RectPoset
-from birow.nilp import det, enum_nilp, enum_paths, phi, phi_at, uncovered_sum
+from birow.grid_poset import GridPoint, RectPoset, Region
+from birow.nilp import (Masks, det, enum_nilp, enum_paths, paths, phi, phi_at, point_bits,
+                        uncovered_sum)
 from test_exactnum import evaluate_poly, grlex_key
+
+Path = Tuple[GridPoint, ...]  # a path as its vertices
+
+
+# The reference enumeration: paths as vertex tuples, walked point by point,
+# and families checked disjoint as sets.  enum_nilp and hugging_families,
+# which build masks, must give the same families in the same order.
+
+def reference_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Path]:
+    """All monotone paths from frm to to inside the region, ordered
+    lexicographically by step string (R before U)."""
+    if frm not in region.members or to not in region.members:
+        return []
+    out: List[Path] = []
+
+    def walk_from(v: GridPoint, acc: List[GridPoint]):
+        if v == to:
+            out.append(tuple(acc))
+            return
+        for step in ((1, 0), (0, 1)):
+            w = (v[0] + step[0], v[1] + step[1])
+            if w[0] <= to[0] and w[1] <= to[1] and w in region.members:
+                acc.append(w)
+                walk_from(w, acc)
+                acc.pop()
+
+    walk_from(frm, [frm])
+    return out
+
+
+def reference_families(options: List[List[Path]]) -> List[Tuple[Path, ...]]:
+    """All vertex-disjoint families whose path l is one of options[l],
+    ordered as the options are."""
+    out: List[Tuple[Path, ...]] = []
+
+    def extend(l: int, chosen: Tuple[Path, ...], occupied: frozenset):
+        if l == len(options):
+            out.append(chosen)
+            return
+        for path in options[l]:
+            if occupied.isdisjoint(path):
+                extend(l + 1, chosen + (path,), occupied | frozenset(path))
+
+    extend(0, (), frozenset())
+    return out
+
+
+def reference_nilp(region: Region) -> List[Tuple[Path, ...]]:
+    return reference_families([reference_paths(region, region.sources[l], region.sinks[l])
+                               for l in range(region.k)])
+
+
+def reference_forced_path(region: Region, l: int, leftmost: bool) -> Path:
+    """Path l of the region along its leftmost route (east, then north) or
+    its rightmost (north, then east)."""
+    src, snk = region.sources[l], region.sinks[l]
+    verts = [src]
+    for d in (0, 1) if leftmost else (1, 0):
+        while verts[-1][d] < snk[d]:
+            verts.append((verts[-1][0] + 1 - d, verts[-1][1] + d))
+    assert all(v in region.members for v in verts)
+    return tuple(verts)
+
+
+def reference_hugging(region: Region, c: int, d: int) -> List[Tuple[Path, ...]]:
+    k = region.k
+    return reference_families([
+        [reference_forced_path(region, l, l < c)] if l < c or l >= k - d
+        else reference_paths(region, region.sources[l], region.sinks[l]) for l in range(k)])
+
+
+def to_masks(region: Region, family: Tuple[Path, ...]) -> Masks:
+    """The (cover, east, north) masks of a family given by its vertices."""
+    bits = point_bits(region.poset)
+    cover = east = north = 0
+    for path in family:
+        for v in path:
+            cover |= bits[v]
+        for a, b in zip(path, path[1:]):
+            if b == (a[0] + 1, a[1]):
+                east |= bits[a]
+            else:
+                assert b == (a[0], a[1] + 1), (a, b)
+                north |= bits[a]
+    return cover, east, north
+
+
+def walk(region: Region, masks: Masks) -> Tuple[Path, ...]:
+    """Each path of the region's family with these masks as its vertices,
+    walked from its source along the edge bits."""
+    bits = point_bits(region.poset)
+    point = {b: p for p, b in bits.items()}
+    _, east, north = masks
+    w = region.poset.s - region.poset.jmin + 1
+    out = []
+    for src in region.sources:
+        v, verts = bits[src], [src]
+        while v & (east | north):
+            v = v << w if v & east else v << 1
+            verts.append(point[v])
+        out.append(tuple(verts))
+    return tuple(out)
+
+
+def regions(poset: RectPoset):
+    """Every hexagon region of the poset."""
+    for m in range(poset.imin, poset.r + 1):
+        for n in range(poset.jmin, poset.s + 1):
+            for k in range(min(poset.r - m, poset.s - n) + 2):
+                yield poset.hexagon(m, n, k)
+
+
+def covered(poset: RectPoset, cover: int) -> List[GridPoint]:
+    """The points of a cover mask, in (i, j) order."""
+    return [p for p, b in point_bits(poset).items() if b & cover]
 
 
 def _mono(*pairs):
@@ -64,10 +183,64 @@ def test_path_enumeration_counts():
 def test_path_steps_and_edges():
     p = RectPoset(2, 2)
     region = p.hexagon(0, 0, 1)
-    paths = enum_paths(region, (0, 0), (2, 2))
-    assert all(set(q.steps()) <= {"R", "U"} for q in paths)
-    assert all(len(q.edges()) == 4 for q in paths)
-    assert len({q.vertices for q in paths}) == len(paths)
+    found = enum_paths(region, (0, 0), (2, 2))
+    # Four unit steps, each edge east or north, over five points.
+    assert all(east & north == 0 and (east | north).bit_count() == 4 and cover.bit_count() == 5
+               for cover, east, north in found)
+    assert len(set(found)) == len(found) == 6
+    assert [walk(region, q) for q in found] == [(q,) for q in reference_paths(region, (0, 0),
+                                                                              (2, 2))]
+
+
+def _valid_queries(poset):
+    r, s = poset.r, poset.s
+    for i in range(r + 1):
+        for j in range(s + 1):
+            for k in range(1, r + s + 2):
+                if max(k - i, 0) + max(k - j, 0) <= k:
+                    yield (i, j, k)
+
+
+def test_enum_nilp_matches_the_vertex_list_reference():
+    """On every hexagon of every grid up to 4x4, and on the hugging families
+    of every corner of every 3x3 Plucker query, the masks are the reference
+    families' masks in the reference order.  Each family's path l walks from
+    source l to sink l inside the region, no point is the lower vertex of
+    an east and a north edge, and the cover is exactly the walked points."""
+    cases = []
+    for r in range(5):
+        for s in range(5):
+            for region in regions(RectPoset(r, s)):
+                cases.append((region, enum_nilp(region), reference_nilp(region)))
+    hugging = 0
+    for (i, j, k) in _valid_queries(RectPoset(3, 3)):
+        grid = RectPoset(3, 3, min(0, i - k), min(0, j - k))
+        for (m, n, order, a, b) in (corner(i, j, k, *c) for c in _CORNERS):
+            base = (m - a - b, n - a - b, order + a + b, a, b)
+            if order < 0:
+                assert hugging_families(grid, *base) == []
+                continue
+            region = grid.hexagon(*base[:3])
+            cases.append((region, hugging_families(grid, *base), reference_hugging(region, a, b)))
+            hugging += a + b > 0
+    assert hugging > 0
+    families = 0
+    for region, fams, ref in cases:
+        assert fams == [to_masks(region, f) for f in ref], region
+        bits = point_bits(region.poset)
+        for masks in fams:
+            cover, east, north = masks
+            walked = walk(region, masks)
+            assert [p[0] for p in walked] == list(region.sources)
+            assert [p[-1] for p in walked] == list(region.sinks)
+            points = [v for p in walked for v in p]
+            assert set(points) <= region.members and len(set(points)) == len(points)
+            assert east & north == 0
+            assert cover == sum(bits[v] for v in points)
+            assert to_masks(region, walked) == masks
+            assert paths(region, masks) == list(map(list, walked))
+        families += len(fams)
+    assert families > 10 ** 3
 
 
 def test_phi_order_zero_is_the_filter_product():
@@ -128,13 +301,13 @@ def test_phi_at_matches_enumeration_on_every_region():
                         (r, s, m, n, k)
 
 
-def _uncovered_oracle(families, members):
+def _uncovered_oracle(poset, families, members):
     """The terms of uncovered_sum: each family's uncovered members as a tuple
     of (Var, 1) pairs, counted, and sorted by descending grlex_key."""
     counts = Counter()
-    for fam in families:
-        covered = {v for path in fam.paths for v in path.vertices}
-        counts[tuple((avar(*q), 1) for q in sorted(members) if q not in covered)] += 1
+    for cover, _, _ in families:
+        points = set(covered(poset, cover))
+        counts[tuple((avar(*q), 1) for q in sorted(members) if q not in points)] += 1
     return tuple(sorted(counts.items(), key=lambda t: grlex_key(t[0]), reverse=True))
 
 
@@ -150,12 +323,12 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
             for (m, n) in poset.members():
                 for k in range(min(r - m, s - n) + 2):
                     region = poset.hexagon(m, n, k)
-                    cases.append((enum_nilp(region), region.members))
+                    cases.append((poset, enum_nilp(region), region.members))
     hugging = []
 
-    def spy(families, members):
-        hugging.append((families, list(members)))
-        return uncovered_sum(families, members)
+    def spy(poset, families, members):
+        hugging.append((poset, families, list(members)))
+        return uncovered_sum(poset, families, members)
 
     monkeypatch.setattr(bounce, "uncovered_sum", spy)
     grid = RectPoset(3, 3)
@@ -166,11 +339,12 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
                     seen = len(hugging)
                     assert bounce.plucker_check(grid, i, j, k).passed
                     low = RectPoset(3, 3, min(0, i - k), min(0, j - k))
-                    assert all(f.region.poset == low for fams, _ in hugging[seen:] for f in fams)
-    assert any(not {v for path in f.paths for v in path.vertices} <= set(members)
-               for families, members in hugging for f in families)
-    for families, members in cases + hugging:
-        assert uncovered_sum(families, members).terms == _uncovered_oracle(families, members)
+                    assert all(poset == low for poset, _, _ in hugging[seen:])
+    assert any(not set(covered(poset, cover)) <= set(members)
+               for poset, families, members in hugging for cover, _, _ in families)
+    for poset, families, members in cases + hugging:
+        assert uncovered_sum(poset, families, members).terms == \
+            _uncovered_oracle(poset, families, members)
 
 
 @pytest.mark.parametrize("r, k", [(4, 2), (5, 1), (5, 3), (6, 2), (6, 3)])
@@ -180,7 +354,7 @@ def test_uncovered_sum_sorts_as_from_dict(r, k):
     checked against the tuple oracle above.)"""
     region = RectPoset(r, r).hexagon(0, 0, k)
     families = enum_nilp(region)
-    terms = uncovered_sum(families, region.members).terms
+    terms = uncovered_sum(region.poset, families, region.members).terms
     assert sum(c for _, c in terms) == len(families)
     assert terms == Polynomial.from_dict(dict(terms)).terms
 
@@ -238,6 +412,6 @@ def test_telescoping():
     for poset in (RectPoset(2, 0), RectPoset(1, 1), RectPoset(2, 2)):
         region = poset.hexagon(0, 0, 1)
         total = Factored.const(0)
-        for path in enum_paths(region, (0, 0), (poset.r, poset.s)):
-            total = total + Factored.ratio(Polynomial.const(1), _mono(*path.vertices))
+        for cover, _, _ in enum_paths(region, (0, 0), (poset.r, poset.s)):
+            total = total + Factored.ratio(Polynomial.const(1), _mono(*covered(poset, cover)))
         assert a_to_x(total, poset) == Factored.var(xvar(poset.r, poset.s))
