@@ -34,7 +34,8 @@ from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import Masks, _disjoint_families, _points, enum_paths, paths, point_bits, uncovered_sum
+from .nilp import (Masks, _disjoint_families, _points, decode, enum_paths, paths, point_bits,
+                   uncovered_sum)
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
@@ -403,7 +404,7 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     families = [hugging_families(grid, *base) for base in bases]
     regions = [grid.hexagon(*base[:3]) if fams else None for base, fams in zip(bases, families)]
     for fams, region, (ei, ej, delta), expect in zip(families, regions, _CORNERS, phis):
-        total = uncovered_sum(grid, fams, _inside(region, poset) if fams else [])
+        total = decode(grid, uncovered_sum(grid, fams, _inside(region, poset) if fams else []))
         if total != expect:
             rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
                       "observed": str(total), "expected": str(expect)})

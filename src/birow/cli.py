@@ -3,7 +3,8 @@ polynomials, combinatorial orbits, and the verification suite.
 
 Output is JSON by default; --plain renders human-readable text.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 arithmetic
-fault or a budget exceeded (``dynamics.IDEAL_BUDGET``).
+fault or a budget exceeded (``dynamics.IDEAL_BUDGET``,
+``nilp.FAMILY_BUDGET``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Union
 
 from .avar import a_to_x
 from .bounce import plucker_check
@@ -22,21 +23,35 @@ from .dynamics import (Heights, Labeling, ideal_from_points, ideal_points, itera
 from .errors import BirowError, BudgetExceeded, ParseError, PoleEncountered
 from .exactnum import Factored, xvar
 from .grid_poset import RectPoset, parse_point_key
-from .nilp import enum_nilp, family_json, phi
+from .nilp import enum_nilp, family_json, phi, render
 from .verify import (check_antipodal_product, check_combinatorial_homomesy,
                      check_file_homomesy, check_file_ledger, check_main_formula,
                      check_periodicity, check_reciprocity)
 
 USAGE_ERROR, ARITHMETIC_FAULT, BUDGET_EXCEEDED = 2, 3, 3
+Text = Union[str, Iterator[str]]
+_HOLE = "\0"  # marks a streamed text in the JSON; no other payload text holds it
 
 
-def _emit(payload: dict, plain: bool, plain_text: Callable[[], str]):
+def _emit(payload: dict, plain: bool, plain_text: Callable[[], Text]):
     """Print the payload as JSON, or under --plain the text that plain_text
-    builds; the text is built only when it is printed."""
+    builds; the text is built only when it is printed.  A text that is an
+    iterator of pieces, as phi's is, at the top level of the payload or as
+    the plain text, is written piece by piece and never held whole.  Its
+    pieces hold no character that JSON escapes, so the output is the same
+    as if they were joined first."""
     if plain:
-        print(plain_text())
+        parts = [plain_text(), "\n"]
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        streamed = sorted(key for key, value in payload.items() if isinstance(value, Iterator))
+        doc = json.dumps(dict(payload, **dict.fromkeys(streamed, _HOLE)), indent=2, sort_keys=True)
+        cuts = doc.split(json.dumps(_HOLE)[1:-1])
+        parts = [part for key, cut in zip(streamed, cuts) for part in (cut, payload[key])]
+        parts.append(cuts[-1] + "\n")
+    write = sys.stdout.write
+    for part in parts:
+        for piece in [part] if isinstance(part, str) else part:
+            write(piece)
 
 
 def _reduce_k(k: int, r: int, s: int, notices: list) -> int:
@@ -117,7 +132,7 @@ def _cmd_phi(args) -> int:
     _check_range("n", args.n, 0, args.s)
     _check_range("k", args.k, 0, min(args.r - args.m, args.s - args.n) + 1)
     region = poset.hexagon(args.m, args.n, args.k)
-    text = phi(region).render()
+    text = render(poset, phi(region))
     payload = {"r": args.r, "s": args.s, "m": args.m, "n": args.n, "k": args.k,
                "phi": text}
     if args.list_families:

@@ -19,7 +19,7 @@ from .avar import a_to_x, shift_poly
 from .errors import OutOfRange
 from .exactnum import Factored, Polynomial
 from .grid_poset import GridPoint, RectPoset
-from .nilp import phi, phi_at
+from .nilp import decode, phi, phi_at
 
 T = TypeVar("T")
 
@@ -67,7 +67,7 @@ def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Poly
         return Polynomial(())
     if m > poset.r or n > poset.s:
         return Polynomial.const(1) if order == 0 else Polynomial(())
-    return shift_poly(phi(poset.hexagon(m, n, order)), a, b)
+    return shift_poly(decode(poset, phi(poset.hexagon(m, n, order))), a, b)
 
 
 def _phi_pair(q: IterateQuery, at: Callable[[int, int, int, int, int], T]) -> Tuple[T, T]:

@@ -10,24 +10,35 @@ of the lower vertex of each of its east and north edges.  With
 W = s - jmin + 1 the east neighbour of bit b is b << W and the north
 neighbour b << 1.  Disjointness and the uncovered members are int
 operations, and ``paths`` walks a family back to its vertices only for
-output.  phi_at evaluates phi at a point through the
-Lindstrom-Gessel-Viennot determinant instead, sharing no code with the
-enumeration.
+output.
+
+phi is its terms: the sorted ``(mask, count)`` pairs of the distinct
+uncovered masks, each mask the monomial of the points it holds.  Two
+readers take them: ``render`` writes their text in pieces from per-byte
+text tables, and ``decode`` builds a ``Polynomial`` only where one is
+used.  A region of more than ``FAMILY_BUDGET`` families is refused before
+one is listed.
+
+phi_at evaluates phi at a point through the Lindstrom-Gessel-Viennot
+determinant instead, sharing no code with the enumeration.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import math
 from fractions import Fraction
-from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain, groupby
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import PoleEncountered, UnboundVariable
+from .errors import BudgetExceeded, PoleEncountered, UnboundVariable
 from .exactnum import Monomial, Polynomial, avar
 from .grid_poset import GridPoint, RectPoset, Region
 
 Masks = Tuple[int, int, int]  # a path's or a family's (cover, east, north) point_bits masks
+Term = Tuple[int, int]  # a monomial's point_bits mask and its coefficient
+FAMILY_BUDGET = 2 ** 22  # the most families enum_nilp lists; 7x7 k=3 has 731 808
+TEXT_BATCH = 4096  # the most terms in one piece of render's text
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,12 +58,28 @@ def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
     """For each 8-bit chunk of ``point_bits(poset)``, from the lowest, the
     (Var, 1) pairs of the chunk's set bits for each byte value, in (i, j)
     order."""
-    points = poset.members()
+    points = _points(poset)
     tables = []
     for c in range(0, len(points), 8):
         table: List[Monomial] = [()]
         for p in points[c:c + 8]:
-            table += [t + ((avar(*p), 1),) for t in table]
+            pair = ((avar(*p), 1),)
+            table += [t + pair for t in table]
+        tables.append(table)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_text(poset: RectPoset) -> List[List[str]]:
+    """For each 8-bit chunk of ``point_bits(poset)``, the text of each byte
+    value's points, such as ``"A[0,1]*A[0,3]"`` ("" for none)."""
+    points = _points(poset)
+    tables = []
+    for c in range(0, len(points), 8):
+        table = [""]
+        for p in points[c:c + 8]:
+            name = avar(*p).render()
+            table += [f"{t}*{name}" if t else name for t in table]
         tables.append(table)
     return tables
 
@@ -99,14 +126,28 @@ def _disjoint_families(options: List[List[Masks]]) -> List[Masks]:
                 extend(l + 1, cover | c, east | e, north | n)
 
     extend(0, 0, 0, 0)
+    # extend's closure holds extend itself and out: break that cycle, so the
+    # list is freed when its caller drops it, not at a later gc pass.
+    del extend
     return out
 
 
 def enum_nilp(region: Region) -> List[Masks]:
     """The masks of all vertex-disjoint families, path l from source l to
-    sink l; ordered lexicographically by concatenated step strings."""
-    return _disjoint_families([enum_paths(region, region.sources[l], region.sinks[l])
-                               for l in range(region.k)])
+    sink l; ordered lexicographically by concatenated step strings.  A
+    region of more than FAMILY_BUDGET families is refused before any is
+    listed.  Their number is phi_at with unit weights, taken only when the
+    product of the per-source path counts exceeds the budget."""
+    options = [enum_paths(region, region.sources[l], region.sinks[l]) for l in range(region.k)]
+    if math.prod(map(len, options)) > FAMILY_BUDGET:
+        count = phi_at(region, dict.fromkeys(region.members, Fraction(1)))
+        if count > FAMILY_BUDGET:
+            g = region.poset
+            raise BudgetExceeded(
+                f"the hexagon m={region.m} n={region.n} k={region.k} of the {g.r}x{g.s} grid "
+                f"has {count} path families, more than FAMILY_BUDGET = {FAMILY_BUDGET}, "
+                "the most enum_nilp lists")
+    return _disjoint_families(options)
 
 
 def paths(region: Region, masks: Masks) -> List[List[GridPoint]]:
@@ -137,38 +178,84 @@ def family_json(region: Region, masks: Masks) -> list:
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def uncovered_sum(poset: RectPoset, families: Sequence[Masks], members) -> Polynomial:
+def uncovered_sum(poset: RectPoset, families: Sequence[Masks], members) -> List[Term]:
     """Sum over the families, on the poset's ``point_bits``, of the product
-    of A-variables over the members that each family leaves uncovered.  The
-    uncovered masks are counted in one Counter, and each distinct mask is
-    decoded once through the chunk tables.
+    of A-variables over the members that each family leaves uncovered, as
+    the terms ``(mask, count)`` of the distinct uncovered masks, in
+    descending graded lexicographic order."""
+    return _count_runs(*_uncovered_keys(poset, families, members))
 
-    The terms are sorted on the masks themselves.  Every exponent is 1, so
-    descending graded lexicographic order is descending popcount, then, at
-    the lowest bit where two masks differ (the earliest grid point), the
-    mask that has that bit set first.  That bit is the highest differing
-    bit of the two masks with their bits reversed."""
-    if not families:
-        return Polynomial(())
-    full = sum(map(point_bits(poset).__getitem__, members))
-    counts = Counter(full & ~cover for cover, _, _ in families)
+
+def _uncovered_keys(poset: RectPoset, families: Sequence[Masks], members
+                    ) -> Tuple[List[int], int]:
+    """Each family's uncovered mask as one int key, sorted descending, and
+    the masks' width in bytes.
+    Every exponent is 1, so descending graded lexicographic order is
+    descending popcount, then, at the lowest bit where two masks differ
+    (the earliest grid point), the mask that has that bit set first.  That
+    bit is the highest differing bit of the two masks with their bits
+    reversed, so the key is the popcount above the reversed mask."""
+    bits = point_bits(poset)
+    full = sum(map(bits.__getitem__, members))
+    width = (len(bits) + 7) // 8
+    shift = 8 * width
+
+    def key(cover: int) -> int:
+        mask = full & ~cover
+        chunks = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+        return mask.bit_count() << shift | int.from_bytes(chunks, "big")
+
+    keys = [key(cover) for cover, _, _ in families]
+    keys.sort(reverse=True)
+    return keys, width
+
+
+def _count_runs(keys: List[int], width: int) -> List[Term]:
+    """The sorted keys' runs of equal keys as terms, each key turned back
+    into its mask of width bytes."""
+    low = (1 << 8 * width) - 1
+    def mask(key: int) -> int:
+        chunks = (key & low).to_bytes(width, "big").translate(_REVERSED_BITS)
+        return int.from_bytes(chunks, "little")
+
+    return [(mask(key), len(list(run))) for key, run in groupby(keys)]
+
+
+def decode(poset: RectPoset, terms: Sequence[Term]) -> Polynomial:
+    """The polynomial of terms on the poset's ``point_bits``, each distinct
+    mask decoded once through the chunk tables."""
     tables = _chunk_pairs(poset)
     width = len(tables)
-
-    def key(mask: int) -> Tuple[int, int]:
-        chunks = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
-        return mask.bit_count(), int.from_bytes(chunks, "big")
-
-    def decode(mask: int) -> Monomial:
-        chunks = mask.to_bytes(width, "little")
-        return tuple(chain.from_iterable(map(list.__getitem__, tables, chunks)))
-
-    return Polynomial(tuple((decode(mask), counts[mask])
-                            for mask in sorted(counts, key=key, reverse=True)))
+    return Polynomial(tuple((tuple(chain.from_iterable(map(list.__getitem__, tables,
+                                                            mask.to_bytes(width, "little")))), c)
+                            for mask, c in terms))
 
 
-def phi(region: Region) -> Polynomial:
-    return uncovered_sum(region.poset, enum_nilp(region), region.members)
+def render(poset: RectPoset, terms: Sequence[Term]) -> Iterator[str]:
+    """The text of ``decode(poset, terms).render()`` in pieces of at most
+    TEXT_BATCH terms, each term written from the chunks' text tables with the
+    rules of ``Polynomial.render``: a count other than 1 is a ``c*``
+    prefix, the empty monomial is its count, and no term at all is 0."""
+    if not terms:
+        yield "0"
+        return
+    texts = _chunk_text(poset)
+    width = len(texts)
+
+    def term(t: Term) -> str:
+        mask, c = t
+        mono = "*".join(filter(None, map(list.__getitem__, texts, mask.to_bytes(width, "little"))))
+        return mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c)
+
+    for start in range(0, len(terms), TEXT_BATCH):
+        yield (" + " if start else "") + " + ".join(map(term, terms[start:start + TEXT_BATCH]))
+
+
+def phi(region: Region) -> List[Term]:
+    """phi of the region as its terms on ``point_bits(region.poset)``; the
+    family list is dropped once keyed, before the terms are built."""
+    keys = _uncovered_keys(region.poset, enum_nilp(region), region.members)
+    return _count_runs(*keys)
 
 
 def det(mat: List[List[Fraction]]) -> Fraction:

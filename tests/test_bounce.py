@@ -15,8 +15,8 @@ from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset, Region
-from birow.nilp import Masks, enum_nilp, phi, point_bits, uncovered_sum
-from test_nilp import Path, reference_nilp, regions, to_masks, walk
+from birow.nilp import Masks, decode, enum_nilp, point_bits, uncovered_sum
+from test_nilp import Path, phi_poly, reference_nilp, regions, to_masks, walk
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def test_mu_phi_matches_plain_phi_inside_the_grid():
     p = RectPoset(2, 2)
     # eps = (0,0), delta = 0 at (i,j,k) = (1,1,1): no shift, plain phi
     assert corner(1, 1, 1) == (0, 0, 1, 0, 0)
-    assert mu_phi(p, *corner(1, 1, 1)) == phi(p.hexagon(0, 0, 1))
+    assert mu_phi(p, *corner(1, 1, 1)) == phi_poly(p.hexagon(0, 0, 1))
     # negative order gives 0; a base above the grid gives 1 at order 0
     assert mu_phi(p, 0, 0, -1, 0, 0) == Polynomial(())
     assert mu_phi(p, 3, 0, 0, 0, 0) == Polynomial.const(1)
@@ -180,7 +180,7 @@ def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     (br, rr), overlays, side, image, rep = _one_image(monkeypatch)
 
     def weight(regions, overlay):
-        blue, red = (uncovered_sum(br.poset, [masks], region.members)
+        blue, red = (decode(br.poset, uncovered_sum(br.poset, [masks], region.members))
                      for region, masks in zip(regions, overlay))
         return str(blue * red)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,8 @@ import pytest
 
 from birow import cli
 from birow.cli import _CHECKS, main
+from birow.grid_poset import RectPoset
+from birow.nilp import decode, enum_nilp, family_json, phi
 
 
 def run(capsys, *argv):
@@ -210,6 +213,55 @@ class TestPhi:
         code, _, err = run(capsys, "phi", "--r", "3", "--s", "2", "--m", "1",
                            "--n", "0", "--k", "4")
         assert code == 2 and "--k" in err
+
+    @staticmethod
+    def payload(r, s, m, n, k, families: bool) -> dict:
+        """The JSON of phi as the decoded Polynomial renders it, with no
+        streaming."""
+        region = RectPoset(r, s).hexagon(m, n, k)
+        out = {"r": r, "s": s, "m": m, "n": n, "k": k,
+               "phi": decode(region.poset, phi(region)).render()}
+        if families:
+            out["families"] = [family_json(region, fam) for fam in enum_nilp(region)]
+        return out
+
+    @pytest.mark.parametrize("grid", [(5, 5, 0, 0, 3), (4, 4, 0, 0, 2), (5, 4, 1, 0, 3),
+                                      (1, 1, 1, 1, 1), (0, 0, 0, 0, 0)])
+    def test_streamed_output_is_the_joined_json(self, capsys, grid):
+        argv = ["phi"] + [f for name, v in zip("rsmnk", grid) for f in (f"--{name}", str(v))]
+        for flags, families in (([], False), (["--list-families"], True)):
+            want = json.dumps(self.payload(*grid, families), indent=2, sort_keys=True)
+            assert run(capsys, *argv, *flags) == (0, want + "\n", "")
+        text = self.payload(*grid, False)["phi"]
+        assert run(capsys, *argv, "--plain") == (0, text + "\n", "")
+
+    def test_a_region_with_no_family_is_written_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "phi", lambda region: [])
+        argv = ["phi", "--r", "2", "--s", "2", "--m", "0", "--n", "0", "--k", "1"]
+        want = {"r": 2, "s": 2, "m": 0, "n": 0, "k": 1, "phi": "0"}
+        assert run(capsys, *argv) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
+        assert run(capsys, *argv, "--plain") == (0, "0\n", "")
+
+    def test_a_large_phi_is_written_in_pieces(self, monkeypatch):
+        # 6x6 k=3 has 24 696 terms, written in batches of 4096: no one write
+        # holds the whole text.
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(writes.append)}))
+        command = "phi --r 6 --s 6 --m 0 --n 0 --k 3"
+        assert main(command.split()) == 0
+        out = "".join(writes)
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
+        assert len(writes) > 7 and max(map(len, writes)) < len(out) // 5
+
+    def test_too_many_families_exit_3_at_once(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "phi", "--r", "8", "--s", "8", "--m", "0", "--n", "0",
+                             "--k", "3")
+        assert time.monotonic() - t0 < 1
+        assert code == 3 and out == ""
+        assert err == ("budget exceeded: the hexagon m=0 n=0 k=3 of the 8x8 grid has 24293412 "
+                       "path families, more than FAMILY_BUDGET = 4194304, the most enum_nilp "
+                       "lists\n")
 
 
 class TestOrbit:

@@ -10,18 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birow import bounce
+from birow import bounce, nilp
 from birow.avar import a_to_x
 from birow.bounce import _CORNERS, hugging_families
 from birow.closed_form import corner
-from birow.errors import PoleEncountered
+from birow.errors import BudgetExceeded, PoleEncountered
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import GridPoint, RectPoset, Region
-from birow.nilp import (Masks, det, enum_nilp, enum_paths, paths, phi, phi_at, point_bits,
-                        uncovered_sum)
+from birow.nilp import (Masks, decode, det, enum_nilp, enum_paths, paths, phi, phi_at, point_bits,
+                        render, uncovered_sum)
 from test_exactnum import evaluate_poly, grlex_key
 
 Path = Tuple[GridPoint, ...]  # a path as its vertices
+
+
+def phi_poly(region: Region) -> Polynomial:
+    """phi of the region decoded into a Polynomial."""
+    return decode(region.poset, phi(region))
 
 
 # The reference enumeration: paths as vertex tuples, walked point by point,
@@ -245,7 +250,7 @@ def test_enum_nilp_matches_the_vertex_list_reference():
 
 def test_phi_order_zero_is_the_filter_product():
     p = RectPoset(3, 2)
-    assert phi(p.hexagon(2, 1, 0)) == _mono((2, 1), (2, 2), (3, 1), (3, 2))
+    assert phi_poly(p.hexagon(2, 1, 0)) == _mono((2, 1), (2, 2), (3, 1), (3, 2))
 
 
 def test_phi_one_six_terms():
@@ -256,20 +261,20 @@ def test_phi_one_six_terms():
                  [(1, 2), (2, 0), (2, 2), (3, 0)],
                  [(1, 2), (2, 0), (3, 0), (3, 1)],
                  [(2, 0), (2, 1), (3, 0), (3, 1)])
-    assert phi(p.hexagon(1, 0, 1)) == want
+    assert phi_poly(p.hexagon(1, 0, 1)) == want
 
 
 def test_phi_two_three_terms():
     p = RectPoset(3, 2)
     want = _poly([(1, 2)], [(2, 1)], [(3, 0)])
-    assert phi(p.hexagon(1, 0, 2)) == want
+    assert phi_poly(p.hexagon(1, 0, 2)) == want
 
 
 def test_phi_at_unit_weights_counts_families():
     p = RectPoset(3, 2)
     ones = {avar(i, j): Fraction(1) for (i, j) in p.members()}
-    assert evaluate_poly(phi(p.hexagon(1, 0, 1)), ones) == 6
-    assert evaluate_poly(phi(p.hexagon(1, 0, 2)), ones) == 3
+    assert evaluate_poly(phi_poly(p.hexagon(1, 0, 1)), ones) == 6
+    assert evaluate_poly(phi_poly(p.hexagon(1, 0, 2)), ones) == 3
 
 
 @given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 100))
@@ -283,7 +288,7 @@ def test_lgv_oracle_matches_phi(m, n, seed):
     for k in range(min(3 - m, 2 - n) + 2):
         region = p.hexagon(m, n, k)
         pt = _random_point(region, rng)
-        assert evaluate_poly(phi(region), _in_avars(pt)) == phi_at(region, pt)
+        assert evaluate_poly(phi_poly(region), _in_avars(pt)) == phi_at(region, pt)
 
 
 def test_phi_at_matches_enumeration_on_every_region():
@@ -297,7 +302,7 @@ def test_phi_at_matches_enumeration_on_every_region():
                 for k in range(min(r - m, s - n) + 2):
                     region = poset.hexagon(m, n, k)
                     pt = _random_point(region, rng)
-                    assert evaluate_poly(phi(region), _in_avars(pt)) == phi_at(region, pt), \
+                    assert evaluate_poly(phi_poly(region), _in_avars(pt)) == phi_at(region, pt), \
                         (r, s, m, n, k)
 
 
@@ -343,8 +348,22 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
     assert any(not set(covered(poset, cover)) <= set(members)
                for poset, families, members in hugging for cover, _, _ in families)
     for poset, families, members in cases + hugging:
-        assert uncovered_sum(poset, families, members).terms == \
+        assert decode(poset, uncovered_sum(poset, families, members)).terms == \
             _uncovered_oracle(poset, families, members)
+
+
+def test_uncovered_sum_sorts_covers_of_every_size():
+    """The families of one region leave equally many members uncovered, so
+    only covers of different sizes reach the popcount in the sort key:
+    random covers of a 3x3 grid (two chunks), each drawn twice, summed over
+    every point and over some points."""
+    rng = random.Random(5)
+    poset = RectPoset(3, 3)
+    families = [(rng.getrandbits(16), 0, 0) for _ in range(300)] * 2
+    for members in (poset.members(), poset.members()[3:12]):
+        terms = uncovered_sum(poset, families, members)
+        assert len({mask.bit_count() for mask, _ in terms}) > 3
+        assert decode(poset, terms).terms == _uncovered_oracle(poset, families, members)
 
 
 @pytest.mark.parametrize("r, k", [(4, 2), (5, 1), (5, 3), (6, 2), (6, 3)])
@@ -354,9 +373,75 @@ def test_uncovered_sum_sorts_as_from_dict(r, k):
     checked against the tuple oracle above.)"""
     region = RectPoset(r, r).hexagon(0, 0, k)
     families = enum_nilp(region)
-    terms = uncovered_sum(region.poset, families, region.members).terms
+    terms = decode(region.poset, uncovered_sum(region.poset, families, region.members)).terms
     assert sum(c for _, c in terms) == len(families)
     assert terms == Polynomial.from_dict(dict(terms)).terms
+
+
+def _rendered(poset: RectPoset, terms) -> str:
+    pieces = list(render(poset, terms))
+    assert all(pieces) and len(pieces) == max(1, -(-len(terms) // nilp.TEXT_BATCH))
+    return "".join(pieces)
+
+
+def test_render_matches_the_decoded_polynomial(monkeypatch):
+    """The text written from the masks' text tables is the decoded
+    Polynomial's render(), on every hexagon of every grid up to 4x4 and on
+    three larger ones, in one piece per batch of terms, whatever the batch."""
+    regions = [RectPoset(r, s).hexagon(m, n, k) for r in range(5) for s in range(5)
+               for (m, n) in RectPoset(r, s).members() for k in range(min(r - m, s - n) + 2)]
+    regions += [RectPoset(5, 5).hexagon(0, 0, 3), RectPoset(6, 5).hexagon(0, 0, 2),
+                RectPoset(6, 6).hexagon(0, 0, 3)]
+    for batch in (nilp.TEXT_BATCH, 7):
+        monkeypatch.setattr(nilp, "TEXT_BATCH", batch)
+        for region in regions:
+            terms = phi(region)
+            assert _rendered(region.poset, terms) == decode(region.poset, terms).render()
+
+
+def test_render_writes_counts_the_empty_monomial_and_zero():
+    """The rules of Polynomial.render: a count other than 1 is a prefix, the
+    empty monomial is its count, and no term at all is 0.  Masks above the
+    first byte read the later chunks' tables."""
+    poset = RectPoset(3, 3)
+    bits = point_bits(poset)
+    high = bits[(3, 3)] | bits[(2, 1)] | bits[(0, 0)]
+    for terms in ([], [(0, 1)], [(0, 5)], [(high, 1)], [(high, 3), (bits[(1, 2)], 1), (0, 2)]):
+        assert _rendered(poset, terms) == decode(poset, terms).render()
+    assert _rendered(poset, [(high, 3), (0, 2)]) == "3*A[0,0]*A[2,1]*A[3,3] + 2"
+    assert _rendered(poset, []) == "0"
+
+
+def test_family_budget_admits_the_ladder_and_refuses_8x8_k3():
+    """The family counts, by phi_at with unit weights, of the largest
+    regions phi lists and of the first one it refuses."""
+    def count(r, k):
+        region = RectPoset(r, r).hexagon(0, 0, k)
+        return phi_at(region, dict.fromkeys(region.members, Fraction(1)))
+
+    assert count(7, 3) == 731808 <= nilp.FAMILY_BUDGET
+    assert count(8, 2) == 2760615 <= nilp.FAMILY_BUDGET
+    assert count(8, 3) == 24293412 > nilp.FAMILY_BUDGET
+    with pytest.raises(BudgetExceeded, match=f"24293412 path families, more than "
+                                             f"FAMILY_BUDGET = {nilp.FAMILY_BUDGET}"):
+        enum_nilp(RectPoset(8, 8).hexagon(0, 0, 3))
+
+
+def test_family_budget_is_checked_before_listing(monkeypatch):
+    """5x5 k=3 has 980 families: a budget of 980 lists them and one of 979
+    refuses before a family is listed.  Under the default budget the product
+    of its path counts is small, so no family count is taken."""
+    region = RectPoset(5, 5).hexagon(0, 0, 3)
+    monkeypatch.setattr(nilp, "phi_at", lambda *a: pytest.fail("counted a small region"))
+    assert len(enum_nilp(region)) == 980
+    monkeypatch.undo()
+    monkeypatch.setattr(nilp, "FAMILY_BUDGET", 980)
+    assert len(enum_nilp(region)) == 980
+    monkeypatch.setattr(nilp, "FAMILY_BUDGET", 979)
+    monkeypatch.setattr(nilp, "_disjoint_families", lambda *a: pytest.fail("listed families"))
+    with pytest.raises(BudgetExceeded,
+                       match="has 980 path families, more than FAMILY_BUDGET = 979"):
+        enum_nilp(region)
 
 
 def test_phi_at_order_zero_and_poles():

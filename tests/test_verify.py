@@ -27,8 +27,9 @@ from birow.errors import PoleEncountered, PreconditionViolated
 from birow.exactnum import avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
-from birow.verify import (_file_counts, _tree_product, auto_mode, check_antipodal_product,
-                          check_combinatorial_homomesy, check_file_homomesy,
+from birow.verify import (_file_counts, _plain_tree_product, _tree_product, auto_mode,
+                          check_antipodal_product, check_combinatorial_homomesy,
+                          check_file_homomesy,
                           check_file_ledger, check_main_formula,
                           check_periodicity, check_reciprocity)
 from test_exactnum import evaluate
@@ -423,6 +424,15 @@ def test_pair_tree_product_is_the_product_of_the_fractions(pairs):
     assert Fraction(n, d) == math.prod((Fraction(*p) for p in pairs), start=Fraction(1))
     if all(math.gcd(*p) == 1 for p in pairs):
         assert math.gcd(n, d) == 1
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), _smooth_ints), _smooth_ints), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_both_pair_trees_give_the_same_fraction(pairs):
+    """The antipodal products' tree takes no gcd; it must still give the
+    fraction that the cross-cancelled tree of the file products gives."""
+    n, d = _plain_tree_product(pairs)
+    assert d > 0 and Fraction(n, d) == Fraction(*_tree_product(pairs))
 
 
 class TestReciprocity:
