@@ -17,10 +17,14 @@ and the quotient) where ab/(a + b) took six.  By convention a ∥ 0 = 0.
 ``toggle_birational`` is the one toggle for every value type and the
 reference for the integer sweep, ``_toggle_pairs``: on (numerator,
 denominator) int pairs it gives the same values, forming the lower sum L
-and the reciprocal sum S of the upper covers unreduced and cancelling the
-new label L / (x S) once, by gcds between seven of the eight pairs of its
-unmultiplied factors, so a label may keep a small common factor until it
-is read (a lookup builds its Fraction with one gcd).
+and the reciprocal sum S of the upper covers unreduced.  Before the
+covers' factors are multiplied, the denominator of each lower cover w and
+the numerator of the upper cover w + (1, 1) across from it, which share
+most of their bits, are divided by their gcd; then six pairs of a
+numerator and a denominator factor of the new label are, each once.
+Dividing by a gcd never changes a value, so the sweep is exact, but a
+label may keep a small common factor until it is read (a lookup builds
+its Fraction with one gcd).
 Rowmotion never subtracts, so a positive labeling stays positive along its
 orbit.  One runner, ``_toggle_runs``, toggles slices of
 linear_extension_desc and decides once per labeling which of the two runs
@@ -225,24 +229,28 @@ def rowmotion_birational(f: Labeling) -> Labeling:
 def _sweep_plan(poset: RectPoset) -> Tuple[Dict[GridPoint, int], Tuple[tuple, ...]]:
     """The slot of each member, its index in ``members()``, and one entry
     per point in linear_extension_desc order: its slot, the slots of the
-    elements it covers, then the slots of the elements covering it, each
-    list split into its first slot and a tuple of the rest.  Slot
-    len(members) stands for the adjoined bottom and the next for the top."""
+    elements it covers, the slots of the elements covering it, and its
+    diagonal pairs, (w, z) for each lower cover w whose w + (1, 1) is an
+    upper cover z.  Slot len(members) stands for the adjoined bottom and
+    the next for the top; neither is ever paired."""
     slot = {p: k for k, p in enumerate(poset.members())}
     bottom, top = len(slot), len(slot) + 1
     plan = []
     for v in poset.linear_extension_desc():
         downs, at_bottom = poset.covered_by(v)
         ups, at_top = poset.covers(v)
-        lower = [slot[w] for w in sorted(downs)] + ([bottom] if at_bottom else [])
-        upper = [slot[z] for z in sorted(ups)] + ([top] if at_top else [])
-        plan.append((slot[v], lower[0], tuple(lower[1:]), upper[0], tuple(upper[1:])))
+        lower = tuple(slot[w] for w in sorted(downs)) + ((bottom,) if at_bottom else ())
+        upper = tuple(slot[z] for z in sorted(ups)) + ((top,) if at_top else ())
+        pairs = tuple((slot[(i, j)], slot[(i + 1, j + 1)]) for i, j in sorted(downs)
+                      if (i + 1, j + 1) in ups)
+        plan.append((slot[v], lower, upper, pairs))
     return slot, tuple(plan)
 
 
-# Seven of the eight cross pairs, (Q, b), (a, b), (Q, P), (a, n), (d, P), (d, b),
-# (Q, n), as indices into _toggle_pairs' [a, n, P, d, b, Q], most shared first.
-_PAIRS = ((5, 4), (0, 4), (5, 2), (0, 1), (3, 2), (3, 4), (5, 1))
+def _cancel(x: int, y: int) -> Tuple[int, int]:
+    """x and y divided by their gcd."""
+    g = math.gcd(x, y)
+    return (x // g, y // g) if g > 1 else (x, y)
 
 
 def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> None:
@@ -252,33 +260,54 @@ def _toggle_pairs(num: List[int], den: List[int], plan: Tuple[tuple, ...]) -> No
     At a point labelled n/d, the lower covers w sum to a/b, a = sum n_w
     prod d_other and b = prod d_w, and the reciprocals of the upper covers
     z to P/Q, P = sum d_z prod n_other and Q = prod n_z, both unreduced;
-    the new label is a d Q / (b n P).  Seven pairs of a numerator and a
-    denominator factor are each divided by their gcd once.  The pairs that
-    share most go first, so later gcds run on smaller ints: over 16
-    rowmotions of a random 15x15 start Q and b average ~2600 bits and
-    share ~2300, a and n, and d and P, ~1260, but a and b, or Q and P,
-    only ~100-150, too few to pay for reducing each sum as it is added.
+    the new label is a d Q / (b n P).  Before b and Q are multiplied out,
+    each diagonal pair of _sweep_plan, a lower cover w and the upper cover
+    z = w + (1, 1), divides n_z and d_w by their gcd.  Between w and z lie
+    the point toggled and one other, u, and the last toggles of w and of
+    z, in either direction of the sweep, read the same labels of those
+    two: w took their reciprocal sum d n_u + d_u n into d_w, and z their
+    lower sum n d_u + n_u d into n_z.  Over 16 rowmotions of a random
+    15x15 start, forward or backward, n_z and d_w share ~1300 of their
+    ~1450 bits, where the other pairs of a lower and an upper cover share
+    ~2.  So two gcds of single factors, with narrow quotients, replace one
+    gcd of the products Q and b.  Then (a, n), (d, P), (a, b), (Q, P),
+    (d, b) and (Q, n) are each divided by their gcd once.  An interior
+    point, with two lower and two upper covers, takes one straight-line
+    branch; an edge point, with at most one diagonal pair, the loop.
 
-    The pair (a, P) is left, and so is (d, n): over those rowmotions a and
-    P share ~2 bits and are coprime 71% of the time, yet their gcd took
-    the most, 0.044 of 0.15 s.  So a label may keep a small common factor,
-    which the neighbours' (a, b) and (Q, P) gcds cancel where it is summed:
-    from random_labeling(Random(1)) it stayed within 98 bits over a period
-    of 20x20 and 25x25, and 39 bits over ten periods of 6x6 and 10x10."""
-    for k, w, lower, z, upper in plan:
-        a, b = num[w], den[w]
-        for w in lower:
-            a, b = a * den[w] + num[w] * b, b * den[w]
-        P, Q = den[z], num[z]
-        for z in upper:
-            P, Q = P * num[z] + den[z] * Q, Q * num[z]
-        t = [a, num[k], P, den[k], b, Q]
-        for i, j in _PAIRS:
-            g = math.gcd(t[i], t[j])
-            if g > 1:
-                t[i] //= g
-                t[j] //= g
-        a, n, P, d, b, Q = t
+    The pair (a, P) is left, and so is (d, n), and so are the covers'
+    non-diagonal pairs: over those rowmotions a and P, once cancelled
+    against the rest, share ~2 bits and are coprime 69% of the time.  So
+    a label may keep a small common factor, which the neighbours' (a, b)
+    and (Q, P) gcds cancel where it is summed: from
+    random_labeling(Random(1)) it stayed within 73 bits over 16 rowmotions
+    of 15x15 and 98 bits over 22 of 20x20.  Dividing by a gcd never
+    changes a value, and a lookup still reduces each label with one gcd,
+    so every label read is exact and in lowest terms."""
+    for k, lower, upper, pairs in plan:
+        if len(pairs) == 2:
+            (w, z), (x, y) = pairs
+            dw, dx, nz, ny = den[w], den[x], num[z], num[y]
+            a = num[w] * dx + num[x] * dw
+            P = den[z] * ny + den[y] * nz
+            nz, dw = _cancel(nz, dw)
+            ny, dx = _cancel(ny, dx)
+            b, Q = dw * dx, nz * ny
+        else:
+            a, b, P, Q = 0, 1, 0, 1
+            for w in lower:
+                a, b = a * den[w] + num[w] * b, b * den[w]
+            for z in upper:
+                P, Q = P * num[z] + den[z] * Q, Q * num[z]
+            for w, z in pairs:
+                g = math.gcd(num[z], den[w])
+                b, Q = b // g, Q // g
+        a, n = _cancel(a, num[k])
+        d, P = _cancel(den[k], P)
+        a, b = _cancel(a, b)
+        Q, P = _cancel(Q, P)
+        d, b = _cancel(d, b)
+        Q, n = _cancel(Q, n)
         num[k], den[k] = a * d * Q, b * n * P
 
 

@@ -15,7 +15,7 @@ from birow.dynamics import (IDEAL_BUDGET, Labeling, MaxPlus, all_order_ideals,
                             iterate_birational, iterates, light_cone, orbit, orbits,
                             pair_iterates, pl_labeling, random_labeling, rowmotion_birational,
                             rowmotion_combinatorial, starts, toggle_birational, _ideal_count,
-                            _lex_rank, _toggle_pairs, _toggle_runs)
+                            _lex_rank, _sweep_plan, _toggle_pairs, _toggle_runs)
 from birow.errors import BudgetExceeded, OutOfRangeValue, ParseError, PoleEncountered
 from birow.exactnum import Factored, parallel, xvar
 from birow.grid_poset import RectPoset
@@ -246,14 +246,24 @@ class TestBirational:
                 assert d > 0 and x * y.denominator == y.numerator * d
 
     def test_sweep_pairs_may_share_a_factor(self):
-        # The sweep leaves (a, P) uncancelled: here rho f's label at (0, 1)
-        # is 1486209490220 / 584280156383, both multiples of 7, and a read
+        # The sweep leaves (a, P), (d, n) and the covers' non-diagonal
+        # pairs uncancelled: here rho f's label at (0, 1) is
+        # 1486209490220 / 584280156383, both multiples of 7, and a read
         # label is in lowest terms again.
         f = random_labeling(RectPoset(1, 1), random.Random(1))
         num, den = list(pair_iterates(f, 1))[1]
         assert math.gcd(num[1], den[1]) == 7
         x = rowmotion_birational(f).value((0, 1))
         assert (x.numerator, x.denominator) == (num[1] // 7, den[1] // 7)
+
+    @pytest.mark.parametrize("n, periods, step", [(10, 1, 1), (10, 1, -1), (6, 10, 1)])
+    def test_sweep_labels_keep_a_small_common_factor(self, n, periods, step):
+        # Each diagonal pair shares ~1300 bits; a kernel that stopped
+        # cancelling them, or the six factor pairs after, would leave
+        # factors far wider than this bound (at most 59 bits measured here).
+        f = random_labeling(RectPoset(n, n), random.Random(1))
+        for num, den in pair_iterates(f, periods * (2 * n + 2), step):
+            assert max(math.gcd(x, d).bit_length() for x, d in zip(num, den)) < 128
 
     def test_pairs_off_the_sweep_are_the_composed_toggles(self):
         # A negative label keeps the labeling off the sweep; its pairs are
@@ -348,6 +358,22 @@ class TestBirational:
             assert g.poset == poset and g.mode == f.mode
             for p in poset.members():
                 assert f.value(p) == g.value(p)
+
+
+@pytest.mark.parametrize("r, s", [(r, s) for r in range(6) for s in range(6)])
+def test_sweep_plan_pairs_each_lower_cover_with_the_upper_cover_across(r, s):
+    poset = RectPoset(r, s)
+    slot, plan = _sweep_plan(poset)
+    point = {k: p for p, k in slot.items()}
+    order = poset.linear_extension_desc()
+    assert [point[k] for k, *_ in plan] == order
+    for v, (_, lower, upper, pairs) in zip(order, plan):
+        want = {(w, (w[0] + 1, w[1] + 1)) for w in poset.covered_by(v)[0]
+                if poset.contains((w[0] + 1, w[1] + 1))}
+        for w, z in pairs:
+            # slots len(slot) and len(slot) + 1, the bottom and the top, are never paired
+            assert w in lower and z in upper and w in point and z in point
+        assert {(point[w], point[z]) for w, z in pairs} == want and len(pairs) == len(want)
 
 
 def _ranks_of_iterates(f):
