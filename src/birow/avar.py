@@ -1,13 +1,13 @@
-"""The change of variables x -> A, its inverse substitution, and the index
-shift operator mu^(a,b) acting on A-variables."""
+"""The change of variables x -> A and its inverse substitution.  The index
+shift mu^(a,b) acts on phi's masks, in ``closed_form.mu_phi``."""
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
 from .dynamics import Labeling, Value, generic_labeling, lower_sum
-from .errors import ShiftOutOfRange, UnboundVariable
-from .exactnum import Factored, Polynomial, Var, monomial
+from .errors import UnboundVariable
+from .exactnum import Factored, Polynomial, Var
 from .grid_poset import GridPoint, RectPoset
 
 
@@ -21,23 +21,6 @@ def x_to_A(f: Labeling) -> Dict[GridPoint, Value]:
     and A_{00} = 1/x_{00}.
     """
     return {p: lower_sum(f, p) / f.value(p) for p in f.poset.members()}
-
-
-def shift_poly(p: Polynomial, a: int, b: int) -> Polynomial:
-    """Replace each A_{u,v} with A_{u-a,v-b}."""
-    if a == 0 and b == 0:
-        return p
-    d = {}
-    for mon, c in p.terms:
-        pairs = []
-        for v, e in mon:
-            if v.ns != "A":
-                raise ShiftOutOfRange(f"cannot shift non-A variable {v.render()}")
-            if v.i - a < 0 or v.j - b < 0:
-                raise ShiftOutOfRange(f"shift mu^({a},{b}) sends {v.render()} out of range")
-            pairs.append((Var("A", v.i - a, v.j - b), e))
-        d[monomial(pairs)] = c
-    return Polynomial.from_dict(d)
 
 
 def a_to_x(f: Factored, poset: RectPoset) -> Factored:

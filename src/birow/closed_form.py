@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, TypeVar
 
-from .avar import a_to_x, shift_poly
-from .errors import OutOfRange
+from .avar import a_to_x
+from .errors import OutOfRange, ShiftOutOfRange
 from .exactnum import Factored, Polynomial
 from .grid_poset import GridPoint, RectPoset
 from .nilp import decode, phi, phi_at
@@ -62,12 +62,20 @@ def corner(i: int, j: int, k: int, eps_i: int = 0, eps_j: int = 0,
 def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Polynomial:
     """phi_order(m, n) under the shift mu^(a,b), with the conventions of the
     shifted identity: negative order gives 0; a base above the grid gives 1
-    for order 0 (empty filter) and 0 otherwise."""
+    for order 0 (empty filter) and 0 otherwise.  The shift acts on phi's
+    masks: every member of the hexagon lies at or above its base, so when
+    m >= a and n >= b, (u, v) -> (u-a, v-b) is a right shift of each mask by
+    a*W + b bits (W = s - jmin + 1 per column) with no column wrapping, and
+    it keeps the variables' order, hence the terms' descending grlex order,
+    with no re-sort.  A base below the shift raises ShiftOutOfRange."""
     if order < 0:
         return Polynomial(())
     if m > poset.r or n > poset.s:
         return Polynomial.const(1) if order == 0 else Polynomial(())
-    return shift_poly(decode(poset, phi(poset.hexagon(m, n, order))), a, b)
+    if m < a or n < b:
+        raise ShiftOutOfRange(f"shift mu^({a},{b}) sends the base ({m},{n}) out of range")
+    shift = a * (poset.s - poset.jmin + 1) + b
+    return decode(poset, [(mask >> shift, c) for mask, c in phi(poset.hexagon(m, n, order))])
 
 
 def _phi_pair(q: IterateQuery, at: Callable[[int, int, int, int, int], T]) -> Tuple[T, T]:

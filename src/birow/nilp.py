@@ -136,18 +136,21 @@ def enum_nilp(region: Region) -> List[Masks]:
     """The masks of all vertex-disjoint families, path l from source l to
     sink l; ordered lexicographically by concatenated step strings.  A
     region of more than FAMILY_BUDGET families is refused before any is
-    listed.  Their number is phi_at with unit weights, taken only when the
-    product of the per-source path counts exceeds the budget."""
-    options = [enum_paths(region, region.sources[l], region.sinks[l]) for l in range(region.k)]
-    if math.prod(map(len, options)) > FAMILY_BUDGET:
+    listed.  Their number is phi_at with unit weights, taken only when
+    comb(di + dj, di)^k exceeds the budget: every path from a source to its
+    sink stays in the hexagon and takes di = r-m-k+1 east and dj = s-n-k+1
+    north steps, so no path is listed to count them."""
+    g = region.poset
+    di, dj = g.r - region.m - region.k + 1, g.s - region.n - region.k + 1
+    if math.comb(di + dj, di) ** region.k > FAMILY_BUDGET:
         count = phi_at(region, dict.fromkeys(region.members, Fraction(1)))
         if count > FAMILY_BUDGET:
-            g = region.poset
             raise BudgetExceeded(
                 f"the hexagon m={region.m} n={region.n} k={region.k} of the {g.r}x{g.s} grid "
                 f"has {count} path families, more than FAMILY_BUDGET = {FAMILY_BUDGET}, "
                 "the most enum_nilp lists")
-    return _disjoint_families(options)
+    return _disjoint_families([enum_paths(region, f, t)
+                               for f, t in zip(region.sources, region.sinks)])
 
 
 def paths(region: Region, masks: Masks) -> List[List[GridPoint]]:

@@ -1,11 +1,11 @@
-"""The x -> A change of variables and the index shift operator."""
+"""The x -> A change of variables and its inverse substitution."""
 
 import pytest
 
-from birow.avar import a_to_x, shift_poly, x_to_A
+from birow.avar import a_to_x, x_to_A
 from birow.dynamics import generic_labeling
-from birow.errors import ShiftOutOfRange, UnboundVariable
-from birow.exactnum import Factored, Polynomial, avar, xvar
+from birow.errors import UnboundVariable
+from birow.exactnum import Factored, avar, xvar
 from birow.grid_poset import RectPoset
 
 
@@ -24,28 +24,6 @@ def test_chart_product_telescopes_along_a_path():
     prod = chart[(0, 0)] * chart[(1, 0)] * chart[(1, 1)]
     x10, x01, x11 = (Factored.var(xvar(*p)) for p in [(1, 0), (0, 1), (1, 1)])
     assert prod == (x10 + x01) / (x10 * x11)
-
-
-def test_shift_poly():
-    p = Polynomial.var(avar(2, 1)) * Polynomial.var(avar(1, 1))
-    q = shift_poly(p, 1, 1)
-    assert q == Polynomial.var(avar(1, 0)) * Polynomial.var(avar(0, 0))
-    assert shift_poly(p, 0, 0) is p
-
-
-def test_shift_out_of_range():
-    p = Polynomial.var(avar(1, 0))
-    with pytest.raises(ShiftOutOfRange):
-        shift_poly(p, 0, 1)
-    with pytest.raises(ShiftOutOfRange):
-        shift_poly(Polynomial.var(xvar(1, 1)), 1, 0)
-
-
-def test_shift_mu_on_ratios():
-    # mu^(1,1) acts on a ratio through its numerator and its denominator
-    num, den = Polynomial.var(avar(2, 2)), Polynomial.var(avar(1, 1))
-    g = Factored.ratio(shift_poly(num, 1, 1), shift_poly(den, 1, 1))
-    assert g == Factored.var(avar(1, 1)) / Factored.var(avar(0, 0))
 
 
 def test_a_to_x_identity_example():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from birow import cli
+from birow import cli, nilp
 from birow.cli import _CHECKS, main
 from birow.grid_poset import RectPoset
 from birow.nilp import decode, enum_nilp, family_json, phi
@@ -253,15 +253,18 @@ class TestPhi:
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
         assert len(writes) > 7 and max(map(len, writes)) < len(out) // 5
 
-    def test_too_many_families_exit_3_at_once(self, capsys):
-        t0 = time.monotonic()
-        code, out, err = run(capsys, "phi", "--r", "8", "--s", "8", "--m", "0", "--n", "0",
-                             "--k", "3")
-        assert time.monotonic() - t0 < 1
-        assert code == 3 and out == ""
-        assert err == ("budget exceeded: the hexagon m=0 n=0 k=3 of the 8x8 grid has 24293412 "
-                       "path families, more than FAMILY_BUDGET = 4194304, the most enum_nilp "
-                       "lists\n")
+    def test_too_many_families_exit_3_at_once(self, capsys, monkeypatch):
+        # The path counts alone put each region over the budget: no path is listed.
+        monkeypatch.setattr(nilp, "enum_paths", lambda *a: pytest.fail("listed paths"))
+        for n, k, count in [(8, 3, 24293412), (13, 1, 10400600), (14, 1, 40116600)]:
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "phi", "--r", str(n), "--s", str(n), "--m", "0",
+                                 "--n", "0", "--k", str(k))
+            assert time.monotonic() - t0 < 1
+            assert code == 3 and out == ""
+            assert err == (f"budget exceeded: the hexagon m=0 n=0 k={k} of the {n}x{n} grid has "
+                           f"{count} path families, more than FAMILY_BUDGET = 4194304, the most "
+                           "enum_nilp lists\n")
 
 
 class TestOrbit:

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from birow import verify
 from birow.avar import a_to_x, x_to_A
-from birow.closed_form import (ClosedForm, IterateQuery, m_value, rho_closed,
+from birow.bounce import _CORNERS
+from birow.closed_form import (ClosedForm, IterateQuery, corner, m_value, mu_phi, rho_closed,
                                rho_closed_at, rho_closed_phi)
 from birow.dynamics import generic_labeling, random_labeling, rowmotion_birational
-from birow.errors import OutOfRange
+from birow.errors import OutOfRange, ShiftOutOfRange
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
 from test_exactnum import evaluate
@@ -180,3 +182,72 @@ def test_rho_closed_at_matches_the_shifted_phi_ratio():
             for k in range(poset.r + poset.s + 2):
                 q = IterateQuery(poset, i, j, k)
                 assert closed(q) == evaluate(Factored.ratio(*rho_closed_phi(q)), env)
+
+
+def _renamed(p, a, b):
+    """The reference shift mu^(a,b): each A[u,v] renamed A[u-a,v-b] and the
+    terms sorted afresh."""
+    return Polynomial.from_dict({monomial([(avar(v.i - a, v.j - b), e) for v, e in mon]): c
+                                 for mon, c in p.terms})
+
+
+def _check_mu_phi(poset, m, n, order, a, b):
+    """mu_phi against the renamed phi, text included, when the base of a
+    nonnegative order lies in the grid (elsewhere mu_phi is a constant)."""
+    got = mu_phi(poset, m, n, order, a, b)
+    if order >= 0 and poset.contains((m, n)):
+        expect = _renamed(phi_poly(poset.hexagon(m, n, order)), a, b)
+        assert got == expect and str(got) == str(expect), (poset, m, n, order, a, b)
+    return got
+
+
+def test_mu_phi_matches_the_renamed_phi_on_every_corner():
+    """The Plucker-like identity's six corners and the closed form's
+    denominator (delta = -1), of every query."""
+    for r in range(6):
+        for s in range(6):
+            poset = RectPoset(r, s)
+            corners = {corner(i, j, k, *c) for (i, j) in poset.members()
+                       for k in range(r + s + 2) for c in _CORNERS + ((0, 0, -1),)}
+            for c in corners:
+                _check_mu_phi(poset, *c)
+
+
+def test_mu_phi_matches_the_renamed_phi_on_the_ledger(monkeypatch):
+    seen = []
+
+    def spy(poset, *c):
+        seen.append(c)
+        return _check_mu_phi(poset, *c)
+
+    monkeypatch.setattr(verify, "mu_phi", spy)
+    for r in range(1, 6):
+        for s in range(1, r + 1):
+            for d in range(s):
+                assert verify.check_file_ledger(r, s, d).passed
+    assert any(a or b for _, _, _, a, b in seen)
+
+
+def test_mu_phi_refuses_a_base_below_the_shift():
+    p = RectPoset(2, 2)
+    with pytest.raises(ShiftOutOfRange):
+        mu_phi(p, 0, 1, 1, 1, 0)
+    with pytest.raises(ShiftOutOfRange):
+        mu_phi(p, 1, 0, 1, 0, 1)
+
+
+def test_mu_phi_shifts_a_ratio_to_the_translated_grid():
+    """mu^(a,b) moves the closed form's ratio phi_k'(m, n)/phi_(k'+1)(m, n)
+    to the same ratio at the base (m-a, n-b) of the grid [0,r-a]x[0,s-b]."""
+    for poset in (P32, RectPoset(3, 3)):
+        for (i, j) in poset.members():
+            for k in range(poset.r + poset.s + 2):
+                if m_value(IterateQuery(poset, i, j, k)) > k:
+                    continue
+                m, n, order, a, b = corner(i, j, k)
+                small = RectPoset(poset.r - a, poset.s - b).hexagon
+                shifted = Factored.ratio(mu_phi(poset, *corner(i, j, k)),
+                                         mu_phi(poset, *corner(i, j, k, delta=-1)))
+                moved = Factored.ratio(phi_poly(small(m - a, n - b, order)),
+                                       phi_poly(small(m - a, n - b, order + 1)))
+                assert shifted == moved, (poset, i, j, k)

@@ -1,6 +1,7 @@
 """Lattice paths, non-intersecting families, phi polynomials, and phi at a
 point through the Lindstrom-Gessel-Viennot determinant."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -439,9 +440,25 @@ def test_family_budget_is_checked_before_listing(monkeypatch):
     assert len(enum_nilp(region)) == 980
     monkeypatch.setattr(nilp, "FAMILY_BUDGET", 979)
     monkeypatch.setattr(nilp, "_disjoint_families", lambda *a: pytest.fail("listed families"))
+    monkeypatch.setattr(nilp, "enum_paths", lambda *a: pytest.fail("listed paths"))
     with pytest.raises(BudgetExceeded,
                        match="has 980 path families, more than FAMILY_BUDGET = 979"):
         enum_nilp(region)
+
+
+def test_path_counts_match_the_listed_paths():
+    """The budget counts each source's paths as comb(di + dj, di), with
+    di = r-m-k+1 and dj = s-n-k+1, before any is listed: that is the number
+    enum_paths lists, on every hexagon up to 5x5."""
+    for r in range(6):
+        for s in range(6):
+            poset = RectPoset(r, s)
+            for (m, n) in poset.members():
+                for k in range(1, min(r - m, s - n) + 2):
+                    region = poset.hexagon(m, n, k)
+                    di, dj = r - m - k + 1, s - n - k + 1
+                    for f, t in zip(region.sources, region.sinks):
+                        assert len(enum_paths(region, f, t)) == math.comb(di + dj, di), region
 
 
 def test_phi_at_order_zero_and_poles():
