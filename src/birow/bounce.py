@@ -10,7 +10,7 @@ produces a pair of families with bases skewed left or right; the procedure
 is reversible.
 
 A family is its masks from enumeration onwards (see ``nilp``): the three
-ints ``(cover, east, north)`` on the grid's ``point_bits`` layout, which
+ints ``(cover, east, north)`` on the grid's ``RectPoset.mask`` layout, which
 ``hugging_families`` returns and ``swap`` and ``unswap`` take and return.
 A flip may hand a color an edge it already holds, so a color under a swap
 also keeps the mask of edges it holds twice.  A bounce traversal yields the
@@ -34,8 +34,7 @@ from .closed_form import corner, mu_phi
 from .errors import MalformedOverlay, PreconditionViolated
 from .exactnum import Polynomial, avar, monomial
 from .grid_poset import GridPoint, RectPoset, Region
-from .nilp import (Masks, _disjoint_families, _points, decode, enum_paths, paths, point_bits,
-                   uncovered_sum)
+from .nilp import Masks, _disjoint_families, decode, enum_paths, paths, uncovered_sum
 from .report import Report
 
 Edge = Tuple[GridPoint, GridPoint]  # (lower vertex, upper vertex)
@@ -56,17 +55,13 @@ _SIDES = {"left": (0, (1, 0), (0, 1)), "right": (-1, (0, 1), (1, 0))}
 
 def _point(g: RectPoset, bits: int) -> GridPoint:
     """The point of the lowest set bit."""
-    return _points(g)[(bits & -bits).bit_length() - 1]
+    return g.point((bits & -bits).bit_length() - 1)
 
 
 def _edge(g: RectPoset, d: int, bits: int) -> Edge:
     """The direction-d edge whose lower vertex is the lowest set bit."""
     u = _point(g, bits)
     return (u, (u[0] + 1 - d, u[1] + d))
-
-
-def _mask(g: RectPoset, points) -> int:
-    return sum(map(point_bits(g).__getitem__, points))
 
 
 def _edge_colors(br: Region, blue: Masks, rr: Region, red: Masks) -> List[ColoredEdge]:
@@ -82,13 +77,11 @@ def _check_companions(br: Region, rr: Region):
 
 @dataclass(frozen=True)
 class _Plan:
-    """A region's constants on its grid's point_bits layout, taken once per
-    region: the column width w, the sources and the sinks as bits, the
-    points one rank above the sources (where the horizontal bounce path of a
-    blue family of the region ends) and the twig sources (every source but
-    the first and the last)."""
+    """A region's constants on its grid's mask layout, taken once per
+    region: the sources and the sinks as bits, the points one rank above the
+    sources (where the horizontal bounce path of a blue family of the region
+    ends) and the twig sources (every source but the first and the last)."""
     region: Region
-    w: int
     sources: Tuple[int, ...]
     sinks: Tuple[int, ...]
     source_mask: int
@@ -100,12 +93,11 @@ class _Plan:
 @functools.lru_cache(maxsize=None)
 def _plan(region: Region) -> _Plan:
     g = region.poset
-    bits = point_bits(g)
-    sources = tuple(map(bits.__getitem__, region.sources))
-    sinks = tuple(map(bits.__getitem__, region.sinks))
+    sources = tuple(1 << g.index(p) for p in region.sources)
+    sinks = tuple(1 << g.index(p) for p in region.sinks)
     rank = region.m + region.n + region.k
-    return _Plan(region, g.s - g.jmin + 1, sources, sinks, sum(sources), sum(sinks),
-                 _mask(g, (p for p in g.members() if sum(p) == rank)), sum(sources[1:-1]))
+    return _Plan(region, sources, sinks, sum(sources), sum(sinks),
+                 g.mask(p for p in g.members() if sum(p) == rank), sum(sources[1:-1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +159,7 @@ def _bounce(plan: _Plan, blue: Masks, red: Masks) -> Tuple[str, Taken, Taken]:
     up, down = list(blue[1:]), list(red[1:])
     vertical = horizontal = v_start = None
     for start in starts:
-        term, taken = _traverse(start, plan.w, up, down)
+        term, taken = _traverse(start, g.width, up, down)
         if taken != _NONE and term & plan.sink_mask:
             if vertical is not None:
                 raise MalformedOverlay("two vertical bounce paths")
@@ -239,13 +231,13 @@ def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Mas
     failure."""
     out_masks = []
     for (east, north, east2, north2), plan in zip(colors, targets):
-        g, w = plan.region.poset, plan.w
+        g = plan.region.poset
         if east2 | north2:
             raise MalformedOverlay(f"edge {_edge(g, 0 if east2 else 1, east2 or north2)} "
                                    f"carries a color twice after the swap")
         if east & north:
             raise MalformedOverlay(f"two edges leave {_point(g, east & north)}")
-        out, east_in, north_in = east | north, east << w, north << 1
+        out, east_in, north_in = east | north, east << g.width, north << 1
         if east_in & north_in:
             raise MalformedOverlay(f"two edges enter {_point(g, east_in & north_in)}")
         into, sources, sinks = east_in | north_in, plan.source_mask, plan.sink_mask
@@ -253,7 +245,7 @@ def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Mas
             for src, snk in zip(plan.sources, plan.sinks):
                 v = src
                 while v & out:
-                    v = v << w if v & east else v << 1
+                    v = v << g.width if v & east else v << 1
                 if v != snk:
                     raise MalformedOverlay(f"path from {_point(g, src)} ends at {_point(g, v)}, "
                                            f"expected {_point(g, snk)}")
@@ -303,9 +295,8 @@ def _preimage(side: str, region: Region):
     p0 = missing[0]
     if (v_start[0] - p0[0], v_start[1] - p0[1]) not in ((1, 0), (0, 1)):
         raise MalformedOverlay(f"{p0} is not adjacent below {v_start}")
-    bits = point_bits(g)
-    return (_plan(region), bits[v_start], None if h_start is None else bits[h_start],
-            _mask(g, [s for s in red_sources if s != h_start]), v_start[1] - p0[1], bits[p0],
+    return (_plan(region), g.mask([v_start]), None if h_start is None else g.mask([h_start]),
+            g.mask(s for s in red_sources if s != h_start), v_start[1] - p0[1], g.mask([p0]),
             (_plan(blue_target), _plan(g.hexagon(m + 1, n + 1, k - 1))))
 
 
@@ -313,14 +304,14 @@ def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, M
     """The inverse of swap: the blue and red masks of the overlay whose image
     on the given side is ``blue``, a family of ``region``, and ``red``."""
     plan, v_start, h_start, twigs, d, p0, targets = _preimage(side, region)
-    g, w = region.poset, plan.w
+    g = region.poset
     blue_free, red_free = list(blue[1:]), list(red[1:])
-    vterm, vtaken = _traverse(v_start, w, blue_free, red_free)
+    vterm, vtaken = _traverse(v_start, g.width, blue_free, red_free)
     if vtaken == _NONE or not vterm & plan.sink_mask:
         raise MalformedOverlay("vertical bounce path does not reach the top")
     taken = _NONE
     if h_start is not None:
-        hterm, taken = _traverse(h_start, w, red_free, blue_free)
+        hterm, taken = _traverse(h_start, g.width, red_free, blue_free)
         if not hterm & plan.source_mask:
             raise MalformedOverlay(f"mirror bounce path ends at {_point(g, hterm)}")
     colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
@@ -333,12 +324,11 @@ def _forced_path(region: Region, l: int, leftmost: bool) -> Masks:
     """The masks of path l of the region pinned to its leftmost route (east,
     then north) or its rightmost (north, then east)."""
     src, snk = region.sources[l], region.sinks[l]
-    bits = point_bits(region.poset)
 
     def bit(v: GridPoint) -> int:
         if v not in region.members:
             raise MalformedOverlay(f"forced route leaves the region at {v}")
-        return bits[v]
+        return 1 << region.poset.index(v)
 
     v, cover, edges = src, bit(src), [0, 0]
     for d in (0, 1) if leftmost else (1, 0):
@@ -371,7 +361,7 @@ def _inside(region: Region, ambient: RectPoset) -> List[GridPoint]:
 def _render_weight(g: RectPoset, twice: int, once: int) -> str:
     """The weight, the points of ``once`` and the squares of those of
     ``twice``, as the monomial of A-variables over its points."""
-    pairs = [(avar(*_point(g, 1 << b)), e) for mask, e in ((once, 1), (twice, 2))
+    pairs = [(avar(*g.point(b)), e) for mask, e in ((once, 1), (twice, 2))
              for b in range(mask.bit_length()) if mask >> b & 1]
     return str(Polynomial.from_dict({monomial(pairs): 1}))
 
@@ -416,7 +406,7 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
 
     @functools.lru_cache(maxsize=None)
     def inside(region: Region) -> int:
-        return _mask(region.poset, _inside(region, poset))
+        return region.poset.mask(_inside(region, poset))
 
     # Each family is weighed once.  The images a side may take are its blue
     # families times its red ones.  Each side's image regions are looked

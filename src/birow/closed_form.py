@@ -65,7 +65,7 @@ def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Poly
     for order 0 (empty filter) and 0 otherwise.  The shift acts on phi's
     masks: every member of the hexagon lies at or above its base, so when
     m >= a and n >= b, (u, v) -> (u-a, v-b) is a right shift of each mask by
-    a*W + b bits (W = s - jmin + 1 per column) with no column wrapping, and
+    a * poset.width + b bits with no column wrapping, and
     it keeps the variables' order, hence the terms' descending grlex order,
     with no re-sort.  A base below the shift raises ShiftOutOfRange."""
     if order < 0:
@@ -74,7 +74,7 @@ def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Poly
         return Polynomial.const(1) if order == 0 else Polynomial(())
     if m < a or n < b:
         raise ShiftOutOfRange(f"shift mu^({a},{b}) sends the base ({m},{n}) out of range")
-    shift = a * (poset.s - poset.jmin + 1) + b
+    shift = a * poset.width + b
     return decode(poset, [(mask >> shift, c) for mask, c in phi(poset.hexagon(m, n, order))])
 
 

@@ -226,25 +226,25 @@ def rowmotion_birational(f: Labeling) -> Labeling:
 
 
 @functools.lru_cache(maxsize=None)
-def _sweep_plan(poset: RectPoset) -> Tuple[Dict[GridPoint, int], Tuple[tuple, ...]]:
-    """The slot of each member, its index in ``members()``, and one entry
-    per point in linear_extension_desc order: its slot, the slots of the
-    elements it covers, the slots of the elements covering it, and its
-    diagonal pairs, (w, z) for each lower cover w whose w + (1, 1) is an
-    upper cover z.  Slot len(members) stands for the adjoined bottom and
+def _sweep_plan(poset: RectPoset) -> Tuple[tuple, ...]:
+    """One entry per point in linear_extension_desc order: its slot, the
+    slots of the elements it covers, the slots of the elements covering it,
+    and its diagonal pairs, (w, z) for each lower cover w whose w + (1, 1)
+    is an upper cover z.  A member's slot is ``poset.index``, its position
+    in ``members()``; slot len(members) stands for the adjoined bottom and
     the next for the top; neither is ever paired."""
-    slot = {p: k for k, p in enumerate(poset.members())}
-    bottom, top = len(slot), len(slot) + 1
+    order, slot = poset.linear_extension_desc(), poset.index
+    bottom, top = len(order), len(order) + 1
     plan = []
-    for v in poset.linear_extension_desc():
+    for v in order:
         downs, at_bottom = poset.covered_by(v)
         ups, at_top = poset.covers(v)
-        lower = tuple(slot[w] for w in sorted(downs)) + ((bottom,) if at_bottom else ())
-        upper = tuple(slot[z] for z in sorted(ups)) + ((top,) if at_top else ())
-        pairs = tuple((slot[(i, j)], slot[(i + 1, j + 1)]) for i, j in sorted(downs)
+        lower = tuple(slot(w) for w in sorted(downs)) + ((bottom,) if at_bottom else ())
+        upper = tuple(slot(z) for z in sorted(ups)) + ((top,) if at_top else ())
+        pairs = tuple((slot((i, j)), slot((i + 1, j + 1))) for i, j in sorted(downs)
                       if (i + 1, j + 1) in ups)
-        plan.append((slot[v], lower, upper, pairs))
-    return slot, tuple(plan)
+        plan.append((slot(v), lower, upper, pairs))
+    return tuple(plan)
 
 
 def _cancel(x: int, y: int) -> Tuple[int, int]:
@@ -318,7 +318,7 @@ def _toggle_runs(f: Labeling, parts: Iterable[slice]
                  ) -> Iterator[Tuple[Callable[[GridPoint], Value], Optional[Pairs]]]:
     """For each slice of linear_extension_desc in turn, toggle its points in
     order and yield a lookup of the current labels and, where the sweep
-    runs, its (numerator, denominator) lists in _sweep_plan's slot order
+    runs, its (numerator, denominator) lists in ``poset.index`` order
     (else None), both valid until the next slice is toggled.
 
     This is the one place that picks the toggle kernel.  When the labeling
@@ -326,14 +326,14 @@ def _toggle_runs(f: Labeling, parts: Iterable[slice]
     slice runs _toggle_pairs over the labels held once as (numerator,
     denominator) lists, and the lookup builds the Fraction of one label,
     reduced by its one gcd; otherwise each slice composes toggle_birational."""
-    slot, plan = _sweep_plan(f.poset)
-    xs = [f.values[p] for p in slot] + [f.bottom, f.top]
+    plan, index = _sweep_plan(f.poset), f.poset.index
+    xs = [f.values[p] for p in f.poset.members()] + [f.bottom, f.top]
     # x.numerator > 0 skips Fraction's rich comparison with 0.
     if f.mode == "rational" and all(x.numerator > 0 for x in xs):
         num, den = _pairs(xs)
         for part in parts:
             _toggle_pairs(num, den, plan[part])
-            yield (lambda p: Fraction(num[slot[p]], den[slot[p]])), (num, den)
+            yield (lambda p: Fraction(num[index(p)], den[index(p)])), (num, den)
         return
     order = f.poset.linear_extension_desc()
     for part in parts:

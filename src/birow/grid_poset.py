@@ -4,6 +4,9 @@ regions used for lattice path enumeration.
 A grid point is a plain (i, j) tuple.  The rectangle may have negative
 lower bounds (same maximal corner) for the enlarged-grid arguments; files
 and most consumers only use the standard rectangle.
+
+A point's number, its sweep slot and its bit in every path mask, is its
+position in ``members()``: ``RectPoset.index``, computed from the bounds.
 """
 
 from __future__ import annotations
@@ -55,6 +58,25 @@ class RectPoset:
     def members(self) -> List[GridPoint]:
         return [(i, j) for i in range(self.imin, self.r + 1) for j in range(self.jmin, self.s + 1)]
 
+    @property
+    def width(self) -> int:
+        """The points of one column, one value of i."""
+        return self.s - self.jmin + 1
+
+    def index(self, p: GridPoint) -> int:
+        """The point's position in ``members()``."""
+        return (p[0] - self.imin) * self.width + p[1] - self.jmin
+
+    def point(self, index: int) -> GridPoint:
+        """The member at this position of ``members()``."""
+        i, j = divmod(index, self.width)
+        return (i + self.imin, j + self.jmin)
+
+    def mask(self, points) -> int:
+        """One bit per distinct point, bit ``index(p)``.  The east neighbour
+        of bit b is bit b + width and the north neighbour bit b + 1."""
+        return sum(1 << self.index(p) for p in points)
+
     def contains(self, p: GridPoint) -> bool:
         return self.imin <= p[0] <= self.r and self.jmin <= p[1] <= self.s
 
@@ -63,7 +85,7 @@ class RectPoset:
         there are members, each inside the rectangle.  No member list is
         built, so a huge rectangle costs only the points given."""
         points = set(points)
-        return (len(points) == (self.r - self.imin + 1) * (self.s - self.jmin + 1)
+        return (len(points) == (self.r - self.imin + 1) * self.width
                 and all(map(self.contains, points)))
 
     def _check(self, p: GridPoint):
@@ -161,8 +183,9 @@ class Region:
                 f"hexagon order k={k} exceeds min(r-m, s-n)+1 = {min(r - m, s - n) + 1}")
         lo = m + n + k - 1
         hi = r + s - k + 1
-        members = frozenset(p for p in poset.members()
-                            if p[0] >= m and p[1] >= n and lo <= p[0] + p[1] <= hi)
+        # The filter of (m, n), each column cut to the rank window.
+        members = frozenset((i, j) for i in range(m, r + 1)
+                            for j in range(max(n, lo - i), min(s, hi - i) + 1))
         sources = tuple((m + k - l, n + l - 1) for l in range(1, k + 1))
         sinks = tuple((r - l + 1, s - k + l) for l in range(1, k + 1))
         return Region(poset, m, n, k, members, sources, sinks)

@@ -5,12 +5,11 @@ region's sources to its sinks, the product of A-variables over the region
 members not covered by any path.  Order 0 regions contribute the full
 product over the filter.  From enumeration onwards a path, and a family, is
 its masks: the three ints ``(cover, east, north)`` on the grid's
-``point_bits`` layout, one bit per grid point, of the points it covers and
-of the lower vertex of each of its east and north edges.  With
-W = s - jmin + 1 the east neighbour of bit b is b << W and the north
-neighbour b << 1.  Disjointness and the uncovered members are int
-operations, and ``paths`` walks a family back to its vertices only for
-output.
+``RectPoset.mask`` layout, bit ``index(p)`` for the point p, of the points
+it covers and of the lower vertex of each of its east and north edges.
+The east neighbour of bit b is b << width and the north neighbour b << 1.
+Disjointness and the uncovered members are int operations, and ``paths``
+walks a family back to its vertices only for output.
 
 phi is its terms: the sorted ``(mask, count)`` pairs of the distinct
 uncovered masks, each mask the monomial of the points it holds.  Two
@@ -35,30 +34,18 @@ from .errors import BudgetExceeded, PoleEncountered, UnboundVariable
 from .exactnum import Monomial, Polynomial, avar
 from .grid_poset import GridPoint, RectPoset, Region
 
-Masks = Tuple[int, int, int]  # a path's or a family's (cover, east, north) point_bits masks
-Term = Tuple[int, int]  # a monomial's point_bits mask and its coefficient
+Masks = Tuple[int, int, int]  # a path's or a family's (cover, east, north) masks
+Term = Tuple[int, int]  # a monomial's mask and its coefficient
 FAMILY_BUDGET = 2 ** 22  # the most families enum_nilp lists; 7x7 k=3 has 731 808
 TEXT_BATCH = 4096  # the most terms in one piece of render's text
 
 
 @functools.lru_cache(maxsize=None)
-def point_bits(poset: RectPoset) -> Dict[GridPoint, int]:
-    """One bit per point of the poset, in (i, j) order."""
-    return {p: 1 << b for b, p in enumerate(poset.members())}
-
-
-@functools.lru_cache(maxsize=None)
-def _points(poset: RectPoset) -> List[GridPoint]:
-    """The poset's points in bit order."""
-    return poset.members()
-
-
-@functools.lru_cache(maxsize=None)
 def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
-    """For each 8-bit chunk of ``point_bits(poset)``, from the lowest, the
+    """For each 8-bit chunk of the poset's masks, from the lowest, the
     (Var, 1) pairs of the chunk's set bits for each byte value, in (i, j)
     order."""
-    points = _points(poset)
+    points = poset.members()
     tables = []
     for c in range(0, len(points), 8):
         table: List[Monomial] = [()]
@@ -71,9 +58,9 @@ def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
 
 @functools.lru_cache(maxsize=None)
 def _chunk_text(poset: RectPoset) -> List[List[str]]:
-    """For each 8-bit chunk of ``point_bits(poset)``, the text of each byte
+    """For each 8-bit chunk of the poset's masks, the text of each byte
     value's points, such as ``"A[0,1]*A[0,3]"`` ("" for none)."""
-    points = _points(poset)
+    points = poset.members()
     tables = []
     for c in range(0, len(points), 8):
         table = [""]
@@ -90,12 +77,12 @@ def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Masks]:
     if frm not in region.members or to not in region.members:
         return []
     g = region.poset
-    bits, w = point_bits(g), g.s - g.jmin + 1
-    east_ok = sum(bits[p] for p in region.members if p[0] <= to[0] and p[1] <= to[1])
+    w = g.width
+    east_ok = g.mask(p for p in region.members if p[0] <= to[0] and p[1] <= to[1])
     # A north step never lands on the bottom row: that bit is the next
     # column's, reached from the top of this one.
-    north_ok = east_ok & ~sum(bits[(i, g.jmin)] for i in range(g.imin, g.r + 1))
-    end = bits[to]
+    north_ok = east_ok & ~g.mask((i, g.jmin) for i in range(g.imin, g.r + 1))
+    start, end = 1 << g.index(frm), 1 << g.index(to)
     out: List[Masks] = []
 
     def walk(v: int, cover: int, east: int, north: int):
@@ -107,7 +94,7 @@ def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Masks]:
         if v << 1 & north_ok:
             walk(v << 1, cover | v << 1, east, north | v)
 
-    walk(bits[frm], bits[frm], 0, 0)
+    walk(start, start, 0, 0)
     return out
 
 
@@ -155,16 +142,17 @@ def enum_nilp(region: Region) -> List[Masks]:
 
 def paths(region: Region, masks: Masks) -> List[List[GridPoint]]:
     """The vertices of each path of the region's family with these masks,
-    walked from its source along the edge bits."""
+    walked from its source along the edge bits, the point and its bit
+    stepping east or north together."""
     g = region.poset
-    bits, points, w = point_bits(g), _points(g), g.s - g.jmin + 1
+    w = g.width
     _, east, north = masks
     out = []
     for src in region.sources:
-        v, verts = bits[src], [src]
+        v, (i, j), verts = 1 << g.index(src), src, [src]
         while v & (east | north):
-            v = v << w if v & east else v << 1
-            verts.append(points[v.bit_length() - 1])
+            v, i, j = (v << w, i + 1, j) if v & east else (v << 1, i, j + 1)
+            verts.append((i, j))
         out.append(verts)
     return out
 
@@ -182,7 +170,7 @@ _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def uncovered_sum(poset: RectPoset, families: Sequence[Masks], members) -> List[Term]:
-    """Sum over the families, on the poset's ``point_bits``, of the product
+    """Sum over the families, on the poset's masks, of the product
     of A-variables over the members that each family leaves uncovered, as
     the terms ``(mask, count)`` of the distinct uncovered masks, in
     descending graded lexicographic order."""
@@ -198,9 +186,8 @@ def _uncovered_keys(poset: RectPoset, families: Sequence[Masks], members
     (the earliest grid point), the mask that has that bit set first.  That
     bit is the highest differing bit of the two masks with their bits
     reversed, so the key is the popcount above the reversed mask."""
-    bits = point_bits(poset)
-    full = sum(map(bits.__getitem__, members))
-    width = (len(bits) + 7) // 8
+    full = poset.mask(members)
+    width = (full.bit_length() + 7) // 8
     shift = 8 * width
 
     def key(cover: int) -> int:
@@ -225,7 +212,7 @@ def _count_runs(keys: List[int], width: int) -> List[Term]:
 
 
 def decode(poset: RectPoset, terms: Sequence[Term]) -> Polynomial:
-    """The polynomial of terms on the poset's ``point_bits``, each distinct
+    """The polynomial of terms on the poset's masks, each distinct
     mask decoded once through the chunk tables."""
     tables = _chunk_pairs(poset)
     width = len(tables)
@@ -255,7 +242,7 @@ def render(poset: RectPoset, terms: Sequence[Term]) -> Iterator[str]:
 
 
 def phi(region: Region) -> List[Term]:
-    """phi of the region as its terms on ``point_bits(region.poset)``; the
+    """phi of the region as its terms on ``region.poset``'s masks; the
     family list is dropped once keyed, before the terms are built."""
     keys = _uncovered_keys(region.poset, enum_nilp(region), region.members)
     return _count_runs(*keys)

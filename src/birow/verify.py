@@ -158,8 +158,7 @@ def _period_products(f: Labeling, groups: List[Tuple[GridPoint, ...]],
     product that is not 1."""
     period = f.poset.r + f.poset.s + 2
     half = (period + 1) // 2
-    slot = {p: k for k, p in enumerate(f.poset.members())}
-    slots = [[slot[p] for p in points] for points in groups]
+    slots = [list(map(f.poset.index, points)) for points in groups]
 
     def products(its: Iterable[Pairs]) -> List[Tuple[int, int]]:
         its = list(its)

@@ -15,8 +15,8 @@ from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
 from birow.grid_poset import RectPoset, Region
-from birow.nilp import Masks, decode, enum_nilp, point_bits, uncovered_sum
-from test_nilp import Path, phi_poly, reference_nilp, regions, to_masks, walk
+from birow.nilp import Masks, decode, enum_nilp, uncovered_sum
+from test_nilp import Path, member_bits, phi_poly, reference_nilp, regions, to_masks, walk
 
 
 @dataclass(frozen=True)
@@ -494,7 +494,7 @@ def test_rebuild_rejects_each_malformed_image():
     colors, targets = _colors(region, [fam] * 2)
     assert _rebuild(colors, targets) == (fam,) * 2
     g = region.poset
-    bits = point_bits(g)
+    bits = member_bits(g)
     path0 = family(region, fam).paths[0]
     u2, v2 = path0[-2:]  # the last edge of path 0
     d2 = v2[1] - u2[1]
@@ -543,7 +543,8 @@ def _walk_rebuild(colors, targets):
     each source to its sink, and a count of the edges against the region's."""
     out_masks = []
     for (east, north, east2, north2), plan in zip(colors, targets):
-        g, w, region = plan.region.poset, plan.w, plan.region
+        g, region = plan.region.poset, plan.region
+        w = g.width
         if east2 | north2:
             raise MalformedOverlay(f"edge {_edge(g, 0 if east2 else 1, east2 or north2)} "
                                    f"carries a color twice after the swap")
@@ -583,7 +584,7 @@ def test_rebuild_identities_agree_with_the_walk():
     grids = [RectPoset(r, s) for r in range(5) for s in range(5)] + [RectPoset(3, 2, -2, -1)]
     one_rank = rejected = 0
     for g in grids:
-        bits = point_bits(g)
+        bits = member_bits(g)
         edges = [(d, bits[p]) for p in g.members() for d in (0, 1)
                  if g.contains((p[0] + 1 - d, p[1] + d))]
         for region in regions(g):

@@ -363,15 +363,17 @@ class TestBirational:
 @pytest.mark.parametrize("r, s", [(r, s) for r in range(6) for s in range(6)])
 def test_sweep_plan_pairs_each_lower_cover_with_the_upper_cover_across(r, s):
     poset = RectPoset(r, s)
-    slot, plan = _sweep_plan(poset)
-    point = {k: p for p, k in slot.items()}
+    plan = _sweep_plan(poset)
+    # A member's slot is its position in members(), which is poset.index.
+    point = dict(enumerate(poset.members()))
     order = poset.linear_extension_desc()
     assert [point[k] for k, *_ in plan] == order
+    assert [k for k, *_ in plan] == list(map(poset.index, order))
     for v, (_, lower, upper, pairs) in zip(order, plan):
         want = {(w, (w[0] + 1, w[1] + 1)) for w in poset.covered_by(v)[0]
                 if poset.contains((w[0] + 1, w[1] + 1))}
         for w, z in pairs:
-            # slots len(slot) and len(slot) + 1, the bottom and the top, are never paired
+            # slots len(point) and len(point) + 1, the bottom and the top, are never paired
             assert w in lower and z in upper and w in point and z in point
         assert {(point[w], point[z]) for w, z in pairs} == want and len(pairs) == len(want)
 

@@ -21,6 +21,30 @@ def test_members_and_bounds():
         RectPoset(-1, 0)
 
 
+# Standard grids, and extended grids with negative lower bounds as the
+# Plucker check builds them: RectPoset(r, s, min(0, i - k), min(0, j - k)).
+LAYOUT_GRIDS = [RectPoset(r, s) for r in range(4) for s in range(4)] + [
+    RectPoset(2, 1, -4, -4), RectPoset(3, 2, -2, -1), RectPoset(5, 5, 0, -1),
+    RectPoset(5, 5, -1, 0), RectPoset(6, 6, -1, -1)]
+
+
+@pytest.mark.parametrize("g", LAYOUT_GRIDS, ids=repr)
+def test_layout_is_members_order(g):
+    members = g.members()
+    assert g.width == len({j for _, j in members})
+    assert [g.index(p) for p in members] == list(range(len(members)))
+    assert [g.point(b) for b in range(len(members))] == members
+    assert g.mask(members) == (1 << len(members)) - 1
+    for b, p in enumerate(members):
+        assert g.mask([p]) == 1 << b
+        # The east and north neighbours are width bits and one bit higher.
+        if g.contains((p[0] + 1, p[1])):
+            assert g.index((p[0] + 1, p[1])) == b + g.width
+        if g.contains((p[0], p[1] + 1)):
+            assert g.index((p[0], p[1] + 1)) == b + 1
+    assert g.mask([]) == 0
+
+
 def test_cover_relations():
     p = RectPoset(2, 2)
     ups, top = p.covers((1, 1))
@@ -100,6 +124,16 @@ class TestHexagon:
         region = p.hexagon(1, 0, 2)
         assert all(2 <= i + j <= 4 for (i, j) in region.members)
         assert all(i >= 1 and j >= 0 for (i, j) in region.members)
+
+    @pytest.mark.parametrize("g", LAYOUT_GRIDS, ids=repr)
+    def test_members_are_the_filter_in_the_rank_window(self, g):
+        for m in range(g.imin, g.r + 1):
+            for n in range(g.jmin, g.s + 1):
+                for k in range(min(g.r - m, g.s - n) + 2):
+                    lo, hi = m + n + k - 1, g.r + g.s - k + 1
+                    assert g.hexagon(m, n, k).members == frozenset(
+                        p for p in g.members()
+                        if p[0] >= m and p[1] >= n and lo <= p[0] + p[1] <= hi)
 
     def test_order_bound(self):
         p = RectPoset(3, 2)
