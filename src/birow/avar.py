@@ -45,9 +45,9 @@ def a_to_x(f: Factored, poset: RectPoset) -> Factored:
         num, den = Polynomial(()), one
         for m, c in p.terms:
             parts = [bind(v) for v, e in m for _ in range(e)]
-            tnum = Polynomial.product(n for n, _ in parts).scale(c)
+            tnum = Polynomial.product(n for n, _ in parts)
             tden = Polynomial.product(d for _, d in parts)
-            num, den = num * tden + tnum * den, den * tden
+            num, den = Polynomial.combine([(1, [num, tden]), (c, [tnum, den])]), den * tden
         return num, den
 
     fnum, fden = f.expand()

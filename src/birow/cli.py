@@ -21,7 +21,7 @@ from .closed_form import IterateQuery, rho_closed
 from .dynamics import (Heights, Labeling, ideal_from_points, ideal_points, iterate_birational,
                        orbit, orbits, starts)
 from .errors import BirowError, BudgetExceeded, ParseError, PoleEncountered
-from .exactnum import Factored, xvar
+from .exactnum import Factored, Polynomial, xvar
 from .grid_poset import RectPoset, parse_point_key
 from .nilp import enum_nilp, family_json, phi, render
 from .verify import (check_antipodal_product, check_combinatorial_homomesy,
@@ -88,13 +88,18 @@ def _cmd_iterate(args) -> int:
 
 def _simple_x_form(fn: Factored, poset: RectPoset) -> Factored:
     """Replace an unreduced x-frame result by a bare variable or reciprocal
-    when it equals one (no general reduction is attempted)."""
+    when it equals one (no general reduction is attempted).  fn is expanded
+    once and cross-multiplied with each variable; multiplying by a monomial
+    keeps the term count, so unequal counts rule out both forms."""
+    num, den = fn.expand()
+    if len(num.terms) != len(den.terms):
+        return fn
     for p in poset.members():
-        v = Factored.var(xvar(*p))
-        if fn == v:
-            return v
-        if fn == v ** -1:
-            return v ** -1
+        x = Polynomial.var(xvar(*p))
+        if num == den * x:
+            return Factored.var(xvar(*p))
+        if den == num * x:
+            return Factored.var(xvar(*p)) ** -1
     return fn
 
 

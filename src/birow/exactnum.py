@@ -18,8 +18,8 @@ are values, so the toggle runs unchanged on each (``dynamics`` says which
 labelings take its integer sweep instead).
 
 No multivariate gcd is ever computed: ``Factored`` division cancels equal
-factors syntactically, and equality expands the quotient of the two values
-and compares its numerator with its denominator, which is exact.
+factors syntactically, and equality tests the quotient of the two values
+by whether its numerator minus its denominator is zero, which is exact.
 
 A value renders as its expanded numerator, or as ``(numerator)/(denominator)``
 when the denominator is not 1; the pair carries no common integer content
@@ -30,18 +30,28 @@ Every monomial order is taken on monomials packed into single ints by
 ``_packing``: the degree, then one exponent field per variable, earlier
 variables higher.  Descending packed order is descending graded
 lexicographic order, so ``Polynomial.from_dict`` sorts its terms by the
-packed int.  Every product (``*``, ``Factored.expand`` and
-``Factored.+``) runs in ``Polynomial.product`` on the same packing, with
-one variable ``z`` made dense: a term's outer key is its packed key with
-the exponent ``e`` of ``z`` moved into the field of a partner variable
-``y``, and its coefficient ``c`` is ``c << W*e`` in the dense row, one
-big int per outer key.  ``W`` is one more than the bit length of the
-product of the operands' L1 norms, a bound on every result coefficient,
-so the signed ``W``-bit fields of a row decode uniquely.  Multiplying two
-terms is one int addition of outer keys and one int multiplication of
-rows.  On homogeneous operands, which are all the toolkit builds,
-``e_y + e_z`` is fixed by the other exponents, so a row gathers every term
-that differs only in how it splits that sum.  Terms are stored as tuples of
+packed int.  A key is summed from small per-variable shifts (``_key``);
+no full-width int is kept per variable or per pair, so a packing over
+tens of thousands of variables costs no more than its keys.
+
+Every sum of products Σ c_i·Π_j p_ij runs in one kernel, ``_Rows``, behind
+``Polynomial.combine``: ``*``, ``Polynomial.product`` (its one-group case),
+``Factored.expand``, ``Factored.+`` (one combine of the two leftover
+products, its content and sign taken as it is decoded), ``Factored.==`` (a
+zero test on the rows of numerator minus denominator, which decodes
+nothing) and ``Factored.render`` (text written from the decoded rows, by
+the one term-text rule ``Polynomial.render`` uses too, so a value that is
+only printed builds no ``(Var, exponent)`` tuples).  One packing covers
+every operand, with one variable ``z`` made dense: a term's outer key is
+its packed key with the exponent ``e`` of ``z`` moved into the field of a
+partner variable ``y``, and its coefficient ``c`` is ``c << W*e`` in the
+dense row, one big int per outer key.  ``W`` is one more than the bit
+length of Σ|c_i|·Π_j |p_ij|_1, a bound on every result coefficient, so the
+signed ``W``-bit fields of a row decode uniquely.  Multiplying two terms
+is one int addition of outer keys and one int multiplication of rows.  On
+homogeneous operands, which are all the toolkit builds, ``e_y + e_z`` is
+fixed by the other exponents, so a row gathers every term that differs
+only in how it splits that sum.  Terms are stored as tuples of
 ``(Var, exponent)`` pairs.
 """
 
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import ParseError, PoleEncountered
 
@@ -88,20 +98,27 @@ def monomial(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
 
 
-def _packing(pairs: Set[Tuple[Var, int]], bound: int
-             ) -> Tuple[int, List[Var], Dict[Tuple[Var, int], int]]:
-    """The packed-int key of monomials over the given (Var, exponent) pairs:
-    the field width ``w``, the variables in ``Var`` order, and the weight of
-    each pair.  A monomial packs to the sum of its pairs' weights: the
-    degree in the top field, then one field of ``w`` bits per variable,
-    earlier variables higher.  ``w`` is the bit length of ``bound``, which
-    must bound every exponent the key is to hold, so no field carries and
-    descending packed order is descending graded lexicographic order."""
-    vs = sorted({v for v, _ in pairs})
+def _packing(vs: Iterable[Var], bound: int) -> Tuple[int, List[Var], Dict[Var, int]]:
+    """The packed-int key of monomials over the given variables: the field
+    width ``w``, the variables in ``Var`` order, and the shift of each
+    variable's field.  A monomial packs to its degree in the top field, at
+    ``w * len(vs)``, then one field of ``w`` bits per variable, earlier
+    variables higher (``_key``).  ``w`` is the bit length of ``bound``,
+    which must bound every exponent the key is to hold, so no field carries
+    and descending packed order is descending graded lexicographic order.
+    Only the small shifts are kept, never a full-width int per variable."""
+    vs = sorted(set(vs))
     w = bound.bit_length()
-    top = w * len(vs)
-    shift = {v: w * k for k, v in enumerate(reversed(vs))}
-    return w, vs, {(v, e): (e << top) + (e << shift[v]) for v, e in pairs}
+    return w, vs, {v: w * k for k, v in enumerate(reversed(vs))}
+
+
+def _key(m: Monomial, shift: Dict[Var, int], top: int) -> int:
+    """The packed key of m, summed field by field from the shifts."""
+    key = deg = 0
+    for v, e in m:
+        key += e << shift[v]
+        deg += e
+    return key + (deg << top)
 
 
 def _without_cyclic_gc(fn):
@@ -110,11 +127,11 @@ def _without_cyclic_gc(fn):
     builds millions of term tuples, and each full collection would walk
     every live one again."""
     @wraps(fn)
-    def call(*args):
+    def call(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()
@@ -133,10 +150,20 @@ class _PairText(dict):
 _PAIR_TEXT = _PairText()
 
 
-def _render_mon(m: Monomial, coeff: int) -> str:
-    parts = [str(abs(coeff))] if abs(coeff) != 1 or not m else []
-    parts += map(_PAIR_TEXT.__getitem__, m)
-    return "*".join(parts)
+def _render_terms(terms: Iterable[Tuple[str, int]]) -> str:
+    """The text of a polynomial from its (monomial text, coefficient) terms
+    in order: each term's sign (none before a positive first term), then
+    its absolute coefficient unless that is 1 and the monomial is not
+    empty, then the monomial; "0" for no terms."""
+    parts = []
+    for mon, c in terms:
+        a = -c if c < 0 else c
+        parts += (" - " if c < 0 else " + ",
+                  mon if a == 1 and mon else f"{a}*{mon}" if mon else str(a))
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -177,8 +204,9 @@ class Polynomial:
             if e <= 0:
                 raise ValueError(f"non-positive exponent {e} of {v.render()}")
             largest[v] = max(largest.get(v, 0), e)
-        weight = _packing(pairs, sum(largest.values()))[2].__getitem__
-        items.sort(key=lambda t: sum(map(weight, t[0])), reverse=True)
+        w, vs, shift = _packing(largest, sum(largest.values()))
+        top = w * len(vs)
+        items.sort(key=lambda t: _key(t[0], shift, top), reverse=True)
         return Polynomial(tuple(items))
 
     @staticmethod
@@ -205,77 +233,138 @@ class Polynomial:
         return Polynomial.product((self, other))
 
     @staticmethod
+    def combine(groups: Iterable[Tuple[int, Iterable["Polynomial"]]]) -> "Polynomial":
+        """Σ c·Π p over the groups (c, [p, ...]): one ``_Rows`` over every
+        operand, decoded once."""
+        return Polynomial(tuple(_Rows(groups).terms(_pair)[1]))
+
+    @staticmethod
     @_without_cyclic_gc
     def product(polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Product of the given polynomials; 1 for none.
+        """Product of the given polynomials; 1 for none: the one-group
+        ``combine``."""
+        polys = list(polys)
+        if len(polys) == 1:
+            return polys[0]
+        return Polynomial.combine([(1, polys)])
 
-        Every monomial is packed by ``_packing`` over the operands' pairs,
-        with fields as wide as ``D``, the sum of the operands' degrees,
-        which bounds every exponent of every partial product.  The dense
-        variable ``z`` has the largest exponent among the operands' pairs
-        and its partner ``y`` the next, ties going to the earlier ``Var``;
-        outer keys, dense rows and ``W`` are as the module docstring says.
-        With no partner the degree field goes with ``z`` instead, so a
-        chain in one variable is a single row.  Each outer key is decoded
-        once, each row field by field (a negative field borrows from the
-        one above), and the terms are sorted by their full packed key."""
+    def scale(self, c: int) -> "Polynomial":
+        if c == 1:
+            return self
+        if c == 0:
+            return Polynomial(())
+        return Polynomial(tuple((m, k * c) for m, k in self.terms))
+
+    def render(self) -> str:
+        return _render_terms(("*".join(map(_PAIR_TEXT.__getitem__, m)), c)
+                             for m, c in self.terms)
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+def _pair(v: Var, e: int) -> Tuple[Var, int]:
+    return v, e
+
+
+def _pair_text(v: Var, e: int) -> str:
+    return _PAIR_TEXT[v, e]
+
+
+class _Rows:
+    """Σ c_i·Π_j p_ij over groups (c_i, [p_i1, p_i2, ...]) as the dense rows
+    of one packing over every operand (module docstring), with fields as
+    wide as the largest sum of one group's operand degrees, which bounds
+    every exponent of every partial product.  ``z`` has the largest
+    exponent among the operands' pairs and ``y`` the next, ties going to
+    the earlier ``Var``; with no partner the degree field goes with ``z``
+    instead, so a chain in one variable is a single row.  A group with a
+    zero operand or a zero ``c_i`` adds nothing, and one with no operands
+    adds the constant ``c_i``."""
+
+    @_without_cyclic_gc
+    def __init__(self, groups: Iterable[Tuple[int, Iterable[Polynomial]]]):
         # Largest operand first: `iterate --r 2 --s 2 --k 4` took 23-25 s this
         # way, 26-35 s with the operands as given and 41-44 s smallest first
         # (Python 3.11.7 on 2 CPUs).
-        polys = sorted(polys, key=lambda p: len(p.terms), reverse=True)
-        if len(polys) == 1:
-            return polys[0]
-        if any(p.is_zero() for p in polys):
-            return Polynomial(())
-        pairs = {pair for p in polys for m, _ in p.terms for pair in m}
-        # terms[0] is the leading term, so it has the operand's degree.
-        w, vs, weight = _packing(pairs, sum(sum(e for _, e in p.terms[0][0]) for p in polys))
-        top, fmask = w * len(vs), (1 << w) - 1
+        groups = [(c, sorted(ps, key=lambda p: len(p.terms), reverse=True))
+                  for c, ps in groups]
+        groups = [(c, ps) for c, ps in groups if c and all(p.terms for p in ps)]
         largest: Dict[Var, int] = {}
-        for v, e in pairs:
-            largest[v] = max(largest.get(v, 0), e)
+        for v, e in {pair for _, ps in groups for p in ps for m, _ in p.terms for pair in m}:
+            if e > largest.get(v, 0):
+                largest[v] = e
+        # terms[0] is the leading term, so it has the operand's degree.
+        w, vs, shift = _packing(largest, max(
+            (sum(sum(e for _, e in p.terms[0][0]) for p in ps) for _, ps in groups), default=0))
+        top = w * len(vs)
         z, y = (sorted(largest, key=lambda v: (-largest[v], v)) + [None, None])[:2]
-        sz = w * (len(vs) - 1 - vs.index(z)) if z else 0
-        sy = w * (len(vs) - 1 - vs.index(y)) if y else 0
+        sz = shift[z] if z else 0
+        sy = shift[y] if y else 0
         # outer key + e * dz is the packed key of the term with z^e.
         dz = (1 << sz) - (1 << sy) if y else (1 << sz) + (1 << top) if z else 0
-        zmask = fmask if z else 0
-        W = 1 + math.prod(sum(abs(c) for _, c in p.terms) for p in polys).bit_length()
-        acc = {0: 1}
-        for p in polys:
-            rows: Dict[int, int] = defaultdict(int)
-            for m, c in p.terms:
-                key = sum(map(weight.__getitem__, m))
-                e = key >> sz & zmask
-                rows[key - e * dz] += c << W * e
-            out: Dict[int, int] = defaultdict(int)
+        zmask = (1 << w) - 1 if z else 0
+        W = 1 + sum(abs(c) * math.prod(sum(abs(k) for _, k in p.terms) for p in ps)
+                    for c, ps in groups).bit_length()
+        self.layout = w, vs, top, z, y, sz, sy, dz, W
+        self.rows: Dict[int, int] = defaultdict(int)
+        for c, ps in groups:
+            acc = {0: c}
+            for p in ps:
+                rows: Dict[int, int] = defaultdict(int)
+                for m, k in p.terms:
+                    key = _key(m, shift, top)
+                    e = key >> sz & zmask
+                    rows[key - e * dz] += k << W * e
+                out: Dict[int, int] = defaultdict(int)
+                for a, ra in acc.items():
+                    for b, rb in rows.items():
+                        out[a + b] += ra * rb
+                acc = out
             for a, ra in acc.items():
-                for b, rb in rows.items():
-                    out[a + b] += ra * rb
-            acc = out
-        low, mask, half, wrap = (1 << top) - 1, (1 << W) - 1, 1 << (W - 1), 1 << W
-        fields: Dict[int, Tuple[Var, int]] = {}
+                self.rows[a] += ra
 
-        def decode(rest: int) -> List[Tuple[Var, int]]:
+    def __bool__(self) -> bool:
+        """False exactly when the sum is zero: each row's signed fields are
+        below 2**(W-1) in size, so a row is 0 only when every one is 0."""
+        return any(self.rows.values())
+
+    @_without_cyclic_gc
+    def terms(self, item, primitive: bool = False) -> Tuple[int, list]:
+        """(g, terms): the nonzero terms in descending packed order, each
+        ``(monomial, c // g)`` with the monomial a tuple of ``item(v, e)``
+        per variable in ``Var`` order.  ``g`` is 1, or with ``primitive``
+        the integer content signed as the leading coefficient.
+
+        Each outer key is decoded once, its fields cached by (field index,
+        exponent), and each row field by field (a negative field borrows
+        from the one above); the terms are then sorted by their full packed
+        key."""
+        w, vs, top, z, y, sz, sy, dz, W = self.layout
+        fields: Dict[Tuple[int, int], object] = {}
+
+        def decode(rest: int) -> tuple:
             mon = []
             while rest:  # nonzero fields, highest (earliest variable) first
-                f = (rest.bit_length() - 1) // w * w
-                field = rest >> f << f
-                pair = fields.get(field)
-                if pair is None:
-                    pair = fields[field] = (vs[-1 - f // w], rest >> f)
-                mon.append(pair)
-                rest -= field
-            return mon
+                f = (rest.bit_length() - 1) // w
+                e = rest >> f * w
+                it = fields.get((f, e))
+                if it is None:
+                    it = fields[f, e] = item(vs[-1 - f], e)
+                mon.append(it)
+                rest ^= e << f * w
+            return tuple(mon)
 
-        # One-pair tuples of z and y by exponent; () for exponent 0.
-        ztup: Dict[int, tuple] = {0: ()}
-        ytup: Dict[int, tuple] = {0: ()}
+        low, fmask = (1 << top) - 1, (1 << w) - 1
+        mask, half, wrap = (1 << W) - 1, 1 << (W - 1), 1 << W
+        # One-item tuples of z and y by exponent; () for exponent 0.
+        zitem: Dict[int, tuple] = {0: ()}
+        yitem: Dict[int, tuple] = {0: ()}
         # The earlier variable of z and y has the higher field.
         hi, lo = max(sz, sy), min(sz, sy)
         z_first = sz > sy
-        found: Dict[int, Tuple[Monomial, int]] = {}
-        for outer, row in acc.items():
+        found: Dict[int, Tuple[tuple, int]] = {}
+        for outer, row in self.rows.items():
             if not row:
                 continue
             rest = outer & low
@@ -290,41 +379,33 @@ class Polynomial:
                 if c >= half:
                     c -= wrap
                 if c:
-                    zt = ztup.get(e)
+                    zt = zitem.get(e)
                     if zt is None:
-                        zt = ztup[e] = ((z, e),)
-                    yt = ytup.get(s - e)
+                        zt = zitem[e] = (item(z, e),)
+                    yt = yitem.get(s - e)
                     if yt is None:
-                        yt = ytup[s - e] = ((y, s - e),) if y else ()
+                        yt = yitem[s - e] = (item(y, s - e),) if y else ()
                     if z_first:
-                        mon = (*head, *zt, *mid, *yt, *tail)
+                        found[full] = ((*head, *zt, *mid, *yt, *tail), c)
                     else:
-                        mon = (*head, *yt, *mid, *zt, *tail)
-                    found[full] = (mon, c)
+                        found[full] = ((*head, *yt, *mid, *zt, *tail), c)
                     row -= c
                 row >>= W
                 e += 1
                 full += dz
-        return Polynomial(tuple(map(found.__getitem__, sorted(found, reverse=True))))
+        out = list(map(found.__getitem__, sorted(found, reverse=True)))
+        g = 1
+        if primitive and out:
+            g = math.gcd(*(c for _, c in out))
+            if out[0][1] < 0:
+                g = -g
+            if g != 1:
+                out = [(m, c // g) for m, c in out]
+        return g, out
 
-    def scale(self, c: int) -> "Polynomial":
-        if c == 1:
-            return self
-        if c == 0:
-            return Polynomial(())
-        return Polynomial(tuple((m, k * c) for m, k in self.terms))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms:
-            parts += (" - " if c < 0 else " + ", _render_mon(m, c))
-        parts[0] = "-" if self.terms[0][1] < 0 else ""
-        return "".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
+    def text(self) -> str:
+        """The sum's text, written from the decoded terms."""
+        return _render_terms(("*".join(m), c) for m, c in self.terms(_pair_text)[1])
 
 
 def _primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
@@ -336,6 +417,11 @@ def _primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
     if p.terms[0][1] < 0:
         g = -g
     return Fraction(g), Polynomial(tuple((m, c // g) for m, c in p.terms))
+
+
+def _powers(factors: Iterable[Tuple[Polynomial, int]], sign: int = 1) -> List[Polynomial]:
+    """Each factor p repeated sign * e times, none for a count below 1."""
+    return [p for p, e in factors for _ in range(sign * e)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,27 +492,33 @@ class Factored:
         if not other:
             return self
         fa, fb = dict(self.factors), dict(other.factors)
-        keys = set(fa) | set(fb)
-        common = {p: min(fa.get(p, 0), fb.get(p, 0)) for p in keys}
-        ra = Polynomial.product(p for p in keys for _ in range(fa.get(p, 0) - common[p]))
-        rb = Polynomial.product(p for p in keys for _ in range(fb.get(p, 0) - common[p]))
-        lcm = (self.coeff.denominator * other.coeff.denominator
-               // math.gcd(self.coeff.denominator, other.coeff.denominator))
-        s = ra.scale(int(self.coeff * lcm)) + rb.scale(int(other.coeff * lcm))
-        if s.is_zero():
+        common = {p: min(fa.get(p, 0), fb.get(p, 0)) for p in fa.keys() | fb.keys()}
+        ca, cb = self.coeff, other.coeff
+        lcm = math.lcm(ca.denominator, cb.denominator)
+        s = _Rows([(ca.numerator * (lcm // ca.denominator),
+                    _powers((p, fa.get(p, 0) - e) for p, e in common.items())),
+                   (cb.numerator * (lcm // cb.denominator),
+                    _powers((p, fb.get(p, 0) - e) for p, e in common.items()))])
+        if not s:
             return Factored.const(0)
-        g, prim = _primitive(s)
+        g, terms = s.terms(_pair, primitive=True)
+        prim = Polynomial(tuple(terms))
         common[prim] = common.get(prim, 0) + 1
-        return Factored.make(g / lcm, common)
+        return Factored.make(Fraction(g, lcm), common)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factored):
             return NotImplemented
         if not self or not other:
             return not self and not other
-        # Cancel shared factors first, then expand only the leftover ratio.
-        num, den = (self / other).expand()
-        return num == den
+        # Cancel shared factors first, then test the leftover ratio's
+        # numerator minus denominator for zero, decoding nothing.
+        d = dict(self.factors)
+        for p, e in other.factors:
+            d[p] = d.get(p, 0) - e
+        q = self.coeff / other.coeff
+        return not _Rows([(q.numerator, _powers(d.items())),
+                          (-q.denominator, _powers(d.items(), -1))])
 
     def expand(self) -> Tuple[Polynomial, Polynomial]:
         """(numerator, denominator): the positive and the negative powers of
@@ -437,10 +529,13 @@ class Factored:
         return num.scale(self.coeff.numerator), den.scale(self.coeff.denominator)
 
     def render(self) -> str:
-        num, den = self.expand()
-        if den.is_one():
-            return num.render()
-        return f"({num.render()})/({den.render()})"
+        """The expanded numerator, or ``(numerator)/(denominator)``, each
+        written from its decoded rows."""
+        num = _Rows([(self.coeff.numerator, _powers(self.factors))]).text()
+        neg = _powers(self.factors, -1)
+        if not neg and self.coeff.denominator == 1:
+            return num
+        return f"({num})/({_Rows([(self.coeff.denominator, neg)]).text()})"
 
     def __str__(self) -> str:
         return self.render()

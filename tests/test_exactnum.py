@@ -9,10 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from birow import exactnum
+from birow.cli import _simple_x_form
 from birow.dynamics import MaxPlus
 from birow.errors import ParseError, PoleEncountered, UnboundVariable
 from birow.exactnum import (Factored, Polynomial, Var, _primitive, avar, monomial,
                             parallel, parse_factored, parse_rational, xvar)
+from birow.grid_poset import RectPoset
 
 X = {p: Factored.var(xvar(*p)) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 POINT = {xvar(0, 0): Fraction(7), xvar(0, 1): Fraction(3),
@@ -142,6 +145,39 @@ def schoolbook_product(polys):
                 d[m] = d.get(m, 0) + c1 * c2
         out = Polynomial.from_dict(d)
     return out
+
+
+def schoolbook_combine(groups):
+    """Reference sum of products: each group's ``schoolbook_product``
+    scaled by its coefficient, summed term by term."""
+    d = {}
+    for c, ps in groups:
+        for m, k in schoolbook_product(ps).terms:
+            d[m] = d.get(m, 0) + c * k
+    return Polynomial.from_dict(d)
+
+
+def reference_text(p):
+    """Reference polynomial text, written term by term: the sign (none
+    before a positive first term), the absolute coefficient unless it is 1
+    before a non-empty monomial, then each variable with its exponent."""
+    out = []
+    for n, (m, c) in enumerate(p.terms):
+        sign = " - " if c < 0 else " + "
+        out.append(sign.strip(" +") if n == 0 else sign)
+        factors = [str(abs(c))] if abs(c) != 1 or not m else []
+        factors += [f"{v.ns}[{v.i},{v.j}]" + (f"^{e}" if e > 1 else "") for v, e in m]
+        out.append("*".join(factors))
+    return "".join(out) or "0"
+
+
+def reference_render(f):
+    """Reference ``Factored.render``: the expanded pair through
+    ``reference_text``, the denominator only when it is not 1."""
+    num, den = f.expand()
+    if den == Polynomial.const(1):
+        return reference_text(num)
+    return f"({reference_text(num)})/({reference_text(den)})"
 
 
 # Small coefficients make cross terms cancel; coefficients up to 2**40 make
@@ -299,6 +335,33 @@ class TestPolynomial:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+    @given(polynomials, polynomials,
+           st.lists(st.tuples(coefficients, st.lists(st.integers(0, 5), max_size=3)),
+                    max_size=4))
+    # No groups; constant groups (no operands) that cancel.
+    @example(Polynomial(()), Polynomial(()), [])
+    @example(Polynomial(()), Polynomial(()), [(3, []), (-3, []), (5, [])])
+    # (x + y) x - x x - y x = 0 with the groups' operands in other orders.
+    @example(Polynomial.var(xvar(0, 0)), Polynomial.var(avar(3, 0)),
+             [(1, [2, 0]), (-1, [0, 0]), (-1, [0, 1])])
+    # A zero coefficient and a zero operand add nothing.
+    @example(Polynomial.var(xvar(0, 0)), Polynomial.var(avar(3, 0)),
+             [(0, [0]), (7, [1, 4]), (1, [1])])
+    @settings(max_examples=200, deadline=None)
+    def test_combine_matches_schoolbook(self, p, q, picks):
+        pool = [p, q, p + q, p + q.scale(-1), Polynomial(()), Polynomial.const(3)]
+        groups = [(c, [pool[i] for i in ps]) for c, ps in picks]
+        want = schoolbook_combine(groups)
+        assert Polynomial.combine(groups) == want
+        # Each group against its own negation, operands reversed, is zero.
+        assert Polynomial.combine(groups + [(-c, ps[::-1]) for c, ps in groups]).is_zero()
+        assert Polynomial.combine(iter([(1, iter([want]))])) == want
+
+    @given(polynomials)
+    @settings(max_examples=100, deadline=None)
+    def test_render_matches_reference(self, p):
+        assert p.render() == reference_text(p)
 
     @given(polynomials, st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
@@ -529,6 +592,72 @@ class TestFactored:
         x, y = Factored.var(xvar(1, 0)), Factored.var(xvar(0, 1))
         v = (x + y) / (x * y)
         assert evaluate(v, POINT) == Fraction(5, 6)
+
+    def test_equality_up_to_content(self):
+        px, py = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
+        x, y = X[(1, 0)], X[(0, 1)]
+        # The same value with its content in the coefficient and in the
+        # expanded factors: (6x + 6y)/(4x) = 3/2 (x + y)/x.
+        a = Factored.ratio((px + py).scale(6), px.scale(4))
+        b = Factored.const(Fraction(3, 2)) * (x + y) / x
+        assert a == b and b == a
+        # (x^2 - y^2)/(x - y), expanded, is x + y, factored.
+        c = Factored.ratio(px * px + (py * py).scale(-1), px + py.scale(-1))
+        assert c == x + y
+        # Equal up to content only: the polynomials agree, the values do not.
+        for k in (2, -1, Fraction(1, 3)):
+            assert not a == b * Factored.const(k)
+            assert not c == (x + y) * Factored.const(k)
+        assert not a == Factored.const(0) and not Factored.const(0) == a
+        assert Factored.const(0) == x + Factored.const(-1) * x
+
+    @given(factored_values, factored_values, nonzero_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_equality_matches_cross_multiplication(self, a, b, q):
+        (na, da), (nb, db) = a.expand(), b.expand()
+        assert (a == b) == (na * db == nb * da)
+        assert (a == a * Factored.const(q)) == (q == 1)
+
+    @given(st.one_of(factored_values, st.just(Factored.const(0)),
+                     nonzero_rationals.map(Factored.const)))
+    @example(Factored.make(Fraction(-3, 4), {FACTOR_POOL[3]: 2, FACTOR_POOL[5]: -1}))
+    @settings(max_examples=200, deadline=None)
+    def test_render_matches_reference(self, f):
+        assert f.render() == reference_render(f)
+
+    def test_sum_equality_and_render_stay_on_packed_rows(self, monkeypatch):
+        x, y, z = X[(1, 0)], X[(0, 1)], X[(1, 1)]
+        a = (x + y) * (x + z) / (y + z)
+        b = Factored.const(Fraction(2, 3)) * (x + z) * (z + y) / x
+
+        def refuse(*args):
+            raise AssertionError("tuple path taken")
+
+        monkeypatch.setattr(Polynomial, "__add__", refuse)
+        monkeypatch.setattr(Polynomial, "scale", refuse)
+        monkeypatch.setattr(Polynomial, "from_dict", staticmethod(refuse))
+        monkeypatch.setattr(exactnum, "_primitive", refuse)
+        s, t = a + b, b + a
+        monkeypatch.undo()
+        want = reference_render(s)
+        # render and == build no (Var, exponent) pair.
+        monkeypatch.setattr(exactnum, "_pair", refuse)
+        assert s == t and not s == a and not a == b
+        assert s.render() == want
+
+    def test_simple_x_form_finds_a_variable_or_its_reciprocal(self):
+        poset = RectPoset(1, 1)
+        px, py = Polynomial.var(xvar(1, 0)), Polynomial.var(xvar(0, 1))
+        s = px + py
+        # x (x + y)/(x + y) and (x + y)/(x (x + y)), unreduced.
+        bare = _simple_x_form(Factored.ratio(s * px, s), poset)
+        assert bare.render() == "x[1,0]" and bare.factors == X[(1, 0)].factors
+        recip = _simple_x_form(Factored.ratio(s, s * px), poset)
+        assert recip.render() == "(1)/(x[1,0])" and recip == X[(1, 0)] ** -1
+        # Equal term counts but no variable; 2x; unequal term counts.
+        for fn in (Factored.ratio(s, px + py.scale(2)), Factored.ratio((s * px).scale(2), s),
+                   Factored.ratio(s * s, s * px)):
+            assert _simple_x_form(fn, poset) is fn
 
 
 class TestParsing:
