@@ -15,8 +15,9 @@ ints ``(cover, east, north)`` on the grid's ``RectPoset.mask`` layout, which
 A flip may hand a color an edge it already holds, so a color under a swap
 also keeps the mask of edges it holds twice.  A bounce traversal yields the
 masks of the edges it took and an image is checked by two mask identities,
-with no walk; a region's endpoints become bits once.  Paths are walked
-only to name the edges of an overlay in a witness.
+with no walk; a region is its mask (``Region.mask``) and its endpoints
+become bits once.  Paths are walked only to name the edges of an overlay
+in a witness.
 
 The boundary-hugging variant runs the same machinery on an enlarged grid
 whose extreme paths are pinned to the leftmost/rightmost routes; weights
@@ -96,8 +97,9 @@ def _plan(region: Region) -> _Plan:
     sources = tuple(1 << g.index(p) for p in region.sources)
     sinks = tuple(1 << g.index(p) for p in region.sinks)
     rank = region.m + region.n + region.k
-    return _Plan(region, sources, sinks, sum(sources), sum(sinks),
-                 g.mask(p for p in g.members() if sum(p) == rank), sum(sources[1:-1]))
+    above = g.mask((i, rank - i)
+                   for i in range(max(g.imin, rank - g.s), min(g.r, rank - g.jmin) + 1))
+    return _Plan(region, sources, sinks, sum(sources), sum(sinks), above, sum(sources[1:-1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,12 +325,14 @@ def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, M
 def _forced_path(region: Region, l: int, leftmost: bool) -> Masks:
     """The masks of path l of the region pinned to its leftmost route (east,
     then north) or its rightmost (north, then east)."""
-    src, snk = region.sources[l], region.sinks[l]
+    g, src, snk = region.poset, region.sources[l], region.sinks[l]
 
     def bit(v: GridPoint) -> int:
-        if v not in region.members:
+        # Inside the grid first: a point outside can have a member's bit.
+        b = 1 << g.index(v) if g.contains(v) else 0
+        if not b & region.mask:
             raise MalformedOverlay(f"forced route leaves the region at {v}")
-        return 1 << region.poset.index(v)
+        return b
 
     v, cover, edges = src, bit(src), [0, 0]
     for d in (0, 1) if leftmost else (1, 0):
@@ -352,17 +356,10 @@ def hugging_families(grid: RectPoset, m: int, n: int, k: int, c: int, d: int
         else enum_paths(region, region.sources[l], region.sinks[l]) for l in range(k)])
 
 
-def _inside(region: Region, ambient: RectPoset) -> List[GridPoint]:
-    """Region members inside the ambient rectangle."""
-    return [p for p in region.members
-            if 0 <= p[0] <= ambient.r and 0 <= p[1] <= ambient.s]
-
-
 def _render_weight(g: RectPoset, twice: int, once: int) -> str:
     """The weight, the points of ``once`` and the squares of those of
     ``twice``, as the monomial of A-variables over its points."""
-    pairs = [(avar(*g.point(b)), e) for mask, e in ((once, 1), (twice, 2))
-             for b in range(mask.bit_length()) if mask >> b & 1]
+    pairs = [(avar(*p), e) for mask, e in ((once, 1), (twice, 2)) for p in g.points(mask)]
     return str(Polynomial.from_dict({monomial(pairs): 1}))
 
 
@@ -390,11 +387,12 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     # with a + b pinned paths, so the grid reaches down to (i-k, j-k).  The
     # region of a factor with no family is never read.
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
+    rect = grid.mask(poset.members())
     bases = [(m - a - b, n - a - b, order + a + b, a, b) for (m, n, order, a, b) in corners]
     families = [hugging_families(grid, *base) for base in bases]
     regions = [grid.hexagon(*base[:3]) if fams else None for base, fams in zip(bases, families)]
     for fams, region, (ei, ej, delta), expect in zip(families, regions, _CORNERS, phis):
-        total = decode(grid, uncovered_sum(grid, fams, _inside(region, poset) if fams else []))
+        total = decode(grid, uncovered_sum(fams, region.mask & rect if fams else 0))
         if total != expect:
             rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
                       "observed": str(total), "expected": str(expect)})
@@ -404,19 +402,15 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
         rep.fail({"stage": "cardinality", "lhs": len(B) * len(R),
                   "rhs": [len(L1) * len(L2), len(R1) * len(R2)]})
 
-    @functools.lru_cache(maxsize=None)
-    def inside(region: Region) -> int:
-        return region.poset.mask(_inside(region, poset))
-
     # Each family is weighed once.  The images a side may take are its blue
     # families times its red ones.  Each side's image regions are looked
-    # up, and their members inside the rectangle masked, at the first image
+    # up, and their masks cut to the rectangle, at the first image
     # on that side.  No image is kept: unswap(swap(x)) == x on every overlay
     # shows swap injective.
     br, rr = regions[:2]
     if B and R:
         _check_companions(br, rr)
-    blues, reds = ([(f, inside(region) & ~f[0]) for f in fams]
+    blues, reds = ([(f, region.mask & rect & ~f[0]) for f in fams]
                    for fams, region in ((B, br), (R, rr)))
     targets = {"left": (set(L1), set(L2)), "right": (set(R1), set(R2))}
     sides: Dict[str, Tuple[Region, int, int]] = {}
@@ -435,8 +429,8 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
                           "overlay": _edge_colors(br, b, rr, r)})
             if side not in sides:
                 blue_plan, red_plan = _image(br, side)
-                sides[side] = (blue_plan.region, inside(blue_plan.region),
-                               inside(red_plan.region))
+                sides[side] = (blue_plan.region, blue_plan.region.mask & rect,
+                               red_plan.region.mask & rect)
             region2, in_b, in_r = sides[side]
             v_b, v_r = in_b & ~blue2[0], in_r & ~red2[0]
             w_in, w_out = (u_b & u_r, u_b ^ u_r), (v_b & v_r, v_b ^ v_r)

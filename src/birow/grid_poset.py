@@ -7,13 +7,15 @@ and most consumers only use the standard rectangle.
 
 A point's number, its sweep slot and its bit in every path mask, is its
 position in ``members()``: ``RectPoset.index``, computed from the bounds.
+``RectPoset.points`` is the inverse of ``RectPoset.mask``; a hexagonal
+region is its mask, one bit run per column.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .errors import HypothesisViolated, OutOfRange
 
@@ -76,6 +78,10 @@ class RectPoset:
         """One bit per distinct point, bit ``index(p)``.  The east neighbour
         of bit b is bit b + width and the north neighbour bit b + 1."""
         return sum(1 << self.index(p) for p in points)
+
+    def points(self, mask: int) -> List[GridPoint]:
+        """The members whose bits the mask sets, in ``members()`` order."""
+        return [self.point(b) for b, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
     def contains(self, p: GridPoint) -> bool:
         return self.imin <= p[0] <= self.r and self.jmin <= p[1] <= self.s
@@ -157,7 +163,7 @@ class Region:
     m: int
     n: int
     k: int
-    members: FrozenSet[GridPoint]
+    mask: int  # the members on the poset's ``RectPoset.mask`` layout
     sources: Tuple[GridPoint, ...]
     sinks: Tuple[GridPoint, ...]
 
@@ -183,9 +189,12 @@ class Region:
                 f"hexagon order k={k} exceeds min(r-m, s-n)+1 = {min(r - m, s - n) + 1}")
         lo = m + n + k - 1
         hi = r + s - k + 1
-        # The filter of (m, n), each column cut to the rank window.
-        members = frozenset((i, j) for i in range(m, r + 1)
-                            for j in range(max(n, lo - i), min(s, hi - i) + 1))
+        # The filter of (m, n), each column cut to the rank window: one run
+        # of bits per column, none empty under the order bound.
+        mask = 0
+        for i in range(m, r + 1):
+            lo_j, hi_j = max(n, lo - i), min(s, hi - i)
+            mask |= ((1 << hi_j - lo_j + 1) - 1) << poset.index((i, lo_j))
         sources = tuple((m + k - l, n + l - 1) for l in range(1, k + 1))
         sinks = tuple((r - l + 1, s - k + l) for l in range(1, k + 1))
-        return Region(poset, m, n, k, members, sources, sinks)
+        return Region(poset, m, n, k, mask, sources, sinks)

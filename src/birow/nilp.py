@@ -3,10 +3,11 @@
 phi of a region sums, over all vertex-disjoint path families from the
 region's sources to its sinks, the product of A-variables over the region
 members not covered by any path.  Order 0 regions contribute the full
-product over the filter.  From enumeration onwards a path, and a family, is
-its masks: the three ints ``(cover, east, north)`` on the grid's
-``RectPoset.mask`` layout, bit ``index(p)`` for the point p, of the points
-it covers and of the lower vertex of each of its east and north edges.
+product over the filter.  A region is its mask, ``Region.mask``, on the
+grid's ``RectPoset.mask`` layout, bit ``index(p)`` for the point p.  From
+enumeration onwards a path, and a family, is its masks too: the three ints
+``(cover, east, north)`` of the points it covers and of the lower vertex of
+each of its east and north edges.
 The east neighbour of bit b is b << width and the north neighbour b << 1.
 Disjointness and the uncovered members are int operations, and ``paths``
 walks a family back to its vertices only for output.
@@ -73,16 +74,21 @@ def _chunk_text(poset: RectPoset) -> List[List[str]]:
 
 def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Masks]:
     """The masks of all monotone paths from frm to to inside the region,
-    ordered lexicographically by step string (east before north)."""
-    if frm not in region.members or to not in region.members:
-        return []
+    ordered lexicographically by step string (east before north).  An
+    endpoint outside the grid is no member, though it can have a member's
+    bit: (0, s+1) has that of (1, jmin)."""
     g = region.poset
     w = g.width
-    east_ok = g.mask(p for p in region.members if p[0] <= to[0] and p[1] <= to[1])
+    start, end = (1 << g.index(p) if g.contains(p) else 0 for p in (frm, to))
+    if not (start & region.mask and end & region.mask):
+        return []
+    # The bottom row of the columns up to to's, one bit every w (the digits
+    # of 11...1 in base 2^w), repeated up to to's row.
+    bottom = ((1 << w * (to[0] - g.imin + 1)) - 1) // ((1 << w) - 1)
+    east_ok = region.mask & bottom * ((1 << to[1] - g.jmin + 1) - 1)
     # A north step never lands on the bottom row: that bit is the next
     # column's, reached from the top of this one.
-    north_ok = east_ok & ~g.mask((i, g.jmin) for i in range(g.imin, g.r + 1))
-    start, end = 1 << g.index(frm), 1 << g.index(to)
+    north_ok = east_ok & ~bottom
     out: List[Masks] = []
 
     def walk(v: int, cover: int, east: int, north: int):
@@ -130,7 +136,7 @@ def enum_nilp(region: Region) -> List[Masks]:
     g = region.poset
     di, dj = g.r - region.m - region.k + 1, g.s - region.n - region.k + 1
     if math.comb(di + dj, di) ** region.k > FAMILY_BUDGET:
-        count = phi_at(region, dict.fromkeys(region.members, Fraction(1)))
+        count = phi_at(region, dict.fromkeys(g.points(region.mask), Fraction(1)))
         if count > FAMILY_BUDGET:
             raise BudgetExceeded(
                 f"the hexagon m={region.m} n={region.n} k={region.k} of the {g.r}x{g.s} grid "
@@ -169,24 +175,22 @@ def family_json(region: Region, masks: Masks) -> list:
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def uncovered_sum(poset: RectPoset, families: Sequence[Masks], members) -> List[Term]:
-    """Sum over the families, on the poset's masks, of the product
-    of A-variables over the members that each family leaves uncovered, as
-    the terms ``(mask, count)`` of the distinct uncovered masks, in
-    descending graded lexicographic order."""
-    return _count_runs(*_uncovered_keys(poset, families, members))
+def uncovered_sum(families: Sequence[Masks], full: int) -> List[Term]:
+    """Sum over the families of the product of A-variables over the points
+    of the mask full that each family leaves uncovered, as the terms
+    ``(mask, count)`` of the distinct uncovered masks, in descending graded
+    lexicographic order."""
+    return _count_runs(*_uncovered_keys(families, full))
 
 
-def _uncovered_keys(poset: RectPoset, families: Sequence[Masks], members
-                    ) -> Tuple[List[int], int]:
-    """Each family's uncovered mask as one int key, sorted descending, and
-    the masks' width in bytes.
+def _uncovered_keys(families: Sequence[Masks], full: int) -> Tuple[List[int], int]:
+    """Each family's uncovered mask, full less its cover, as one int key,
+    sorted descending, and the masks' width in bytes.
     Every exponent is 1, so descending graded lexicographic order is
     descending popcount, then, at the lowest bit where two masks differ
     (the earliest grid point), the mask that has that bit set first.  That
     bit is the highest differing bit of the two masks with their bits
     reversed, so the key is the popcount above the reversed mask."""
-    full = poset.mask(members)
     width = (full.bit_length() + 7) // 8
     shift = 8 * width
 
@@ -244,7 +248,7 @@ def render(poset: RectPoset, terms: Sequence[Term]) -> Iterator[str]:
 def phi(region: Region) -> List[Term]:
     """phi of the region as its terms on ``region.poset``'s masks; the
     family list is dropped once keyed, before the terms are built."""
-    keys = _uncovered_keys(region.poset, enum_nilp(region), region.members)
+    keys = _uncovered_keys(enum_nilp(region), region.mask)
     return _count_runs(*keys)
 
 
@@ -278,7 +282,7 @@ def phi_at(region: Region, A: Dict[GridPoint, Fraction]) -> Fraction:
     product of A over the members times the k x k determinant whose entry
     (a, b) sums, over the paths from source a to sink b, the product of 1/A
     along the path; a DP over the members in rank order computes each row."""
-    members = sorted(region.members, key=lambda p: (p[0] + p[1], p[0]))
+    members = sorted(region.poset.points(region.mask), key=lambda p: (p[0] + p[1], p[0]))
     full = Fraction(1)
     for p in members:
         if p not in A:

@@ -167,7 +167,7 @@ def test_criterion_8_lgv_oracle():
                 region = poset.hexagon(m, n, k)
                 for _ in range(5):
                     pt = {q: Fraction(rng.randint(1, 64), rng.randint(1, 16))
-                          for q in region.members}
+                          for q in poset.points(region.mask)}
                     at_pt = {avar(*q): v for q, v in pt.items()}
                     ok = ok and (evaluate_poly(phi_poly(region), at_pt)
                                  == phi_at(region, pt))

@@ -9,8 +9,8 @@ import pytest
 
 from birow import bounce
 from birow.bounce import (_SIDES, ColoredEdge, Edge, Taken, _bounce, _check_companions, _edge,
-                          _edge_colors, _image, _plan, _point, _rebuild, hugging_families,
-                          plucker_check, swap, unswap)
+                          _edge_colors, _forced_path, _image, _plan, _point, _rebuild,
+                          hugging_families, plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
 from birow.exactnum import Polynomial
@@ -143,6 +143,21 @@ def test_hugging_families_conventions():
     assert 0 < len(pinned) <= len(free)
 
 
+@pytest.mark.parametrize("g", [RectPoset(2, 2), RectPoset(2, 2, -1, -1), RectPoset(3, 3, 0, -2)],
+                         ids=repr)
+def test_a_forced_route_outside_the_grid_leaves_the_region(g):
+    # The route east from (imin, s+1) to (imin+1, s+1) is outside the grid,
+    # but its points have the bits of (imin+1, jmin) and (imin+2, jmin),
+    # members of the region that holds every point.
+    src, snk = (g.imin, g.s + 1), (g.imin + 1, g.s + 1)
+    assert [g.index(src), g.index(snk)] == [g.index((g.imin + 1, g.jmin)),
+                                            g.index((g.imin + 2, g.jmin))]
+    region = Region(g, g.imin, g.jmin, 1, g.mask(g.members()), (src,), (snk,))
+    for leftmost in (True, False):
+        with pytest.raises(MalformedOverlay, match=rf"leaves the region at \({src[0]}, {src[1]}\)"):
+            _forced_path(region, 0, leftmost)
+
+
 def test_mu_phi_matches_plain_phi_inside_the_grid():
     p = RectPoset(2, 2)
     # eps = (0,0), delta = 0 at (i,j,k) = (1,1,1): no shift, plain phi
@@ -180,7 +195,7 @@ def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     (br, rr), overlays, side, image, rep = _one_image(monkeypatch)
 
     def weight(regions, overlay):
-        blue, red = (decode(br.poset, uncovered_sum(br.poset, [masks], region.members))
+        blue, red = (decode(br.poset, uncovered_sum([masks], region.mask))
                      for region, masks in zip(regions, overlay))
         return str(blue * red)
 
@@ -210,12 +225,12 @@ def test_a_swap_that_is_not_injective_fails_the_round_trip(monkeypatch):
 def _validate_family(region, paths):
     if len(paths) != region.k:
         raise MalformedOverlay(f"expected {region.k} paths, got {len(paths)}")
-    seen = set()
+    members, seen = set(region.poset.points(region.mask)), set()
     for l, p in enumerate(paths):
         if p[0] != region.sources[l] or p[-1] != region.sinks[l]:
             raise MalformedOverlay(f"path {l} endpoints do not match")
         for v in p:
-            if v not in region.members:
+            if v not in members:
                 raise MalformedOverlay(f"vertex {v} outside region")
             if v in seen:
                 raise MalformedOverlay(f"vertex {v} shared between paths")
@@ -529,7 +544,7 @@ def test_rebuild_rejects_each_malformed_image():
 
     # An edge between two points no path covers, touching no path.
     free = next((p, e) for p in g.members() for e in (0, 1)
-                if (q := (p[0] + 1 - e, p[1] + e)) in region.members
+                if (q := (p[0] + 1 - e, p[1] + e)) in g.points(region.mask)
                 and not (bits[p] | bits[q]) & fam[0])
 
     def add_leftover(c):

@@ -45,6 +45,20 @@ def test_layout_is_members_order(g):
     assert g.mask([]) == 0
 
 
+def test_points_inverts_mask():
+    # Every subset of the members of every grid of at most 9 points with
+    # lower bounds -2..0.
+    for imin in range(-2, 1):
+        for jmin in range(-2, 1):
+            for rows in range(1, 10):
+                for cols in range(1, 9 // rows + 1):
+                    g = RectPoset(imin + rows - 1, jmin + cols - 1, imin, jmin)
+                    members = g.members()
+                    for chosen in range(1 << len(members)):
+                        subset = [p for b, p in enumerate(members) if chosen >> b & 1]
+                        assert g.points(g.mask(subset)) == sorted(subset), (g, subset)
+
+
 def test_cover_relations():
     p = RectPoset(2, 2)
     ups, top = p.covers((1, 1))
@@ -108,7 +122,7 @@ class TestHexagon:
     def test_order_zero_is_the_filter(self):
         p = RectPoset(3, 2)
         region = p.hexagon(2, 1, 0)
-        assert region.members == frozenset({(2, 1), (2, 2), (3, 1), (3, 2)})
+        assert p.points(region.mask) == [(2, 1), (2, 2), (3, 1), (3, 2)]
         assert region.sources == () and region.sinks == ()
 
     def test_sources_and_sinks(self):
@@ -117,13 +131,13 @@ class TestHexagon:
         assert region.sources == ((2, 0), (1, 1))
         assert region.sinks == ((3, 1), (2, 2))
         for q in region.sources + region.sinks:
-            assert q in region.members
+            assert q in p.points(region.mask)
 
     def test_rank_band(self):
         p = RectPoset(3, 2)
         region = p.hexagon(1, 0, 2)
-        assert all(2 <= i + j <= 4 for (i, j) in region.members)
-        assert all(i >= 1 and j >= 0 for (i, j) in region.members)
+        assert all(2 <= i + j <= 4 for (i, j) in p.points(region.mask))
+        assert all(i >= 1 and j >= 0 for (i, j) in p.points(region.mask))
 
     @pytest.mark.parametrize("g", LAYOUT_GRIDS, ids=repr)
     def test_members_are_the_filter_in_the_rank_window(self, g):
@@ -131,7 +145,7 @@ class TestHexagon:
             for n in range(g.jmin, g.s + 1):
                 for k in range(min(g.r - m, g.s - n) + 2):
                     lo, hi = m + n + k - 1, g.r + g.s - k + 1
-                    assert g.hexagon(m, n, k).members == frozenset(
+                    assert g.hexagon(m, n, k).mask == g.mask(
                         p for p in g.members()
                         if p[0] >= m and p[1] >= n and lo <= p[0] + p[1] <= hi)
 
@@ -154,8 +168,7 @@ class TestHexagon:
         # the same dict entry; regions on other bases or orders do not.
         p = RectPoset(3, 2)
         shared = p.hexagon(1, 0, 2)
-        apart = Region(RectPoset(3, 2), 1, 0, 2, frozenset(shared.members),
-                       shared.sources, shared.sinks)
+        apart = Region(RectPoset(3, 2), 1, 0, 2, shared.mask, shared.sources, shared.sinks)
         assert apart is not shared and apart == shared and hash(apart) == hash(shared)
         table = {shared: "shared", p.hexagon(1, 0, 1): "order 1", p.hexagon(0, 0, 2): "base"}
         assert table[apart] == "shared" and len(table) == 3

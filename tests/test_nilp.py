@@ -38,7 +38,8 @@ def phi_poly(region: Region) -> Polynomial:
 def reference_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Path]:
     """All monotone paths from frm to to inside the region, ordered
     lexicographically by step string (R before U)."""
-    if frm not in region.members or to not in region.members:
+    members = set(region.poset.points(region.mask))
+    if frm not in members or to not in members:
         return []
     out: List[Path] = []
 
@@ -48,7 +49,7 @@ def reference_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Path]
             return
         for step in ((1, 0), (0, 1)):
             w = (v[0] + step[0], v[1] + step[1])
-            if w[0] <= to[0] and w[1] <= to[1] and w in region.members:
+            if w[0] <= to[0] and w[1] <= to[1] and w in members:
                 acc.append(w)
                 walk_from(w, acc)
                 acc.pop()
@@ -87,7 +88,7 @@ def reference_forced_path(region: Region, l: int, leftmost: bool) -> Path:
     for d in (0, 1) if leftmost else (1, 0):
         while verts[-1][d] < snk[d]:
             verts.append((verts[-1][0] + 1 - d, verts[-1][1] + d))
-    assert all(v in region.members for v in verts)
+    assert set(verts) <= set(region.poset.points(region.mask))
     return tuple(verts)
 
 
@@ -159,7 +160,8 @@ def _poly(*term_lists):
 
 
 def _random_point(region, rng):
-    return {p: Fraction(rng.randint(1, 40), rng.randint(1, 8)) for p in region.members}
+    return {p: Fraction(rng.randint(1, 40), rng.randint(1, 8))
+            for p in region.poset.points(region.mask)}
 
 
 def _in_avars(point):
@@ -200,6 +202,20 @@ def test_path_steps_and_edges():
     assert len(set(found)) == len(found) == 6
     assert [walk(region, q) for q in found] == [(q,) for q in reference_paths(region, (0, 0),
                                                                               (2, 2))]
+
+
+@pytest.mark.parametrize("g", [RectPoset(2, 2), RectPoset(2, 1, -4, -4), RectPoset(3, 2, -2, -1)],
+                         ids=repr)
+def test_an_endpoint_outside_the_grid_is_no_member(g):
+    # (imin, s+1) is outside the grid but has the bit of (imin+1, jmin), a
+    # member of the order 1 hexagon on the grid's lowest point.
+    region = g.hexagon(g.imin, g.jmin, 1)
+    alias, member = (g.imin, g.s + 1), (g.imin + 1, g.jmin)
+    assert not g.contains(alias) and g.index(alias) == g.index(member)
+    assert 1 << g.index(member) & region.mask
+    (src,), (snk,) = region.sources, region.sinks
+    assert enum_paths(region, member, snk) and enum_paths(region, src, member)
+    assert enum_paths(region, alias, snk) == [] and enum_paths(region, src, alias) == []
 
 
 def _valid_queries(poset):
@@ -243,7 +259,8 @@ def test_enum_nilp_matches_the_vertex_list_reference():
             assert [p[0] for p in walked] == list(region.sources)
             assert [p[-1] for p in walked] == list(region.sinks)
             points = [v for p in walked for v in p]
-            assert set(points) <= region.members and len(set(points)) == len(points)
+            assert set(points) <= set(region.poset.points(region.mask))
+            assert len(set(points)) == len(points)
             assert east & north == 0
             assert cover == region.poset.mask(points)
             assert to_masks(region, walked) == masks
@@ -311,8 +328,9 @@ def test_phi_at_matches_enumeration_on_every_region():
 
 
 def _uncovered_oracle(poset, families, members):
-    """The terms of uncovered_sum: each family's uncovered members as a tuple
-    of (Var, 1) pairs, counted, and sorted by descending grlex_key."""
+    """The terms of uncovered_sum on the members' mask: each family's
+    uncovered members as a tuple of (Var, 1) pairs, counted, and sorted by
+    descending grlex_key."""
     counts = Counter()
     for cover, _, _ in families:
         points = set(covered(poset, cover))
@@ -332,12 +350,12 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
             for (m, n) in poset.members():
                 for k in range(min(r - m, s - n) + 2):
                     region = poset.hexagon(m, n, k)
-                    cases.append((poset, enum_nilp(region), region.members))
-    hugging = []
+                    cases.append((poset, enum_nilp(region), poset.points(region.mask)))
+    summed, hugging = [], []
 
-    def spy(poset, families, members):
-        hugging.append((poset, families, list(members)))
-        return uncovered_sum(poset, families, members)
+    def spy(families, full):
+        summed.append((families, full))
+        return uncovered_sum(families, full)
 
     monkeypatch.setattr(bounce, "uncovered_sum", spy)
     grid = RectPoset(3, 3)
@@ -345,14 +363,16 @@ def test_uncovered_sum_matches_the_tuple_oracle(monkeypatch):
         for j in range(4):
             for k in range(1, 8):
                 if 0 < max(k - i, 0) + max(k - j, 0) <= k:
-                    seen = len(hugging)
+                    seen = len(summed)
                     assert bounce.plucker_check(grid, i, j, k).passed
                     low = RectPoset(3, 3, min(0, i - k), min(0, j - k))
-                    assert all(poset == low for poset, _, _ in hugging[seen:])
+                    hugging += [(low, families, low.points(full))
+                                for families, full in summed[seen:]]
+    assert all(set(members) <= set(grid.members()) for _, _, members in hugging)
     assert any(not set(covered(poset, cover)) <= set(members)
                for poset, families, members in hugging for cover, _, _ in families)
     for poset, families, members in cases + hugging:
-        assert decode(poset, uncovered_sum(poset, families, members)).terms == \
+        assert decode(poset, uncovered_sum(families, poset.mask(members))).terms == \
             _uncovered_oracle(poset, families, members)
 
 
@@ -365,7 +385,7 @@ def test_uncovered_sum_sorts_covers_of_every_size():
     poset = RectPoset(3, 3)
     families = [(rng.getrandbits(16), 0, 0) for _ in range(300)] * 2
     for members in (poset.members(), poset.members()[3:12]):
-        terms = uncovered_sum(poset, families, members)
+        terms = uncovered_sum(families, poset.mask(members))
         assert len({mask.bit_count() for mask, _ in terms}) > 3
         assert decode(poset, terms).terms == _uncovered_oracle(poset, families, members)
 
@@ -377,7 +397,7 @@ def test_uncovered_sum_sorts_as_from_dict(r, k):
     checked against the tuple oracle above.)"""
     region = RectPoset(r, r).hexagon(0, 0, k)
     families = enum_nilp(region)
-    terms = decode(region.poset, uncovered_sum(region.poset, families, region.members)).terms
+    terms = decode(region.poset, uncovered_sum(families, region.mask)).terms
     assert sum(c for _, c in terms) == len(families)
     assert terms == Polynomial.from_dict(dict(terms)).terms
 
@@ -421,7 +441,7 @@ def test_family_budget_admits_the_ladder_and_refuses_8x8_k3():
     regions phi lists and of the first one it refuses."""
     def count(r, k):
         region = RectPoset(r, r).hexagon(0, 0, k)
-        return phi_at(region, dict.fromkeys(region.members, Fraction(1)))
+        return phi_at(region, dict.fromkeys(region.poset.points(region.mask), Fraction(1)))
 
     assert count(7, 3) == 731808 <= nilp.FAMILY_BUDGET
     assert count(8, 2) == 2760615 <= nilp.FAMILY_BUDGET
@@ -485,7 +505,7 @@ def test_phi_at_order_zero_and_poles():
     filt = p.hexagon(2, 1, 0)
     pt = {q: Fraction(q[0] + 1, q[1] + 2) for q in p.members()}
     want = Fraction(1)
-    for q in filt.members:
+    for q in p.points(filt.mask):
         want *= pt[q]
     assert phi_at(filt, pt) == want
     # A zero weight is a pole of the path weights once paths exist.
