@@ -1,5 +1,6 @@
 """The change of variables x -> A and its inverse substitution.  The index
-shift mu^(a,b) acts on phi's masks, in ``closed_form.mu_phi``."""
+shift mu^(a,b) moves a hexagon onto a smaller grid, in
+``closed_form.corner_region``."""
 
 from __future__ import annotations
 

@@ -3,9 +3,10 @@
 For a query (i, j, k) the (k+1)-st rowmotion iterate at (i, j) is a ratio of
 two phi polynomials with indices shifted by mu, when M = [k-i]+ + [k-j]+ is
 at most k; otherwise it is the reciprocal of an earlier iterate at the
-antipodal point, computed in x-variables.  rho_closed_at gives the same
-value at a point through phi_at, with no polynomial built.  The shifted
-phis of the Plucker-like check and the file ledger also come from here.
+antipodal point, computed in x-variables.  Every shifted phi, those of the
+Plucker-like check and the file ledger too, is phi of a hexagon of a smaller
+grid, its ``corner_region``: ``mu_phi`` decodes it, and rho_closed_at
+evaluates it at a point through phi_at with no polynomial built.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, TypeVar
+from typing import Callable, Dict, Tuple, TypeVar, Union
 
 from .avar import a_to_x
-from .errors import OutOfRange, ShiftOutOfRange
+from .errors import OutOfRange
 from .exactnum import Factored, Polynomial
-from .grid_poset import GridPoint, RectPoset
+from .grid_poset import GridPoint, RectPoset, Region
 from .nilp import decode, phi, phi_at
 
 T = TypeVar("T")
@@ -59,23 +60,32 @@ def corner(i: int, j: int, k: int, eps_i: int = 0, eps_j: int = 0,
     return i - k + eps_i + M, j - k + eps_j + M, k - delta - M, a, b
 
 
-def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Polynomial:
-    """phi_order(m, n) under the shift mu^(a,b), with the conventions of the
-    shifted identity: negative order gives 0; a base above the grid gives 1
-    for order 0 (empty filter) and 0 otherwise.  The shift acts on phi's
-    masks: every member of the hexagon lies at or above its base, so when
-    m >= a and n >= b, (u, v) -> (u-a, v-b) is a right shift of each mask by
-    a * poset.width + b bits with no column wrapping, and
-    it keeps the variables' order, hence the terms' descending grlex order,
-    with no re-sort.  A base below the shift raises ShiftOutOfRange."""
+def corner_region(poset: RectPoset, m: int, n: int, order: int, a: int,
+                  b: int) -> Union[Region, int]:
+    """The region whose phi is phi_order(m, n) under the shift mu^(a,b).
+    Every member of the hexagon lies at or above its base, so the shift
+    (u, v) -> (u-a, v-b) moves it whole onto the grid [0, r-a] x [0, s-b],
+    as the hexagon (m-a, n-b, order) there, each point named by its shifted
+    variable.  The conventions of the shifted identity give constants: 0
+    for a negative order, and for a base above the grid 1 at order 0 (empty
+    filter) and 0 otherwise.  A base below the shift raises OutOfRange."""
     if order < 0:
-        return Polynomial(())
+        return 0
     if m > poset.r or n > poset.s:
-        return Polynomial.const(1) if order == 0 else Polynomial(())
-    if m < a or n < b:
-        raise ShiftOutOfRange(f"shift mu^({a},{b}) sends the base ({m},{n}) out of range")
-    shift = a * poset.width + b
-    return decode(poset, [(mask >> shift, c) for mask, c in phi(poset.hexagon(m, n, order))])
+        return int(order == 0)
+    return RectPoset(poset.r - a, poset.s - b).hexagon(m - a, n - b, order)
+
+
+def region_phi(region: Union[Region, int]) -> Polynomial:
+    """A ``corner_region``'s phi, decoded on its own grid; a constant is itself."""
+    if isinstance(region, int):
+        return Polynomial.const(region)
+    return decode(region.poset, phi(region))
+
+
+def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Polynomial:
+    """phi_order(m, n) under the shift mu^(a,b): phi of its corner_region."""
+    return region_phi(corner_region(poset, m, n, order, a, b))
 
 
 def _phi_pair(q: IterateQuery, at: Callable[[int, int, int, int, int], T]) -> Tuple[T, T]:
@@ -108,15 +118,14 @@ def rho_closed(q: IterateQuery) -> ClosedForm:
 def rho_closed_at(poset: RectPoset,
                   A: Dict[GridPoint, Fraction]) -> Callable[[IterateQuery], Fraction]:
     """The closed form at the point whose A-chart values are A (grid point
-    -> value), as a function of the query, in either case of M.  The shift
-    mu^(a,b) moves the point, A'(u, v) = A(u-a, v-b), instead of a
-    polynomial.  Queries share corners, so each corner's shifted phi is
-    evaluated once per point."""
+    -> value), as a function of the query, in either case of M.  Each
+    corner's region carries its shifted variables, so phi_at reads A as it
+    is.  Queries share corners, so each corner's shifted phi is evaluated
+    once per point."""
 
     @functools.lru_cache(maxsize=None)
-    def at(m: int, n: int, order: int, a: int, b: int) -> Fraction:
-        return phi_at(poset.hexagon(m, n, order),
-                      {(u + a, v + b): val for (u, v), val in A.items()})
+    def at(*c: int) -> Fraction:
+        return phi_at(corner_region(poset, *c), A)
 
     def closed(q: IterateQuery) -> Fraction:
         num, den = _phi_pair(q, at)

@@ -21,10 +21,6 @@ class HypothesisViolated(BirowError):
     pass
 
 
-class ShiftOutOfRange(BirowError):
-    pass
-
-
 class MalformedOverlay(BirowError):
     pass
 

@@ -14,10 +14,10 @@ walks a family back to its vertices only for output.
 
 phi is its terms: the sorted ``(mask, count)`` pairs of the distinct
 uncovered masks, each mask the monomial of the points it holds.  Two
-readers take them: ``render`` writes their text in pieces from per-byte
-text tables, and ``decode`` builds a ``Polynomial`` only where one is
-used.  A region of more than ``FAMILY_BUDGET`` families is refused before
-one is listed.
+readers take them through per-byte tables made for one call and filled on
+first read: ``render`` writes their text in pieces, and ``decode`` builds a
+``Polynomial`` only where one is used.  A region of more than
+``FAMILY_BUDGET`` families is refused before one is listed.
 
 phi_at evaluates phi at a point through the Lindstrom-Gessel-Viennot
 determinant instead, sharing no code with the enumeration.
@@ -29,47 +29,17 @@ import functools
 import math
 from fractions import Fraction
 from itertools import chain, groupby
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import or_
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, PoleEncountered, UnboundVariable
-from .exactnum import Monomial, Polynomial, avar
+from .exactnum import _PAIR_TEXT, Monomial, Polynomial, _render_terms, avar
 from .grid_poset import GridPoint, RectPoset, Region
 
 Masks = Tuple[int, int, int]  # a path's or a family's (cover, east, north) masks
 Term = Tuple[int, int]  # a monomial's mask and its coefficient
 FAMILY_BUDGET = 2 ** 22  # the most families enum_nilp lists; 7x7 k=3 has 731 808
 TEXT_BATCH = 4096  # the most terms in one piece of render's text
-
-
-@functools.lru_cache(maxsize=None)
-def _chunk_pairs(poset: RectPoset) -> List[List[Monomial]]:
-    """For each 8-bit chunk of the poset's masks, from the lowest, the
-    (Var, 1) pairs of the chunk's set bits for each byte value, in (i, j)
-    order."""
-    points = poset.members()
-    tables = []
-    for c in range(0, len(points), 8):
-        table: List[Monomial] = [()]
-        for p in points[c:c + 8]:
-            pair = ((avar(*p), 1),)
-            table += [t + pair for t in table]
-        tables.append(table)
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
-def _chunk_text(poset: RectPoset) -> List[List[str]]:
-    """For each 8-bit chunk of the poset's masks, the text of each byte
-    value's points, such as ``"A[0,1]*A[0,3]"`` ("" for none)."""
-    points = poset.members()
-    tables = []
-    for c in range(0, len(points), 8):
-        table = [""]
-        for p in points[c:c + 8]:
-            name = avar(*p).render()
-            table += [f"{t}*{name}" if t else name for t in table]
-        tables.append(table)
-    return tables
 
 
 def enum_paths(region: Region, frm: GridPoint, to: GridPoint) -> List[Masks]:
@@ -215,34 +185,56 @@ def _count_runs(keys: List[int], width: int) -> List[Term]:
     return [(mask(key), len(list(run))) for key, run in groupby(keys)]
 
 
+@functools.lru_cache(maxsize=None)
+def _point_pair(p: GridPoint) -> Monomial:
+    """The monomial of the point, built once per process."""
+    return ((avar(*p), 1),)
+
+
+class _Pieces(dict):
+    """The piece of each byte value at one byte position of a grid's masks,
+    built the first time it is read: the piece of the value without its
+    top bit followed by the item of the top bit's point."""
+
+    def __init__(self, item: Callable, poset: RectPoset, first: int, empty):
+        super().__init__({0: empty})
+        self.item, self.poset, self.first = item, poset, first
+
+    def __missing__(self, byte: int):
+        top = byte.bit_length() - 1
+        piece = self[byte] = self[byte ^ 1 << top] + self.item(self.poset.point(self.first + top))
+        return piece
+
+
+def _mask_pieces(poset: RectPoset, terms: Sequence[Term], item: Callable,
+                 empty) -> Callable[[int], Iterator]:
+    """A function giving a mask's pieces, one per byte in order, from one
+    table per byte position that some of the terms set; no table outlives
+    the call."""
+    union = functools.reduce(or_, (mask for mask, _ in terms), 0)
+    width = (union.bit_length() + 7) // 8
+    unset = {0: empty}  # the table of every byte position that no term sets
+    tables = [_Pieces(item, poset, 8 * c, empty) if byte else unset
+              for c, byte in enumerate(union.to_bytes(width, "little"))]
+    return lambda mask: map(dict.__getitem__, tables, mask.to_bytes(width, "little"))
+
+
 def decode(poset: RectPoset, terms: Sequence[Term]) -> Polynomial:
-    """The polynomial of terms on the poset's masks, each distinct
-    mask decoded once through the chunk tables."""
-    tables = _chunk_pairs(poset)
-    width = len(tables)
-    return Polynomial(tuple((tuple(chain.from_iterable(map(list.__getitem__, tables,
-                                                            mask.to_bytes(width, "little")))), c)
-                            for mask, c in terms))
+    """The polynomial of terms on the poset's masks, each distinct mask
+    decoded once from its bytes' pieces of (Var, 1) pairs, in (i, j) order."""
+    pieces = _mask_pieces(poset, terms, _point_pair, ())
+    return Polynomial(tuple((tuple(chain.from_iterable(pieces(mask))), c) for mask, c in terms))
 
 
 def render(poset: RectPoset, terms: Sequence[Term]) -> Iterator[str]:
     """The text of ``decode(poset, terms).render()`` in pieces of at most
-    TEXT_BATCH terms, each term written from the chunks' text tables with the
-    rules of ``Polynomial.render``: a count other than 1 is a ``c*``
-    prefix, the empty monomial is its count, and no term at all is 0."""
-    if not terms:
-        yield "0"
-        return
-    texts = _chunk_text(poset)
-    width = len(texts)
-
-    def term(t: Term) -> str:
-        mask, c = t
-        mono = "*".join(filter(None, map(list.__getitem__, texts, mask.to_bytes(width, "little"))))
-        return mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c)
-
-    for start in range(0, len(terms), TEXT_BATCH):
-        yield (" + " if start else "") + " + ".join(map(term, terms[start:start + TEXT_BATCH]))
+    TEXT_BATCH terms by ``Polynomial.render``'s rule and variable texts,
+    each monomial joined from its bytes' pieces, such as
+    ``"*A[0,1]*A[0,3]"``, less its first ``*``."""
+    pieces = _mask_pieces(poset, terms, lambda p: "*" + _PAIR_TEXT[_point_pair(p)[0]], "")
+    for start in range(0, max(len(terms), 1), TEXT_BATCH):
+        yield (" + " if start else "") + _render_terms(
+            ("".join(pieces(mask))[1:], c) for mask, c in terms[start:start + TEXT_BATCH])
 
 
 def phi(region: Region) -> List[Term]:

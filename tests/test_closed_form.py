@@ -9,10 +9,10 @@ import pytest
 from birow import verify
 from birow.avar import a_to_x, x_to_A
 from birow.bounce import _CORNERS
-from birow.closed_form import (ClosedForm, IterateQuery, corner, m_value, mu_phi, rho_closed,
-                               rho_closed_at, rho_closed_phi)
+from birow.closed_form import (ClosedForm, IterateQuery, _phi_pair, corner, corner_region,
+                               m_value, mu_phi, rho_closed, rho_closed_at, rho_closed_phi)
 from birow.dynamics import generic_labeling, random_labeling, rowmotion_birational
-from birow.errors import OutOfRange, ShiftOutOfRange
+from birow.errors import OutOfRange
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import RectPoset
 from test_exactnum import evaluate
@@ -228,11 +228,57 @@ def test_mu_phi_matches_the_renamed_phi_on_the_ledger(monkeypatch):
     assert any(a or b for _, _, _, a, b in seen)
 
 
+def _pair_corners(poset):
+    """Every corner that the closed form's phi pair reaches on the grid."""
+    seen = set()
+    for (i, j) in poset.members():
+        for k in range(poset.r + poset.s + 2):
+            _phi_pair(IterateQuery(poset, i, j, k), lambda *c: seen.add(c))
+    return seen
+
+
+def _ledger_corners(monkeypatch):
+    """Every corner of the ledger's blocks, (poset, corner), up to 5x5."""
+    seen = []
+    monkeypatch.setattr(verify, "mu_phi", lambda poset, *c: seen.append((poset, c)) or
+                        mu_phi(poset, *c))
+    for r in range(1, 6):
+        for s in range(1, r + 1):
+            for d in range(s):
+                assert verify.check_file_ledger(r, s, d).passed
+    return seen
+
+
+def test_corner_region_is_the_translated_hexagon(monkeypatch):
+    """On every corner of the phi pair up to 5x5 and of the ledger, the region
+    is the original hexagon moved by (-a, -b): its points, sources and sinks,
+    and its grid is [0, r-a] x [0, s-b].  Equal regions, reached from any
+    grid, give identical mu_phi text."""
+    corners = [(RectPoset(r, s), c) for r in range(6) for s in range(6)
+               for c in _pair_corners(RectPoset(r, s))]
+    corners += _ledger_corners(monkeypatch)
+    assert any(a or b for _, (_, _, _, a, b) in corners)
+    texts = {}
+    for poset, (m, n, order, a, b) in corners:
+        region = corner_region(poset, m, n, order, a, b)
+        if order >= 0 and poset.contains((m, n)):
+            hexagon = poset.hexagon(m, n, order)
+            assert region.poset == RectPoset(poset.r - a, poset.s - b)
+            for got, points in ((region.poset.points(region.mask), poset.points(hexagon.mask)),
+                                (region.sources, hexagon.sources), (region.sinks, hexagon.sinks)):
+                assert list(got) == [(u - a, v - b) for (u, v) in points]
+        else:
+            assert region in (0, 1)
+        text = str(mu_phi(poset, m, n, order, a, b))
+        assert texts.setdefault(region, text) == text, (poset, m, n, order, a, b)
+    assert len(texts) < len(set(corners))
+
+
 def test_mu_phi_refuses_a_base_below_the_shift():
     p = RectPoset(2, 2)
-    with pytest.raises(ShiftOutOfRange):
+    with pytest.raises(OutOfRange):
         mu_phi(p, 0, 1, 1, 1, 0)
-    with pytest.raises(ShiftOutOfRange):
+    with pytest.raises(OutOfRange):
         mu_phi(p, 1, 0, 1, 0, 1)
 
 

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -19,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import birow
+from birow import verify
 from birow.avar import x_to_A
 from birow.cli import main
-from birow.closed_form import IterateQuery, m_value, rho_closed
+from birow.closed_form import IterateQuery, m_value, rho_closed, rho_closed_phi
 from birow.dynamics import Labeling, all_order_ideals, generic_labeling, ideal_points, starts
 from birow.errors import PoleEncountered, PreconditionViolated
-from birow.exactnum import avar, xvar
+from birow.exactnum import Polynomial, avar, xvar
 from birow.grid_poset import RectPoset
 from birow.report import Report
 from birow.verify import (_file_counts, _plain_tree_product, _tree_product, auto_mode,
@@ -492,6 +494,39 @@ class TestFileHomomesy:
     def test_symbolic_factor_cancellation(self):
         reps = check_file_homomesy(2, 1, range(-2, 2), mode="symbolic")
         assert [rep.passed for rep in reps] == [True] * 4
+
+    def test_symbolic_verdicts_match_counting_polynomials(self):
+        """Counting the factors as regions gives the verdicts of counting
+        them as polynomials, each file of every grid up to 5x5."""
+        def by_polynomials(r, s, t):
+            poset = RectPoset(r, s)
+            nums, dens = Counter(), Counter()
+            for k in range(r + s + 2):
+                for (i, j) in poset.file_by_offset(t).points:
+                    num, den = rho_closed_phi(IterateQuery(poset, i, j, k))
+                    nums[num] += 1
+                    dens[den] += 1
+            return (Polynomial.product((nums - dens).elements())
+                    == Polynomial.product((dens - nums).elements()))
+
+        for r in range(6):
+            for s in range(6):
+                reps = check_file_homomesy(r, s, range(-r, s + 1), mode="symbolic")
+                assert [rep.passed for rep in reps] == \
+                    [by_polynomials(r, s, t) for t in range(-r, s + 1)], (r, s)
+
+    def test_symbolic_flags_exactly_the_file_of_an_inverted_factor(self, monkeypatch):
+        """With the numerator and denominator of the query (2, 2, 3) of 5x4
+        exchanged, the file of (2, 2) fails and no other."""
+        phi_pair = verify._phi_pair
+
+        def inverted(q, at):
+            num, den = phi_pair(q, at)
+            return (den, num) if (q.i, q.j, q.k) == (2, 2, 3) else (num, den)
+
+        monkeypatch.setattr(verify, "_phi_pair", inverted)
+        reps = check_file_homomesy(5, 4, range(-5, 5), mode="symbolic")
+        assert [t for t, rep in zip(range(-5, 5), reps) if not rep.passed] == [0]
 
     def test_all_three_cases_appear(self):
         cases = {rep.notes["case"]
