@@ -1,6 +1,6 @@
 """The change of variables x -> A and its inverse substitution.  The index
 shift mu^(a,b) moves a hexagon onto a smaller grid, in
-``closed_form.corner_region``."""
+``closed_form.corner_key``."""
 
 from __future__ import annotations
 

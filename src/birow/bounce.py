@@ -23,11 +23,12 @@ The boundary-hugging variant runs the same machinery on an enlarged grid
 whose extreme paths are pinned to the leftmost/rightmost routes; weights
 only see uncovered points of the original rectangle.  With u a family's
 uncovered members inside it, (u_b & u_r, u_b ^ u_r) is an overlay's weight.
+The six factors are hexagons of that grid, whose plans each query builds
+once into the one table (``_Table``) that ``swap`` and ``unswap`` read.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -71,17 +72,12 @@ def _edge_colors(br: Region, blue: Masks, rr: Region, red: Masks) -> List[Colore
             for verts in paths(region, masks) for a, b in zip(verts, verts[1:])]
 
 
-def _check_companions(br: Region, rr: Region):
-    if (rr.m, rr.n, rr.k) != (br.m + 1, br.n + 1, br.k - 1) or rr.poset != br.poset:
-        raise MalformedOverlay("red region is not the (+1,+1) companion of the blue region")
-
-
 @dataclass(frozen=True)
 class _Plan:
-    """A region's constants on its grid's mask layout, taken once per
-    region: the sources and the sinks as bits, the points one rank above the
-    sources (where the horizontal bounce path of a blue family of the region
-    ends) and the twig sources (every source but the first and the last)."""
+    """A region's constants on its grid's mask layout: the sources and the
+    sinks as bits, the points one rank above the sources (where the
+    horizontal bounce path of a blue family of the region ends) and the
+    twig sources (every source but the first and the last)."""
     region: Region
     sources: Tuple[int, ...]
     sinks: Tuple[int, ...]
@@ -91,7 +87,6 @@ class _Plan:
     twigs: int
 
 
-@functools.lru_cache(maxsize=None)
 def _plan(region: Region) -> _Plan:
     g = region.poset
     sources = tuple(1 << g.index(p) for p in region.sources)
@@ -102,13 +97,24 @@ def _plan(region: Region) -> _Plan:
     return _Plan(region, sources, sinks, sum(sources), sum(sinks), above, sum(sources[1:-1]))
 
 
-@functools.lru_cache(maxsize=None)
-def _image(br: Region, side: str) -> Tuple[_Plan, _Plan]:
-    """The blue and red regions of a swap's image on the given side."""
-    _, (bi, bj), (ri, rj) = _SIDES[side]
-    g = br.poset
-    return (_plan(g.hexagon(br.m + bi, br.n + bj, br.k)),
-            _plan(g.hexagon(br.m + ri, br.n + rj, br.k - 1)))
+@dataclass(frozen=True)
+class _Table:
+    """The plans of a Plucker query's six corner regions, made once per
+    query: the overlay's blue and red regions (B, R), and for each side the
+    blue and red regions of its images, None where either is missing."""
+    blue: _Plan
+    red: _Plan
+    sides: Dict[str, Optional[Tuple[_Plan, _Plan]]]
+
+
+def _table(regions: List[Optional[Region]]) -> _Table:
+    """The table of the regions in ``_CORNERS`` order, B and R present."""
+    br, rr, *images = regions
+    if (rr.m, rr.n, rr.k) != (br.m + 1, br.n + 1, br.k - 1) or rr.poset != br.poset:
+        raise MalformedOverlay("red region is not the (+1,+1) companion of the blue region")
+    sides = {side: (_plan(blue), _plan(red)) if blue and red else None
+             for side, (blue, red) in zip(_SIDES, (images[:2], images[2:]))}
+    return _Table(_plan(br), _plan(rr), sides)
 
 
 def _traverse(v: int, w: int, up: List[int], down: List[int]) -> Tuple[int, Taken]:
@@ -257,13 +263,13 @@ def _rebuild(colors: List[List[int]], targets: Tuple[_Plan, _Plan]) -> Tuple[Mas
     return out_masks[0], out_masks[1]
 
 
-def swap(region: Region, blue: Masks, red: Masks) -> Tuple[str, Masks, Masks]:
-    """The image of the overlay of ``blue``, a family of ``region``, and
-    ``red``, a family of its (+1,+1) companion: the side its bases are skewed
-    to, and its blue and red masks."""
-    plan = _plan(region)
+def swap(table: _Table, blue: Masks, red: Masks) -> Tuple[str, Masks, Masks]:
+    """The image of the overlay of ``blue``, a family of the table's blue
+    region, and ``red``, a family of its red region: the side its bases are
+    skewed to, and its blue and red masks."""
+    plan = table.blue
     side, _, taken = _bounce(plan, blue, red)
-    g = region.poset
+    g = plan.region.poset
     colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
     _flip(g, colors, taken, [blue[1] & plan.twigs, blue[2] & plan.twigs], _BLUE, _RED)
     # The truncated edge is the vertical path's first: the side's blue step.
@@ -272,54 +278,48 @@ def swap(region: Region, blue: Masks, red: Masks) -> Tuple[str, Masks, Masks]:
     if not colors[_BLUE][d] & low:
         raise MalformedOverlay("truncation target edge is not blue")
     _move(g, colors, d, low, _BLUE, None)
-    return (side, *_rebuild(colors, _image(region, side)))
+    targets = table.sides[side]
+    if targets is None:
+        raise MalformedOverlay(f"no {side} image region")
+    return (side, *_rebuild(colors, targets))
 
 
-@functools.lru_cache(maxsize=None)
-def _preimage(side: str, region: Region):
-    """What unswap needs of an image on the given side whose blue region is
-    ``region``: its plan, the vertical and the mirror bounce starts, the red
-    twig sources, the direction and the bit of the truncated edge, and the
-    plans of the preimage's blue and red regions."""
+def unswap(side: str, table: _Table, blue: Masks, red: Masks) -> Tuple[Masks, Masks]:
+    """The inverse of swap: the blue and red masks of the overlay whose image
+    on the given side is ``blue``, a family of the side's blue image region,
+    and ``red``, one of its red image region."""
     if side not in _SIDES:
         raise PreconditionViolated(f"bad side {side!r}")
-    src, (bi, bj), (ri, rj) = _SIDES[side]
-    g, k = region.poset, region.k
-    m, n = region.m - bi, region.n - bj
-    red_sources = g.hexagon(m + ri, n + rj, k - 1).sources
-    v_start = region.sources[src]
+    plan, red_plan = table.sides[side]
+    g, src = plan.region.poset, _SIDES[side][0]
+    v_start = plan.sources[src]
     # The mirror bounce path starts at the red source at the other end.
-    h_start = red_sources[~src] if k >= 2 else None
-    blue_target = g.hexagon(m, n, k)
-    missing = [p for p in blue_target.sources if p not in red_sources]
-    if len(missing) != 1:
+    h_start = red_plan.sources[~src] if red_plan.sources else 0
+    twigs = red_plan.source_mask ^ h_start
+    # The truncated source: B's one source that is no red image source.
+    p0 = table.blue.source_mask & ~red_plan.source_mask
+    if not p0 or p0 & p0 - 1:
         raise MalformedOverlay("cannot locate the truncated source position")
-    p0 = missing[0]
-    if (v_start[0] - p0[0], v_start[1] - p0[1]) not in ((1, 0), (0, 1)):
-        raise MalformedOverlay(f"{p0} is not adjacent below {v_start}")
-    return (_plan(region), g.mask([v_start]), None if h_start is None else g.mask([h_start]),
-            g.mask(s for s in red_sources if s != h_start), v_start[1] - p0[1], g.mask([p0]),
-            (_plan(blue_target), _plan(g.hexagon(m + 1, n + 1, k - 1))))
-
-
-def unswap(side: str, region: Region, blue: Masks, red: Masks) -> Tuple[Masks, Masks]:
-    """The inverse of swap: the blue and red masks of the overlay whose image
-    on the given side is ``blue``, a family of ``region``, and ``red``."""
-    plan, v_start, h_start, twigs, d, p0, targets = _preimage(side, region)
-    g = region.poset
+    # One bit up is one step north only within a column, off its foot.
+    if v_start == p0 << g.width:
+        d = 0
+    elif v_start == p0 << 1 and (v_start.bit_length() - 1) % g.width:
+        d = 1
+    else:
+        raise MalformedOverlay(f"{_point(g, p0)} is not adjacent below {_point(g, v_start)}")
     blue_free, red_free = list(blue[1:]), list(red[1:])
     vterm, vtaken = _traverse(v_start, g.width, blue_free, red_free)
     if vtaken == _NONE or not vterm & plan.sink_mask:
         raise MalformedOverlay("vertical bounce path does not reach the top")
     taken = _NONE
-    if h_start is not None:
+    if h_start:
         hterm, taken = _traverse(h_start, g.width, red_free, blue_free)
         if not hterm & plan.source_mask:
             raise MalformedOverlay(f"mirror bounce path ends at {_point(g, hterm)}")
     colors = [[blue[1], blue[2], 0, 0], [red[1], red[2], 0, 0]]
     _flip(g, colors, taken, [red[1] & twigs, red[2] & twigs], _RED, _BLUE)
     _move(g, colors, d, p0, None, _BLUE)
-    return _rebuild(colors, targets)
+    return _rebuild(colors, (table.blue, table.red))
 
 
 def _forced_path(region: Region, l: int, leftmost: bool) -> Masks:
@@ -343,14 +343,13 @@ def _forced_path(region: Region, l: int, leftmost: bool) -> Masks:
     return cover, edges[0], edges[1]
 
 
-def hugging_families(grid: RectPoset, m: int, n: int, k: int, c: int, d: int
-                     ) -> List[Masks]:
-    """The masks of all (c,d)-boundary-hugging families: the first c paths
-    pinned to the leftmost routes, the last d to the rightmost; empty when
-    c + d > k or k < 0."""
-    if k < 0 or c + d > k:
+def hugging_families(region: Region, c: int, d: int) -> List[Masks]:
+    """The masks of all (c,d)-boundary-hugging families of the region: the
+    first c paths pinned to the leftmost routes, the last d to the
+    rightmost; empty when c + d > k."""
+    k = region.k
+    if c + d > k:
         return []
-    region = grid.hexagon(m, n, k)
     return _disjoint_families([
         [_forced_path(region, l, l < c)] if l < c or l >= k - d
         else enum_paths(region, region.sources[l], region.sinks[l]) for l in range(k)])
@@ -384,15 +383,16 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
         rep.fail({"stage": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
 
     # A factor's families sit on its unshifted base (i-k+eps_i, j-k+eps_j)
-    # with a + b pinned paths, so the grid reaches down to (i-k, j-k).  The
-    # region of a factor with no family is never read.
+    # with a + b pinned paths, so the grid reaches down to (i-k, j-k).  A
+    # factor of negative order has no region and no family.
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
     rect = grid.mask(poset.members())
-    bases = [(m - a - b, n - a - b, order + a + b, a, b) for (m, n, order, a, b) in corners]
-    families = [hugging_families(grid, *base) for base in bases]
-    regions = [grid.hexagon(*base[:3]) if fams else None for base, fams in zip(bases, families)]
+    regions = [grid.hexagon(m - a - b, n - a - b, order + a + b) if order >= 0 else None
+               for (m, n, order, a, b) in corners]
+    families = [hugging_families(region, a, b) if region else []
+                for region, (*_, a, b) in zip(regions, corners)]
     for fams, region, (ei, ej, delta), expect in zip(families, regions, _CORNERS, phis):
-        total = decode(grid, uncovered_sum(fams, region.mask & rect if fams else 0))
+        total = decode(grid, uncovered_sum(fams, region.mask & rect if region else 0))
         if total != expect:
             rep.fail({"stage": "generating-function", "eps": [ei, ej], "delta": delta,
                       "observed": str(total), "expected": str(expect)})
@@ -401,23 +401,24 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
     if len(B) * len(R) != len(L1) * len(L2) + len(R1) * len(R2):
         rep.fail({"stage": "cardinality", "lhs": len(B) * len(R),
                   "rhs": [len(L1) * len(L2), len(R1) * len(R2)]})
+    if not (B and R):
+        return rep
 
-    # Each family is weighed once.  The images a side may take are its blue
-    # families times its red ones.  Each side's image regions are looked
-    # up, and their masks cut to the rectangle, at the first image
-    # on that side.  No image is kept: unswap(swap(x)) == x on every overlay
-    # shows swap injective.
+    # Each family is weighed once, and each side's image regions are cut
+    # to the rectangle once.  The images a side may take are its blue
+    # families times its red ones.  No image is kept: unswap(swap(x)) == x
+    # on every overlay shows swap injective.
+    table = _table(regions)
     br, rr = regions[:2]
-    if B and R:
-        _check_companions(br, rr)
     blues, reds = ([(f, region.mask & rect & ~f[0]) for f in fams]
                    for fams, region in ((B, br), (R, rr)))
     targets = {"left": (set(L1), set(L2)), "right": (set(R1), set(R2))}
-    sides: Dict[str, Tuple[Region, int, int]] = {}
+    cuts = {side: (plans[0].region.mask & rect, plans[1].region.mask & rect)
+            for side, plans in table.sides.items() if plans}
     for b, u_b in blues:
         for r, u_r in reds:
             try:
-                side, blue2, red2 = swap(br, b, r)
+                side, blue2, red2 = swap(table, b, r)
             except MalformedOverlay as e:
                 rep.fail({"stage": "swap", "overlay": _edge_colors(br, b, rr, r),
                           "error": str(e)})
@@ -427,11 +428,7 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
             if blue2 not in target_blues or red2 not in target_reds:
                 rep.fail({"stage": "membership", "side": side,
                           "overlay": _edge_colors(br, b, rr, r)})
-            if side not in sides:
-                blue_plan, red_plan = _image(br, side)
-                sides[side] = (blue_plan.region, blue_plan.region.mask & rect,
-                               red_plan.region.mask & rect)
-            region2, in_b, in_r = sides[side]
+            in_b, in_r = cuts[side]
             v_b, v_r = in_b & ~blue2[0], in_r & ~red2[0]
             w_in, w_out = (u_b & u_r, u_b ^ u_r), (v_b & v_r, v_b ^ v_r)
             if w_in != w_out:
@@ -439,7 +436,7 @@ def plucker_check(poset: RectPoset, i: int, j: int, k: int) -> Report:
                           "observed": _render_weight(grid, *w_out),
                           "expected": _render_weight(grid, *w_in)})
             try:
-                if unswap(side, region2, blue2, red2) != (b, r):
+                if unswap(side, table, blue2, red2) != (b, r):
                     rep.fail({"stage": "round-trip", "overlay": _edge_colors(br, b, rr, r)})
             except MalformedOverlay as e:
                 rep.fail({"stage": "unswap", "overlay": _edge_colors(br, b, rr, r),

@@ -4,7 +4,8 @@ polynomials, combinatorial orbits, and the verification suite.
 Output is JSON by default; --plain renders human-readable text.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 arithmetic
 fault or a budget exceeded (``dynamics.IDEAL_BUDGET``,
-``nilp.FAMILY_BUDGET``).
+``nilp.FAMILY_BUDGET``, or the process's memory: a ``MemoryError`` prints
+one ``budget exceeded: out of memory`` line and no traceback).
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def main(argv=None) -> int:
         return ARITHMETIC_FAULT
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        return BUDGET_EXCEEDED
+    except MemoryError:
+        print(f"budget exceeded: out of memory in birow {args.command}", file=sys.stderr)
         return BUDGET_EXCEEDED
     except BirowError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,8 +5,9 @@ two phi polynomials with indices shifted by mu, when M = [k-i]+ + [k-j]+ is
 at most k; otherwise it is the reciprocal of an earlier iterate at the
 antipodal point, computed in x-variables.  Every shifted phi, those of the
 Plucker-like check and the file ledger too, is phi of a hexagon of a smaller
-grid, its ``corner_region``: ``mu_phi`` decodes it, and rho_closed_at
-evaluates it at a point through phi_at with no polynomial built.
+grid, named by five ints, its ``corner_key``, so equal ones cancel before
+any region is built; ``corner_region`` builds that region afresh, ``mu_phi``
+decodes its phi, and rho_closed_at evaluates it through phi_at.
 """
 
 from __future__ import annotations
@@ -60,32 +61,43 @@ def corner(i: int, j: int, k: int, eps_i: int = 0, eps_j: int = 0,
     return i - k + eps_i + M, j - k + eps_j + M, k - delta - M, a, b
 
 
-def corner_region(poset: RectPoset, m: int, n: int, order: int, a: int,
-                  b: int) -> Union[Region, int]:
-    """The region whose phi is phi_order(m, n) under the shift mu^(a,b).
-    Every member of the hexagon lies at or above its base, so the shift
-    (u, v) -> (u-a, v-b) moves it whole onto the grid [0, r-a] x [0, s-b],
-    as the hexagon (m-a, n-b, order) there, each point named by its shifted
-    variable.  The conventions of the shifted identity give constants: 0
-    for a negative order, and for a base above the grid 1 at order 0 (empty
-    filter) and 0 otherwise.  A base below the shift raises OutOfRange."""
+def corner_key(poset: RectPoset, m: int, n: int, order: int, a: int,
+               b: int) -> Union[Tuple[int, ...], int]:
+    """The key of phi_order(m, n) under the shift mu^(a,b): (r-a, s-b, m-a,
+    n-b, order), which names the hexagon (m-a, n-b, order) of the grid
+    [0, r-a] x [0, s-b].  Every member of the hexagon lies at or above its
+    base, so the shift (u, v) -> (u-a, v-b) moves it whole onto that grid,
+    each point named by its shifted variable.  The conventions of the
+    shifted identity give constant keys: 0 for a negative order, and for a
+    base above the grid 1 at order 0 (empty filter) and 0 otherwise."""
     if order < 0:
         return 0
     if m > poset.r or n > poset.s:
         return int(order == 0)
-    return RectPoset(poset.r - a, poset.s - b).hexagon(m - a, n - b, order)
+    return (poset.r - a, poset.s - b, m - a, n - b, order)
 
 
-def region_phi(region: Union[Region, int]) -> Polynomial:
-    """A ``corner_region``'s phi, decoded on its own grid; a constant is itself."""
+def corner_region(key: Union[Tuple[int, ...], int]) -> Union[Region, int]:
+    """The region a ``corner_key`` names, built afresh, or its constant.  A
+    base below the shift raises OutOfRange."""
+    if isinstance(key, int):
+        return key
+    r, s, m, n, order = key
+    return RectPoset(r, s).hexagon(m, n, order)
+
+
+def key_phi(key: Union[Tuple[int, ...], int]) -> Polynomial:
+    """The phi of a key's ``corner_region``, decoded on its own grid; a
+    constant is itself."""
+    region = corner_region(key)
     if isinstance(region, int):
         return Polynomial.const(region)
     return decode(region.poset, phi(region))
 
 
 def mu_phi(poset: RectPoset, m: int, n: int, order: int, a: int, b: int) -> Polynomial:
-    """phi_order(m, n) under the shift mu^(a,b): phi of its corner_region."""
-    return region_phi(corner_region(poset, m, n, order, a, b))
+    """phi_order(m, n) under the shift mu^(a,b): the phi of its key."""
+    return key_phi(corner_key(poset, m, n, order, a, b))
 
 
 def _phi_pair(q: IterateQuery, at: Callable[[int, int, int, int, int], T]) -> Tuple[T, T]:
@@ -125,7 +137,7 @@ def rho_closed_at(poset: RectPoset,
 
     @functools.lru_cache(maxsize=None)
     def at(*c: int) -> Fraction:
-        return phi_at(corner_region(poset, *c), A)
+        return phi_at(corner_region(corner_key(poset, *c)), A)
 
     def closed(q: IterateQuery) -> Fraction:
         num, den = _phi_pair(q, at)

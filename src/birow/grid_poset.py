@@ -8,12 +8,12 @@ and most consumers only use the standard rectangle.
 A point's number, its sweep slot and its bit in every path mask, is its
 position in ``members()``: ``RectPoset.index``, computed from the bounds.
 ``RectPoset.points`` is the inverse of ``RectPoset.mask``; a hexagonal
-region is its mask, one bit run per column.
+region is its mask, one bit run per column, and a plain frozen value that
+``RectPoset.hexagon`` builds afresh on every call; no cache keeps one.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
@@ -148,7 +148,23 @@ class RectPoset:
         return FileInfo(t, tuple(pts), case, d)
 
     def hexagon(self, m: int, n: int, k: int) -> "Region":
-        return Region.build(self, m, n, k)
+        r, s = self.r, self.s
+        if not self.contains((m, n)):
+            raise OutOfRange(f"hexagon base ({m},{n}) outside rectangle")
+        if k < 0 or k > min(r - m, s - n) + 1:
+            raise HypothesisViolated(
+                f"hexagon order k={k} exceeds min(r-m, s-n)+1 = {min(r - m, s - n) + 1}")
+        lo = m + n + k - 1
+        hi = r + s - k + 1
+        # The filter of (m, n), each column cut to the rank window: one run
+        # of bits per column, none empty under the order bound.
+        mask = 0
+        for i in range(m, r + 1):
+            lo_j, hi_j = max(n, lo - i), min(s, hi - i)
+            mask |= ((1 << hi_j - lo_j + 1) - 1) << self.index((i, lo_j))
+        sources = tuple((m + k - l, n + l - 1) for l in range(1, k + 1))
+        sinks = tuple((r - l + 1, s - k + l) for l in range(1, k + 1))
+        return Region(self, m, n, k, mask, sources, sinks)
 
 
 @dataclass(frozen=True)
@@ -166,35 +182,3 @@ class Region:
     mask: int  # the members on the poset's ``RectPoset.mask`` layout
     sources: Tuple[GridPoint, ...]
     sinks: Tuple[GridPoint, ...]
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.poset, self.m, self.n, self.k))
-
-    def __hash__(self) -> int:
-        # Regions key the caches that swap and unswap look up once per
-        # overlay; the base and order determine the other fields.
-        return self._hash
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def build(poset: RectPoset, m: int, n: int, k: int) -> "Region":
-        """Regions are frozen, so one is built per (poset, m, n, k) and
-        shared by every caller."""
-        r, s = poset.r, poset.s
-        if not poset.contains((m, n)):
-            raise OutOfRange(f"hexagon base ({m},{n}) outside rectangle")
-        if k < 0 or k > min(r - m, s - n) + 1:
-            raise HypothesisViolated(
-                f"hexagon order k={k} exceeds min(r-m, s-n)+1 = {min(r - m, s - n) + 1}")
-        lo = m + n + k - 1
-        hi = r + s - k + 1
-        # The filter of (m, n), each column cut to the rank window: one run
-        # of bits per column, none empty under the order bound.
-        mask = 0
-        for i in range(m, r + 1):
-            lo_j, hi_j = max(n, lo - i), min(s, hi - i)
-            mask |= ((1 << hi_j - lo_j + 1) - 1) << poset.index((i, lo_j))
-        sources = tuple((m + k - l, n + l - 1) for l in range(1, k + 1))
-        sinks = tuple((r - l + 1, s - k + l) for l in range(1, k + 1))
-        return Region(poset, m, n, k, mask, sources, sinks)

@@ -39,7 +39,7 @@ from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .avar import x_to_A
-from .closed_form import (IterateQuery, _phi_pair, corner_region, m_value, mu_phi, region_phi,
+from .closed_form import (IterateQuery, _phi_pair, corner_key, key_phi, m_value, mu_phi,
                           rho_closed_at)
 from .dynamics import (Heights, Labeling, Pairs, ideal_points, iterates, light_cone, orbits,
                        pair_iterates, starts)
@@ -312,9 +312,9 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
     Rational mode multiplies honest iterates at a random positive point,
     one orbit for every file, over the window rho^-(P-h) f, ...,
     rho^(h-1) f of ``_period_products``.  Symbolic mode counts the
-    closed-form factors as their corner regions, cancels equal regions
-    before any phi is built, and compares the products of the leftovers'
-    phis, which avoids expanding the full product.
+    closed-form factors by their ``corner_key``, cancels equal keys before
+    any region or phi is built, and compares the products of the
+    leftovers' phis, which avoids expanding the full product.
     """
     mode = mode or auto_mode(r, s)
     poset = RectPoset(r, s)
@@ -338,11 +338,11 @@ def check_file_homomesy(r: int, s: int, files: Iterable[int], mode: Optional[str
         for k in range(r + s + 2):
             for (i, j) in info.points:
                 num, den = _phi_pair(IterateQuery(poset, i, j, k),
-                                     lambda *c: corner_region(poset, *c))
+                                     lambda *c: corner_key(poset, *c))
                 nums[num] += 1
                 dens[den] += 1
-        pn = Polynomial.product(map(region_phi, (nums - dens).elements()))
-        pd = Polynomial.product(map(region_phi, (dens - nums).elements()))
+        pn = Polynomial.product(map(key_phi, (nums - dens).elements()))
+        pd = Polynomial.product(map(key_phi, (dens - nums).elements()))
         if pn != pd:
             rep.fail({"input": "closed-form factors", "observed": str(pn), "expected": str(pd)})
     return reps

@@ -1,6 +1,8 @@
 """Colored overlays, the bounce-path swap bijection, boundary-hugging
 families, and the three-term phi identity."""
 
+import dataclasses
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
@@ -8,8 +10,8 @@ from typing import FrozenSet, Tuple
 import pytest
 
 from birow import bounce
-from birow.bounce import (_SIDES, ColoredEdge, Edge, Taken, _bounce, _check_companions, _edge,
-                          _edge_colors, _forced_path, _image, _plan, _point, _rebuild,
+from birow.bounce import (_CORNERS, _SIDES, ColoredEdge, Edge, Taken, _bounce, _edge,
+                          _edge_colors, _forced_path, _plan, _point, _rebuild, _table, _Table,
                           hugging_families, plucker_check, swap, unswap)
 from birow.closed_form import corner, mu_phi
 from birow.errors import MalformedOverlay, PreconditionViolated
@@ -29,8 +31,8 @@ class Family:
 
 def overlay_masks(br: Region, blue: Masks, rr: Region, red: Masks) -> Tuple[Masks, Masks]:
     """The masks of the overlay of blue, a family of br, and red, a family
-    of rr, validated as plucker_check validates them."""
-    _check_companions(br, rr)
+    of rr, validated as plucker_check validates them, by making their table."""
+    _table([br, rr, None, None, None, None])
     return blue, red
 
 
@@ -110,17 +112,19 @@ def test_overlay_and_decompose_shapes():
 
 def test_swap_round_trip_single_case():
     p = RectPoset(3, 2)
-    br, rr = p.hexagon(1, 0, 2), p.hexagon(2, 1, 1)
+    table, _ = _overlays(p, 3, 2, 2)
+    br, rr = table.blue.region, table.red.region
+    assert (br, rr) == (p.hexagon(1, 0, 2), p.hexagon(2, 1, 1))
     blue, red = enum_nilp(br), enum_nilp(rr)
     masks = overlay_masks(br, blue[0], rr, red[0])
-    side, blue2, red2 = swap(br, *masks)
-    blue_plan, red_plan = _image(br, side)
+    side, blue2, red2 = swap(table, *masks)
+    blue_plan, red_plan = table.sides[side]
     assert (blue_plan.region.m, blue_plan.region.n) != (1, 0)
     # The image masks are those of families of the skewed regions.
     image = family(blue_plan.region, blue2), family(red_plan.region, red2)
     assert blue2 in enum_nilp(blue_plan.region) and red2 in enum_nilp(red_plan.region)
     assert (_reference_masks(image[0]), _reference_masks(image[1])) == (blue2, red2)
-    back = unswap(side, blue_plan.region, blue2, red2)
+    back = unswap(side, table, blue2, red2)
     assert back == masks
     assert (family(br, back[0]).paths, family(rr, back[1]).paths) == \
         (reference_nilp(br)[0], reference_nilp(rr)[0])
@@ -135,11 +139,10 @@ def test_rejects_mismatched_overlay():
 
 
 def test_hugging_families_conventions():
-    grid = RectPoset(2, 2, -5, -5)
-    assert hugging_families(grid, 0, 0, -1, 0, 0) == []
-    assert hugging_families(grid, 0, 0, 1, 1, 1) == []  # c + d > k
-    free = hugging_families(grid, 0, 0, 1, 0, 0)
-    pinned = hugging_families(grid, 0, 0, 1, 1, 0)
+    region = RectPoset(2, 2, -5, -5).hexagon(0, 0, 1)
+    assert hugging_families(region, 1, 1) == []  # c + d > k
+    free = hugging_families(region, 0, 0)
+    pinned = hugging_families(region, 1, 0)
     assert 0 < len(pinned) <= len(free)
 
 
@@ -182,24 +185,26 @@ def _one_image(monkeypatch):
     the first one's image, and the check's report under a swap that sends
     every overlay to that one image."""
     p = RectPoset(3, 2)
-    br, rr = p.hexagon(1, 0, 1), p.hexagon(2, 1, 0)
-    overlays = [(b, r) for b in enum_nilp(br) for r in enum_nilp(rr)]
-    side, *image = swap(br, *overlay_masks(br, overlays[0][0], rr, overlays[0][1]))
+    table, overlays = _overlays(p, 2, 1, 1)
+    br, rr = table.blue.region, table.red.region
+    assert (br, rr) == (p.hexagon(1, 0, 1), p.hexagon(2, 1, 0))
+    side, *image = swap(table, *overlay_masks(br, overlays[0][0], rr, overlays[0][1]))
     monkeypatch.setattr(bounce, "swap", lambda *overlay: (side, *image))
-    return (br, rr), overlays, side, image, plucker_check(p, 2, 1, 1)
+    return table, overlays, side, image, plucker_check(p, 2, 1, 1)
 
 
 def test_weight_witness_renders_the_uncovered_monomials(monkeypatch):
     # A swap that sends every overlay to one fixed image fails the weight
     # stage wherever an overlay's weight differs from the image's.
-    (br, rr), overlays, side, image, rep = _one_image(monkeypatch)
+    table, overlays, side, image, rep = _one_image(monkeypatch)
+    br, rr = table.blue.region, table.red.region
 
     def weight(regions, overlay):
         blue, red = (decode(br.poset, uncovered_sum([masks], region.mask))
                      for region, masks in zip(regions, overlay))
         return str(blue * red)
 
-    image_regions = [plan.region for plan in _image(br, side)]
+    image_regions = [plan.region for plan in table.sides[side]]
     want = [(_edge_colors(br, b, rr, r), weight(image_regions, image), weight((br, rr), (b, r)))
             for b, r in overlays if weight((br, rr), (b, r)) != weight(image_regions, image)]
     got = [(w["overlay"], w["observed"], w["expected"]) for w in rep.witnesses
@@ -211,7 +216,8 @@ def test_a_swap_that_is_not_injective_fails_the_round_trip(monkeypatch):
     # A swap that sends every overlay to one image is not injective.  unswap
     # gives the first overlay back from it, so every other overlay fails the
     # round trip, in order, with no image kept.
-    (br, rr), overlays, _, _, rep = _one_image(monkeypatch)
+    table, overlays, _, _, rep = _one_image(monkeypatch)
+    br, rr = table.blue.region, table.red.region
     assert not rep.passed and rep.trials == len(overlays) > 1
     assert [w["overlay"] for w in rep.witnesses if w["stage"] == "round-trip"] == \
         [_edge_colors(br, b, rr, r) for b, r in overlays[1:]]
@@ -391,15 +397,17 @@ def _reference_unswap(side, blue2, red2):
 
 
 def _overlays(poset, i, j, k):
-    """The blue and red regions and the overlays B x R on which
-    plucker_check runs the bijection (empty when either has no family)."""
+    """The table plucker_check makes for the query (i, j, k), from its six
+    corner regions built as it builds them, and the overlays B x R on which
+    it runs the bijection; no table and no overlay when B or R is empty."""
     grid = RectPoset(poset.r, poset.s, min(0, i - k), min(0, j - k))
-    bases = [(m - a - b, n - a - b, order + a + b, a, b)
-             for (m, n, order, a, b) in (corner(i, j, k), corner(i, j, k, 1, 1, 1))]
-    (B, R), (br, rr) = zip(*[(hugging_families(grid, *base),
-                             grid.hexagon(*base[:3]) if base[2] >= 0 else None)
-                            for base in bases])
-    return br, rr, [(b, r) for b in B for r in R]
+    corners = [corner(i, j, k, *c) for c in _CORNERS]
+    regions = [grid.hexagon(m - a - b, n - a - b, order + a + b) if order >= 0 else None
+               for (m, n, order, a, b) in corners]
+    B, R = (hugging_families(region, a, b) if region else []
+            for region, (*_, a, b) in zip(regions, corners[:2]))
+    overlays = [(b, r) for b in B for r in R]
+    return _table(regions) if overlays else None, overlays
 
 
 def _reference_masks(fam):
@@ -412,18 +420,23 @@ def test_bitmask_bijection_matches_the_counter_reference():
     for (r, s) in SMALL_GRIDS + [(4, 3)]:
         p = RectPoset(r, s)
         for (i, j, k) in _valid_queries(p):
-            br, rr, overlays = _overlays(p, i, j, k)
+            table, overlays = _overlays(p, i, j, k)
             for b, r in overlays:
                 seen += 1
+                br, rr = table.blue.region, table.red.region
                 blue, red = family(br, b), family(rr, r)
                 ref = _decompose(blue, red)
                 assert decompose(br, b, rr, r) == \
                     (ref.side, set(ref.vertical), set(ref.horizontal))
-                side, blue2, red2 = swap(br, *overlay_masks(br, b, rr, r))
+                side, blue2, red2 = swap(table, *overlay_masks(br, b, rr, r))
                 ref_side, ref_blue2, ref_red2 = _reference_swap(blue, red)
                 assert (side, blue2, red2) == \
                     (ref_side, _reference_masks(ref_blue2), _reference_masks(ref_red2))
-                back = unswap(side, ref_blue2.region, blue2, red2)
+                # The table's image regions are those the reference derives
+                # from the side's steps.
+                assert [plan.region for plan in table.sides[side]] == \
+                    [ref_blue2.region, ref_red2.region]
+                back = unswap(side, table, blue2, red2)
                 assert back == tuple(map(_reference_masks,
                                          _reference_unswap(side, ref_blue2, ref_red2)))
     assert seen == 4643
@@ -440,7 +453,8 @@ def test_a_wrong_red_preimage_fails_the_round_trip(monkeypatch):
     # unswap gives back the right blue family with another red one: every
     # overlay fails the round trip, and nothing else.
     p, (i, j, k) = RectPoset(3, 2), (2, 1, 2)
-    br, rr, overlays = _overlays(p, i, j, k)
+    table, overlays = _overlays(p, i, j, k)
+    br, rr = table.blue.region, table.red.region
     reds = [r for _, r in overlays]
     _spied(monkeypatch, "unswap",
            lambda args, back: (back[0], next(m for m in reds if m != back[1])))
@@ -455,10 +469,11 @@ def test_an_image_on_the_other_side_fails_membership(monkeypatch):
     # families of that side, so every overlay fails membership there.
     p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
     other = {"left": "right", "right": "left"}
-    br, rr, overlays = _overlays(p, i, j, k)
+    table, overlays = _overlays(p, i, j, k)
+    br, rr = table.blue.region, table.red.region
     _spied(monkeypatch, "swap", lambda args, image: (other[image[0]], *image[1:]))
     rep = plucker_check(p, i, j, k)
-    sides = [swap(br, *overlay_masks(br, b, rr, r))[0] for b, r in overlays]
+    sides = [swap(table, *overlay_masks(br, b, rr, r))[0] for b, r in overlays]
     assert rep.trials == 6 and set(sides) == {"left", "right"}
     assert [(w["side"], w["overlay"]) for w in rep.witnesses if w["stage"] == "membership"] == \
         [(other[side], _edge_colors(br, b, rr, r)) for side, (b, r) in zip(sides, overlays)]
@@ -470,12 +485,121 @@ def test_an_image_part_of_no_target_fails_membership(monkeypatch, part):
     # overlay's own family for the other part (1 blue, 2 red), a family of
     # no image region: each overlay fails membership.
     p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
-    br, rr, overlays = _overlays(p, i, j, k)
+    table, overlays = _overlays(p, i, j, k)
+    br, rr = table.blue.region, table.red.region
     _spied(monkeypatch, "swap",
            lambda args, image: tuple(args[n] if n == part else x for n, x in enumerate(image)))
     rep = plucker_check(p, i, j, k)
     assert [w["overlay"] for w in rep.witnesses if w["stage"] == "membership"] == \
         [_edge_colors(br, b, rr, r) for b, r in overlays]
+
+
+def test_an_image_on_a_side_with_no_region_fails_the_swap(monkeypatch):
+    # With no left entry in the table, swap raises on every overlay whose
+    # image is on the left: plucker_check records each as a swap failure,
+    # raises nothing, and runs the right-side overlays as before.
+    p, (i, j, k) = RectPoset(3, 3), (3, 3, 2)
+    table, overlays = _overlays(p, i, j, k)
+    br, rr = table.blue.region, table.red.region
+    sides = [swap(table, b, r)[0] for b, r in overlays]
+    assert set(sides) == {"left", "right"}
+    real = bounce._table
+
+    def without_left(regions):
+        table = real(regions)
+        return dataclasses.replace(table, sides={**table.sides, "left": None})
+
+    monkeypatch.setattr(bounce, "_table", without_left)
+    rep = plucker_check(p, i, j, k)
+    assert rep.trials == sides.count("right")
+    assert rep.witnesses == [{"stage": "swap", "overlay": _edge_colors(br, b, rr, r),
+                              "error": "no left image region"}
+                             for side, (b, r) in zip(sides, overlays) if side == "left"]
+    with pytest.raises(PreconditionViolated, match="bad side 'up'"):
+        unswap("up", table, *swap(table, *overlays[0])[1:])
+
+
+def test_unswap_on_the_wrong_side_rejects_every_image():
+    # Every image on the small grids, unswapped as an image of the other
+    # side where that side has image regions: the vertical bounce path from
+    # that side's start never reaches the top.
+    other = {"left": "right", "right": "left"}
+    errors, rejected = set(), 0
+    for p in [RectPoset(r, s) for r, s in SMALL_GRIDS]:
+        for (i, j, k) in _valid_queries(p):
+            table, overlays = _overlays(p, i, j, k)
+            for b, r in overlays:
+                side, *image = swap(table, b, r)
+                if table.sides[other[side]] is None:
+                    continue
+                with pytest.raises(MalformedOverlay) as e:
+                    unswap(other[side], table, *image)
+                errors.add(str(e.value))
+                rejected += 1
+    assert errors == {"vertical bounce path does not reach the top"} and rejected > 1000
+
+
+def _geometry_error(table, side):
+    """The error of unswap's two checks of the truncated source, by points:
+    the one source of the table's blue region that is no source of the
+    side's red image region, one east or north step below the side's
+    vertical start; None when both hold."""
+    src = _SIDES[side][0]
+    blue_image, red_image = (plan.region for plan in table.sides[side])
+    missing = [p for p in table.blue.region.sources if p not in red_image.sources]
+    if len(missing) != 1:
+        return "cannot locate the truncated source position"
+    p0, v = missing[0], blue_image.sources[src]
+    if (v[0] - p0[0], v[1] - p0[1]) not in ((1, 0), (0, 1)):
+        return f"{p0} is not adjacent below {v}"
+    return None
+
+
+def test_unswap_checks_the_truncated_source_as_the_points_do():
+    # Tables plucker_check never makes: the sides' entries exchanged, or
+    # R's plan in place of the side's red image plan.  On every image of
+    # the small grids and of a grid with negative lower bounds, unswap
+    # raises the error of the point reference above, or passes both checks
+    # where the reference does.
+    geometry = ("cannot locate", "not adjacent")
+    seen = Counter()
+    for p in [RectPoset(r, s) for r, s in SMALL_GRIDS] + [RectPoset(3, 2, -2, -1)]:
+        for (i, j, k) in _valid_queries(RectPoset(p.r, p.s)):
+            table, overlays = _overlays(p, i, j, k)
+            for b, r in overlays:
+                side, *image = swap(table, b, r)
+                exchanged = dataclasses.replace(
+                    table, sides={"left": table.sides["right"], "right": table.sides["left"]})
+                red_is_r = dataclasses.replace(
+                    table, sides={side: (table.sides[side][0], table.red)})
+                for t in (table, exchanged, red_is_r):
+                    if t.sides[side] is None:
+                        continue
+                    want = _geometry_error(t, side)
+                    try:
+                        unswap(side, t, *image)
+                        got = None
+                    except MalformedOverlay as e:
+                        got = str(e) if any(g in str(e) for g in geometry) else None
+                    assert got == want, (p, i, j, k, side)
+                    seen[next((g for g in geometry if want and g in want), None)] += 1
+    assert all(seen[g] for g in (None, *geometry))
+
+
+def test_a_start_above_a_column_top_is_not_adjacent():
+    # On 2x2 the bit of (1, 0) follows the bit of (0, 2), the top of the
+    # column before it, but (1, 0) is no step above (0, 2).
+    g = RectPoset(2, 2)
+
+    def plan(*sources):
+        return _plan(Region(g, 0, 0, len(sources), g.mask(g.members()), sources, sources))
+
+    table = _Table(plan((0, 2)), plan(), {"left": (plan((1, 0)), plan()), "right": None})
+    assert table.sides["left"][0].sources[0] == table.blue.sources[0] << 1
+    want = _geometry_error(table, "left")
+    assert want == "(0, 2) is not adjacent below (1, 0)"
+    with pytest.raises(MalformedOverlay, match=rf"^{re.escape(want)}$"):
+        unswap("left", table, (0, 0, 0), (0, 0, 0))
 
 
 def test_masks_name_each_family_and_walk_back_to_its_paths():

@@ -267,6 +267,18 @@ class TestPhi:
                            "enum_nilp lists\n")
 
 
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch):
+    # A command that runs out of memory exits 3, as an exceeded budget
+    # does, with one line on stderr and no traceback.
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._CHECKS, "ledger", (exhausted, ("d",)))
+    code, out, err = run(capsys, "verify", "ledger", "--r", "3000", "--s", "2999", "--d", "0")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: out of memory in birow verify\n"
+
+
 class TestOrbit:
     def test_single_orbit(self, capsys):
         code, out, _ = run(capsys, "orbit", "--r", "1", "--s", "1",

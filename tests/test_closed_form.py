@@ -9,8 +9,9 @@ import pytest
 from birow import verify
 from birow.avar import a_to_x, x_to_A
 from birow.bounce import _CORNERS
-from birow.closed_form import (ClosedForm, IterateQuery, _phi_pair, corner, corner_region,
-                               m_value, mu_phi, rho_closed, rho_closed_at, rho_closed_phi)
+from birow.closed_form import (ClosedForm, IterateQuery, _phi_pair, corner, corner_key,
+                               corner_region, m_value, mu_phi, rho_closed, rho_closed_at,
+                               rho_closed_phi)
 from birow.dynamics import generic_labeling, random_labeling, rowmotion_birational
 from birow.errors import OutOfRange
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
@@ -252,25 +253,28 @@ def _ledger_corners(monkeypatch):
 def test_corner_region_is_the_translated_hexagon(monkeypatch):
     """On every corner of the phi pair up to 5x5 and of the ledger, the region
     is the original hexagon moved by (-a, -b): its points, sources and sinks,
-    and its grid is [0, r-a] x [0, s-b].  Equal regions, reached from any
-    grid, give identical mu_phi text."""
+    and its grid is [0, r-a] x [0, s-b], which with the moved base and the
+    order make its key.  Equal keys, reached from any grid, give identical
+    mu_phi text."""
     corners = [(RectPoset(r, s), c) for r in range(6) for s in range(6)
                for c in _pair_corners(RectPoset(r, s))]
     corners += _ledger_corners(monkeypatch)
     assert any(a or b for _, (_, _, _, a, b) in corners)
     texts = {}
     for poset, (m, n, order, a, b) in corners:
-        region = corner_region(poset, m, n, order, a, b)
+        key = corner_key(poset, m, n, order, a, b)
+        region = corner_region(key)
         if order >= 0 and poset.contains((m, n)):
             hexagon = poset.hexagon(m, n, order)
             assert region.poset == RectPoset(poset.r - a, poset.s - b)
+            assert key == (poset.r - a, poset.s - b, m - a, n - b, order)
             for got, points in ((region.poset.points(region.mask), poset.points(hexagon.mask)),
                                 (region.sources, hexagon.sources), (region.sinks, hexagon.sinks)):
                 assert list(got) == [(u - a, v - b) for (u, v) in points]
         else:
-            assert region in (0, 1)
+            assert region == key and key in (0, 1)
         text = str(mu_phi(poset, m, n, order, a, b))
-        assert texts.setdefault(region, text) == text, (poset, m, n, order, a, b)
+        assert texts.setdefault(key, text) == text, (poset, m, n, order, a, b)
     assert len(texts) < len(set(corners))
 
 

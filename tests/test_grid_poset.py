@@ -1,9 +1,15 @@
 """Rectangle poset, files, and hexagonal regions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import birow
 from birow.errors import HypothesisViolated, OutOfRange
 from birow.grid_poset import RectPoset, Region, parse_point_key, point_key
 
@@ -164,11 +170,42 @@ class TestHexagon:
         assert big.hexagon(-2, -1, 1).sinks == ((2, 1),)
 
     def test_equal_regions_hash_alike(self):
-        # A region built apart from the shared one is equal to it and keys
-        # the same dict entry; regions on other bases or orders do not.
+        # Regions are frozen values: two built apart, one by hexagon and one
+        # field by field, are distinct objects that compare equal, hash
+        # alike and key the same dict entry; regions on other bases or
+        # orders do not.
         p = RectPoset(3, 2)
-        shared = p.hexagon(1, 0, 2)
-        apart = Region(RectPoset(3, 2), 1, 0, 2, shared.mask, shared.sources, shared.sinks)
-        assert apart is not shared and apart == shared and hash(apart) == hash(shared)
-        table = {shared: "shared", p.hexagon(1, 0, 1): "order 1", p.hexagon(0, 0, 2): "base"}
-        assert table[apart] == "shared" and len(table) == 3
+        built = p.hexagon(1, 0, 2)
+        apart = Region(RectPoset(3, 2), 1, 0, 2, built.mask, built.sources, built.sinks)
+        assert apart is not built and apart == built and hash(apart) == hash(built)
+        assert p.hexagon(1, 0, 2) is not built
+        table = {built: "built", p.hexagon(1, 0, 1): "order 1", p.hexagon(0, 0, 2): "base"}
+        assert table[apart] == "built" and len(table) == 3
+
+
+def test_no_region_outlives_a_check():
+    # In a fresh interpreter, so that no region built by another test is
+    # counted: after gc.collect(), as many regions are alive after each
+    # check as before it.
+    script = textwrap.dedent("""
+        import gc
+        from birow.bounce import plucker_check
+        from birow.grid_poset import RectPoset, Region
+        from birow.verify import check_file_homomesy, check_main_formula
+
+        def live():
+            gc.collect()
+            return sum(isinstance(x, Region) for x in gc.get_objects())
+
+        for check in (lambda: check_main_formula(6, 6, 1),
+                      lambda: plucker_check(RectPoset(5, 5), 4, 4, 5),
+                      lambda: check_file_homomesy(5, 4, range(-5, 5), "symbolic")):
+            before = live()
+            check()
+            print(before, live())
+    """)
+    src = os.path.dirname(os.path.dirname(birow.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    counts = [line.split() for line in out.splitlines()]
+    assert len(counts) == 3 and all(before == after for before, after in counts), counts

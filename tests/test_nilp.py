@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from birow import bounce, nilp
 from birow.avar import a_to_x
 from birow.bounce import _CORNERS, hugging_families
-from birow.closed_form import corner, corner_region
+from birow.closed_form import corner, corner_key, corner_region
 from birow.errors import BudgetExceeded, PoleEncountered
 from birow.exactnum import Factored, Polynomial, avar, monomial, xvar
 from birow.grid_poset import GridPoint, RectPoset, Region
@@ -242,12 +242,12 @@ def test_enum_nilp_matches_the_vertex_list_reference():
     for (i, j, k) in _valid_queries(RectPoset(3, 3)):
         grid = RectPoset(3, 3, min(0, i - k), min(0, j - k))
         for (m, n, order, a, b) in (corner(i, j, k, *c) for c in _CORNERS):
-            base = (m - a - b, n - a - b, order + a + b, a, b)
-            if order < 0:
-                assert hugging_families(grid, *base) == []
+            k2 = order + a + b
+            region = grid.hexagon(m - a - b, n - a - b, k2) if k2 >= 0 else None
+            if order < 0:  # c + d > k2: no family, and plucker_check builds no region
+                assert region is None or hugging_families(region, a, b) == []
                 continue
-            region = grid.hexagon(*base[:3])
-            cases.append((region, hugging_families(grid, *base), reference_hugging(region, a, b)))
+            cases.append((region, hugging_families(region, a, b), reference_hugging(region, a, b)))
             hugging += a + b > 0
     assert hugging > 0
     families = 0
@@ -506,7 +506,7 @@ def test_pieces_decode_and_render_a_mask_across_a_whole_grid():
     points and renders to that polynomial's text, alone and among terms
     that share its bytes."""
     g = RectPoset(40, 39)
-    mask = corner_region(g, 0, 39, 0, 0, 0).mask
+    mask = corner_region(corner_key(g, 0, 39, 0, 0, 0)).mask
     assert g.points(mask) == [(i, 39) for i in range(41)]
     low = g.mask([(0, 0), (0, 39), (20, 1)])
     for terms in ([(mask, 1)], [(mask | low, 2), (mask, 1), (low, 3), (0, 1)]):
